@@ -141,17 +141,9 @@ class SweepScheduler:
         """
         if self._session is not None or self.jobs <= 1:
             return
-        import concurrent.futures as cf
-
         from .shm import ShmArena
-        from .work import pool_init
 
-        self._session = (
-            ShmArena(),
-            cf.ProcessPoolExecutor(
-                max_workers=self.jobs, initializer=pool_init
-            ),
-        )
+        self._session = (ShmArena(), _new_pool(self.jobs))
 
     def close_session(self) -> None:
         """Shut the persistent pool down and release its shm segments."""
@@ -240,15 +232,12 @@ class SweepScheduler:
         from concurrent.futures.process import BrokenProcessPool
 
         from .shm import ShmArena
-        from .work import pool_init
 
         session = self._session
         if session is None:
             workers = min(self.jobs, len(pending))
             arena = ShmArena()
-            executor = cf.ProcessPoolExecutor(
-                max_workers=workers, initializer=pool_init
-            )
+            executor = _new_pool(workers)
         else:
             # Session mode: the long-lived pool keeps its full width and
             # the arena keeps every prior publish (id-memoised).
@@ -372,6 +361,22 @@ class SweepScheduler:
             else:
                 shipped[name] = arr
         return shipped
+
+
+def _new_pool(workers: int):
+    """A process pool whose workers share this process's resource tracker.
+
+    Forked workers inherit the tracker only if it is running before they
+    start.  A worker that launched its own would, on exit, unlink and
+    warn about every shared-memory segment it had attached.
+    """
+    import concurrent.futures as cf
+    from multiprocessing import resource_tracker
+
+    from .work import pool_init
+
+    resource_tracker.ensure_running()
+    return cf.ProcessPoolExecutor(max_workers=workers, initializer=pool_init)
 
 
 def _pool_entry_trampoline(spec):

@@ -11,7 +11,10 @@ view over the same physical pages.
 Lifecycle: the scheduler owns the arena for the duration of one pool
 run — publish before submit, ``close()`` (which unlinks) after the last
 future resolves.  Workers keep their attachments cached per segment
-name for the life of the process; they never unlink.
+name for the life of the process; they never unlink.  Workers share the
+coordinator's resource tracker (the scheduler starts it before any
+pool), so a worker's attach re-registers a name the tracker already
+holds, and the coordinator's unlink is the one unregister.
 
 This module is imported lazily by the scheduler: the ``REPRO_JOBS=1``
 serial path never touches :mod:`multiprocessing`.
@@ -19,7 +22,6 @@ serial path never touches :mod:`multiprocessing`.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Dict, Tuple
@@ -98,19 +100,6 @@ def attach(ref: SharedArrayRef) -> np.ndarray:
         return hit[1]
     seg = shared_memory.SharedMemory(name=ref.segment)
     try:
-        if os.environ.get("REPRO_POOL_WORKER") == "1":
-            try:
-                # Attaching registers the segment with the worker's
-                # resource tracker, which would try to clean it up (and
-                # warn) at exit even though the parent owns the unlink.
-                # Hand ownership back.  Same-process attaches (tests)
-                # skip this: the creator's own registration must survive
-                # until unlink.
-                from multiprocessing import resource_tracker
-
-                resource_tracker.unregister(seg._name, "shared_memory")
-            except Exception:  # pragma: no cover - tracker internals moved
-                pass
         view = np.ndarray(ref.shape, np.dtype(ref.dtype), buffer=seg.buf)
         view.flags.writeable = False
     except BaseException:

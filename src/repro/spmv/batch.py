@@ -2,12 +2,12 @@
 
 Multi-source traversals (BFS/SSSP from K roots, batched PageRank
 personalisation) issue K independent SpMV invocations per superstep.  The
-kernels here run one *batch* of same-config columns through a single
-matrix traversal's worth of structural precomputation:
+kernels here run one *batch* of same-config columns against one matrix:
 
-* :func:`inner_product_batch` computes the COO row-partition ownership,
-  the vblock layout, the per-PE nnz histogram and the (sorted) output
-  first-touch keys **once**, then sweeps the K dense columns;
+* :func:`inner_product_batch` places the static IP schedule (partition
+  check, vblock layout, per-PE entry edges) once and runs every dense
+  column through :func:`~repro.spmv.inner._ip_column`, the per-column
+  helper the sequential kernel calls too;
 * :func:`outer_product_batch` gathers the CSC columns of the **union**
   frontier once and slices each batch column's entries out of the union
   gather, so overlapping frontiers do not re-read the matrix.
@@ -19,10 +19,7 @@ alone.  The profiles are built by the very same helpers
 (:func:`~repro.spmv.inner._build_ip_profile`,
 :func:`~repro.spmv.outer._build_op_profile`) the sequential kernels use,
 so hardware pricing stays per-query-faithful; only redundant *structural*
-work is shared.  The one algorithmic substitution — replacing
-``np.unique`` over the IP output keys with a linear distinct-scan — is
-guarded by a monotonicity check on the key stream (guaranteed by the
-COO (row, col) lexsort) and falls back to ``np.unique`` otherwise.
+work is shared.
 """
 
 from __future__ import annotations
@@ -38,9 +35,9 @@ from ..hardware import Geometry, HWMode
 from ..hardware.params import DEFAULT_PARAMS, HardwareParams
 from ..obs.tracer import traced
 from ..perf import counters as _perf
-from .inner import _build_ip_profile, _ip_layout, _ip_out_pe, _ip_part_of
+from .inner import _ip_column, _ip_schedule
 from .outer import _build_op_profile, _op_stats
-from .partition import IPPartition, build_ip_partitions, equal_nnz_row_bounds, equal_rows_bounds
+from .partition import IPPartition, equal_nnz_row_bounds, equal_rows_bounds
 from .result import SpMVResult
 from .semiring import Semiring
 
@@ -79,16 +76,6 @@ def _check_batch_args(frontiers, matrix_cols: int, semiring: Semiring, columns, 
     return columns, currents
 
 
-def _distinct_sorted(keys: np.ndarray) -> np.ndarray:
-    """Distinct values of a *non-decreasing* key array (== np.unique)."""
-    if len(keys) == 0:
-        return keys
-    mask = np.empty(len(keys), dtype=bool)
-    mask[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=mask[1:])
-    return keys[mask]
-
-
 # ----------------------------------------------------------------------
 # Inner product
 # ----------------------------------------------------------------------
@@ -114,8 +101,10 @@ def inner_product_batch(
     must match the semiring's) plus optional per-column ``currents`` and
     a ``columns`` selection.  Address-trace generation is sequential-only.
     """
-    if hw_mode not in (HWMode.SC, HWMode.SCS):
-        raise ConfigurationError(f"IP runs under SC or SCS, not {hw_mode}")
+    schedule = _ip_schedule(
+        matrix, geometry, hw_mode, params, partition, balanced, 1,
+        vblock_width, "inner_product_batch",
+    )
     columns, currents = _check_batch_args(
         frontiers, matrix.n_cols, semiring, columns, currents
     )
@@ -124,92 +113,20 @@ def inner_product_batch(
             f"MultiVector absent={frontiers.absent} does not match "
             f"semiring {semiring.name} absent={semiring.absent}"
         )
-
-    rows, cols, vals = matrix.to_arrays()
-    row_ptr = matrix.row_extents()
-    if partition is None:
-        partition = build_ip_partitions(
-            row_ptr, geometry.tiles, geometry.pes_per_tile, balanced=balanced
-        )
-
-    # Frontier-independent structure, computed once for the whole batch.
-    width, n_vblocks = _ip_layout(
-        matrix.n_cols, geometry, params, 1, override=vblock_width
-    )
-    flat_bounds, part_of = _ip_part_of(rows, partition, matrix.n_rows, geometry)
-    nnz_pe = np.bincount(part_of, minlength=geometry.n_pes).astype(np.int64)
-    key_all = rows * np.int64(n_vblocks) + cols // width
-    # COOMatrix lexsorts by (row, col), which makes the (row, vblock)
-    # key stream non-decreasing — the linear distinct-scan then equals
-    # np.unique.  Verify rather than assume (a future format relaxation
-    # must not silently corrupt the profile).
-    keys_sorted = bool(np.all(key_all[1:] >= key_all[:-1])) if len(key_all) else True
-
-    _san = sanitize.active()
-    _san.check_histogram("inner_product_batch/nnz", nnz_pe, matrix.nnz)
-
-    results: List[SpMVResult] = []
     _perf.kernel_batched_columns += len(columns)
-    for j, current in zip(columns, currents):
-        v = frontiers.column_dense(j)
-        active = v[cols] != semiring.absent
-        a_rows, a_cols = rows[active], cols[active]
-        if profile_only:
-            _perf.kernel_profile_only += 1
-            out = None
-            touched = None
-        else:
-            _perf.kernel_executions += 1
-            a_vals = vals[active]
-            out = semiring.init_output(matrix.n_rows, current)
-            v_dst = None
-            if semiring.needs_dst:
-                if current is None:
-                    raise ShapeError(
-                        f"semiring {semiring.name} needs current dst values"
-                    )
-                v_dst = np.asarray(current, dtype=np.float64)[a_rows]
-            contrib = semiring.combine(a_vals, v[a_cols], v_dst, a_cols, a_rows)
-            semiring.scatter(out, a_rows, contrib)
-            touched = np.zeros(matrix.n_rows, dtype=bool)
-            touched[a_rows] = True
-            prev = (
-                np.asarray(current, dtype=np.float64)
-                if current is not None
-                else semiring.init_output(matrix.n_rows, None)
-            )
-            out = semiring.apply_vector_op(out, prev)
-
-        act_pe = np.bincount(part_of[active], minlength=geometry.n_pes).astype(
-            np.int64
-        )
-        _san.check_histogram(
-            f"inner_product_batch/active[{j}]", act_pe, int(active.sum())
-        )
-        out_key = key_all[active]
-        uniq_out = (
-            _distinct_sorted(out_key) if keys_sorted else np.unique(out_key)
-        )
-        out_pe = _ip_out_pe(uniq_out, n_vblocks, flat_bounds, geometry)
-        profile = _build_ip_profile(
+    return [
+        _ip_column(
             matrix,
+            schedule,
+            frontiers.column_dense(j),
             semiring,
-            geometry,
-            hw_mode,
-            partition,
-            balanced,
-            width,
-            n_vblocks,
-            nnz_pe,
-            act_pe,
-            out_pe,
-            int(active.sum()),
-            1,
+            current,
+            profile_only,
+            with_trace=False,
+            label=f"inner_product_batch/active[{j}]",
         )
-        results.append(
-            SpMVResult(values=out, touched=touched, profile=profile, semiring=semiring)
-        )
-    return results
+        for j, current in zip(columns, currents)
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ request, an exact interleaved address trace for the trace-replay engine.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -105,8 +105,11 @@ def inner_product(
         stays feasible; affects only the modelled profile, never the
         functional values.
     """
-    if hw_mode not in (HWMode.SC, HWMode.SCS):
-        raise ConfigurationError(f"IP runs under SC or SCS, not {hw_mode}")
+    vw = semiring.value_words
+    schedule = _ip_schedule(
+        matrix, geometry, hw_mode, params, partition, balanced, vw,
+        vblock_width, "inner_product",
+    )
     if isinstance(vector, DenseVector):
         vector = vector.data
     v = np.asarray(vector, dtype=np.float64)
@@ -114,7 +117,6 @@ def inner_product(
         raise ShapeError(
             f"vector length {v.shape[0]} incompatible with matrix {matrix.shape}"
         )
-    vw = semiring.value_words
     if (vw == 1) != (v.ndim == 1):
         raise ShapeError(
             f"semiring {semiring.name} expects value_words={vw}, "
@@ -122,32 +124,121 @@ def inner_product(
         )
     if with_trace and vw != 1:
         raise ConfigurationError("trace generation supports scalar semirings only")
+    return _ip_column(
+        matrix, schedule, v, semiring, current, profile_only, with_trace,
+        "inner_product/active",
+    )
 
-    rows, cols, vals = matrix.to_arrays()
-    row_ptr = matrix.row_extents()
+
+class _IPSchedule(NamedTuple):
+    """The frontier-independent half of an IP call, shared by a batch."""
+
+    geometry: Geometry
+    hw_mode: HWMode
+    partition: IPPartition
+    balanced: bool
+    width: int
+    n_vblocks: int
+    #: PE ``k`` owns rows ``pe_rows[k]:pe_rows[k+1]`` ...
+    pe_rows: np.ndarray
+    #: ... which are entries ``pe_entries[k]:pe_entries[k+1]`` of the
+    #: row-sorted COO arrays.
+    pe_entries: np.ndarray
+
+
+def _ip_schedule(
+    matrix: COOMatrix,
+    geometry: Geometry,
+    hw_mode: HWMode,
+    params: HardwareParams,
+    partition: Optional[IPPartition],
+    balanced: bool,
+    vw: int,
+    vblock_width: Optional[int],
+    label: str,
+) -> _IPSchedule:
+    """Validate the hardware context and place the static schedule.
+
+    With a partition passed in this costs O(P log nnz): the COO is
+    row-sorted, so each PE's entries are one contiguous run whose ends
+    a binary search finds.
+    """
+    if hw_mode not in (HWMode.SC, HWMode.SCS):
+        raise ConfigurationError(f"IP runs under SC or SCS, not {hw_mode}")
     if partition is None:
         partition = build_ip_partitions(
-            row_ptr, geometry.tiles, geometry.pes_per_tile, balanced=balanced
+            matrix.row_extents(),
+            geometry.tiles,
+            geometry.pes_per_tile,
+            balanced=balanced,
+        )
+    else:
+        _check_partition(partition, matrix.n_rows, geometry)
+    width, n_vblocks = _ip_layout(
+        matrix.n_cols, geometry, params, vw, override=vblock_width
+    )
+    pe_rows = np.concatenate(
+        [b[:-1] for b in partition.pe_bounds] + [[matrix.n_rows]]
+    ).astype(np.int64)
+    pe_entries = np.searchsorted(matrix.rows, pe_rows)
+    sanitize.active().check_histogram(
+        f"{label}/nnz", np.diff(pe_entries), matrix.nnz
+    )
+    return _IPSchedule(
+        geometry, hw_mode, partition, balanced, width, n_vblocks, pe_rows,
+        pe_entries,
+    )
+
+
+def _check_partition(partition: IPPartition, n_rows: int, geometry: Geometry):
+    """A reused partition must have been built for this geometry and matrix."""
+    bounds = partition.pe_bounds
+    fits = (
+        len(bounds) == geometry.tiles
+        and all(len(b) == geometry.pes_per_tile + 1 for b in bounds)
+        and int(bounds[0][0]) == 0
+        and int(bounds[-1][-1]) == n_rows
+    )
+    if not fits:
+        raise ConfigurationError(
+            f"IP partition does not fit geometry {geometry.name} over "
+            f"{n_rows} rows: it needs {geometry.tiles} tiles of "
+            f"{geometry.pes_per_tile + 1} PE bounds covering rows "
+            f"[0, {n_rows}]"
         )
 
-    # ------------------------------------------------------------------
-    # Functional result (vectorised; identical to the per-PE schedule
-    # because row partitions are disjoint and the reduce is commutative).
-    # The activity mask is needed by the profile either way; everything
-    # downstream of it is skipped on profile-only pricing probes.
-    # ------------------------------------------------------------------
-    if v.ndim == 1:
-        active = v[cols] != semiring.absent
-    else:
-        active = np.ones(len(cols), dtype=bool)
-    a_rows, a_cols = rows[active], cols[active]
+
+def _ip_column(
+    matrix: COOMatrix,
+    schedule: _IPSchedule,
+    v: np.ndarray,
+    semiring: Semiring,
+    current: Optional[np.ndarray],
+    profile_only: bool,
+    with_trace: bool,
+    label: str,
+) -> SpMVResult:
+    """Run one validated dense frontier column through ``schedule``.
+
+    The functional result is vectorised over the active entries; it is
+    identical to the per-PE schedule because row partitions are disjoint
+    and the reduce is commutative.  The accounting costs O(active
+    entries) plus O(P log nnz).
+    """
+    rows, cols, vals = matrix.to_arrays()
+    active = v[cols] != semiring.absent if v.ndim == 1 else None
+    n_active = matrix.nnz if active is None else int(np.count_nonzero(active))
+    # Compact once; a fully active frontier streams the arrays as stored.
+    compact = n_active < matrix.nnz
+    a_rows = rows[active] if compact else rows
+    a_cols = cols[active] if compact else cols
     if profile_only:
         _perf.kernel_profile_only += 1
         out = None
         touched = None
     else:
         _perf.kernel_executions += 1
-        a_vals = vals[active]
+        a_vals = vals[active] if compact else vals
         out = semiring.init_output(matrix.n_rows, current)
         v_dst = None
         if semiring.needs_dst:
@@ -165,49 +256,56 @@ def inner_product(
         )
         out = semiring.apply_vector_op(out, prev)
 
-    # ------------------------------------------------------------------
-    # Hardware profile
-    # ------------------------------------------------------------------
-    width, n_vblocks = _ip_layout(
-        matrix.n_cols, geometry, params, vw, override=vblock_width
-    )
-    flat_bounds, part_of = _ip_part_of(rows, partition, matrix.n_rows, geometry)
-    nnz_pe = np.bincount(part_of, minlength=geometry.n_pes).astype(np.int64)
-    act_pe = np.bincount(part_of[active], minlength=geometry.n_pes).astype(
-        np.int64
-    )
-    _san = sanitize.active()
-    _san.check_histogram("inner_product/nnz", nnz_pe, matrix.nnz)
-    _san.check_histogram("inner_product/active", act_pe, int(active.sum()))
-    # Output first-touches: the row-major stream accumulates consecutive
-    # same-row contributions in registers, so only distinct (row, vblock)
-    # pairs are exposed to the memory system.
-    out_key = rows[active] * np.int64(n_vblocks) + cols[active] // width
-    uniq_out = np.unique(out_key)
-    out_pe = _ip_out_pe(uniq_out, n_vblocks, flat_bounds, geometry)
+    active_edges = np.searchsorted(a_rows, schedule.pe_rows)
+    act_pe = np.diff(active_edges)
+    sanitize.active().check_histogram(label, act_pe, n_active)
+    out_pe = _ip_first_touches(a_rows, a_cols, active_edges, schedule)
+    trace_builder = None
+    if with_trace:
+        e, width = schedule.pe_entries, schedule.width
 
-    trace_builder = (
-        (lambda k: _build_ip_trace(part_of, k, rows, cols, active, width))
-        if with_trace
-        else None
-    )
+        def trace_builder(k):
+            return _build_ip_trace(
+                int(e[k]), int(e[k + 1]), rows, cols, active, width
+            )
+
     profile = _build_ip_profile(
-        matrix,
-        semiring,
-        geometry,
-        hw_mode,
-        partition,
-        balanced,
-        width,
-        n_vblocks,
-        nnz_pe,
-        act_pe,
-        out_pe,
-        int(active.sum()),
-        vw,
-        trace_builder,
+        matrix, semiring, schedule, act_pe, out_pe, n_active, trace_builder
     )
     return SpMVResult(values=out, touched=touched, profile=profile, semiring=semiring)
+
+
+def _ip_first_touches(
+    a_rows: np.ndarray,
+    a_cols: np.ndarray,
+    active_edges: np.ndarray,
+    schedule: _IPSchedule,
+) -> np.ndarray:
+    """Per-PE distinct (row, vblock) pairs among the active entries.
+
+    The row-major stream accumulates consecutive same-row contributions
+    in registers, so only distinct (row, vblock) pairs are exposed to
+    the memory system as output first-touches.  The COO is sorted by
+    (row, col), so the pair keys are non-decreasing: each pair starts
+    where the key changes, and a binary search of those starts at each
+    PE's active-entry edges counts them.  A tuned operand keeps its
+    original within-row entry order, whose keys can step back; those
+    fall back to ``np.unique``.
+    """
+    n_vblocks = schedule.n_vblocks
+    keys = (
+        a_rows
+        if n_vblocks == 1
+        else a_rows * np.int64(n_vblocks) + a_cols // schedule.width
+    )
+    head, tail = keys[:-1], keys[1:]
+    if np.any(tail < head):
+        distinct_rows = np.unique(keys) // n_vblocks
+        return np.diff(np.searchsorted(distinct_rows, schedule.pe_rows))
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(tail, head, out=first[1:])
+    return np.diff(np.searchsorted(np.flatnonzero(first), active_edges))
 
 
 def _ip_layout(
@@ -241,55 +339,29 @@ def _ip_layout(
     return width, n_vblocks
 
 
-def _ip_part_of(rows: np.ndarray, partition: IPPartition, n_rows: int, geometry):
-    """Per-entry owning-PE index (frontier-independent, reusable)."""
-    flat_bounds = np.concatenate(
-        [b[:-1] for b in partition.pe_bounds] + [[n_rows]]
-    ).astype(np.int64)
-    part_of = np.clip(
-        np.searchsorted(flat_bounds, rows, side="right") - 1,
-        0,
-        geometry.n_pes - 1,
-    )
-    return flat_bounds, part_of
-
-
-def _ip_out_pe(uniq_out, n_vblocks, flat_bounds, geometry) -> np.ndarray:
-    """Per-PE distinct (row, vblock) first-touch counts."""
-    uniq_rows = (uniq_out // n_vblocks).astype(np.int64)
-    out_part = np.clip(
-        np.searchsorted(flat_bounds, uniq_rows, side="right") - 1,
-        0,
-        geometry.n_pes - 1,
-    )
-    return np.bincount(out_part, minlength=geometry.n_pes).astype(np.int64)
-
-
 def _build_ip_profile(
     matrix: COOMatrix,
     semiring: Semiring,
-    geometry: Geometry,
-    hw_mode: HWMode,
-    partition: IPPartition,
-    balanced: bool,
-    width: int,
-    n_vblocks: int,
-    nnz_pe: np.ndarray,
+    schedule: _IPSchedule,
     act_pe: np.ndarray,
     out_pe: np.ndarray,
     active_entries: int,
-    vw: int,
     trace_builder=None,
 ) -> KernelProfile:
     """Assemble the IP :class:`KernelProfile` from per-PE counts."""
+    geometry, hw_mode = schedule.geometry, schedule.hw_mode
+    width, n_vblocks = schedule.width, schedule.n_vblocks
+    vw = semiring.value_words
+    nnz_pe = np.diff(schedule.pe_entries).tolist()
+    act_pe, out_pe = act_pe.tolist(), out_pe.tolist()
     T, P = geometry.tiles, geometry.pes_per_tile
     tiles = []
     for t in range(T):
         pes = []
         for p in range(P):
             k = t * P + p
-            n_k, a_k = int(nnz_pe[k]), int(act_pe[k])
-            lo, hi = partition.pe_row_range(t, p)
+            n_k, a_k = nnz_pe[k], act_pe[k]
+            lo, hi = schedule.partition.pe_row_range(t, p)
             streams = [
                 AccessStream(
                     Region.MATRIX,
@@ -345,29 +417,28 @@ def _build_ip_profile(
         meta={
             "n_vblocks": n_vblocks,
             "vblock_width": width,
-            "balanced": balanced,
+            "balanced": schedule.balanced,
             "active_entries": active_entries,
         },
     )
 
 
 def _build_ip_trace(
-    part_of: np.ndarray,
-    k: int,
+    lo: int,
+    hi: int,
     rows: np.ndarray,
     cols: np.ndarray,
     active: np.ndarray,
     width: int,
 ) -> PETrace:
-    """Exact access trace of PE ``k``: per entry, 3 matrix words, one
-    vector gather, and (when the source is active) an output
-    read-modify-write pair — in vblock-major schedule order."""
-    sel = np.nonzero(part_of == k)[0]
-    if len(sel) == 0:
+    """Exact access trace of the PE owning entries ``lo:hi``: per entry,
+    3 matrix words, one vector gather, and (when the source is active)
+    an output read-modify-write pair — in vblock-major schedule order."""
+    if hi == lo:
         e = np.zeros(0, dtype=np.int64)
         return PETrace(e.astype(np.int8), e, e.astype(bool))
-    order = sel[np.argsort(cols[sel] // width, kind="stable")]
-    n = len(order)
+    order = lo + np.argsort(cols[lo:hi] // width, kind="stable")
+    n = hi - lo
     act = active[order]
     per_entry = 4 + 2 * act.astype(np.int64)
     starts = np.concatenate([[0], np.cumsum(per_entry)[:-1]])
@@ -378,7 +449,7 @@ def _build_ip_trace(
     # The stored partition is pre-blocked to match the schedule (the
     # paper's preprocessing), so the matrix stream is strictly
     # sequential within this PE's contiguous row-partition range.
-    seq = int(sel[0]) + np.arange(n, dtype=np.int64)
+    seq = lo + np.arange(n, dtype=np.int64)
     for off in range(3):  # matrix words (row, col, val)
         regions[starts + off] = int(Region.MATRIX)
         addrs[starts + off] = 3 * seq + off

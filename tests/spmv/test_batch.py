@@ -23,7 +23,6 @@ from repro.spmv import (
     spmv_semiring,
     sssp_semiring,
 )
-from repro.spmv.batch import _distinct_sorted
 from repro.spmv.semiring import bfs_semiring
 from repro.workloads import random_frontier
 
@@ -188,16 +187,6 @@ class TestOuterBatch:
             outer_product_batch(
                 medium_csc, mv, sr, geom24, columns=[1]
             )
-
-
-class TestDistinctSorted:
-    def test_matches_unique_on_sorted_input(self, rng):
-        keys = np.sort(rng.integers(0, 50, 300))
-        assert np.array_equal(_distinct_sorted(keys), np.unique(keys))
-
-    def test_empty(self):
-        e = np.zeros(0, dtype=np.int64)
-        assert len(_distinct_sorted(e)) == 0
 
 
 class TestExactCrossCheckError:

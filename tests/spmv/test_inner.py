@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, ShapeError
-from repro.formats import COOMatrix
+from repro.formats import COOMatrix, MultiVector
 from repro.hardware import Geometry, HWMode, Region
 from repro.spmv import (
     bfs_semiring,
+    build_ip_partitions,
     cf_semiring,
     inner_product,
+    inner_product_batch,
     reference_spmv,
     spmv_semiring,
     sssp_semiring,
@@ -98,6 +100,42 @@ class TestValidation:
             inner_product(
                 small_coo, F, sr, geom, HWMode.SC, current=F, with_trace=True
             )
+
+    @staticmethod
+    def _run(kernel, coo, geometry, partition):
+        v = np.ones(coo.n_cols)
+        if kernel == "batch":
+            return inner_product_batch(
+                coo, MultiVector([v]), spmv_semiring(), geometry,
+                partition=partition,
+            )
+        return inner_product(
+            coo, v, spmv_semiring(), geometry, partition=partition
+        )
+
+    @pytest.mark.parametrize("kernel", ["sequential", "batch"])
+    @pytest.mark.parametrize(
+        "built, used", [("8x16", "4x8"), ("4x8", "8x16"), ("4x16", "8x8")]
+    )
+    def test_rejects_partition_for_other_geometry(
+        self, medium_coo, kernel, built, used
+    ):
+        g = Geometry.parse(built)
+        part = build_ip_partitions(
+            medium_coo.row_extents(), g.tiles, g.pes_per_tile
+        )
+        with pytest.raises(ConfigurationError, match="does not fit"):
+            self._run(kernel, medium_coo, Geometry.parse(used), part)
+
+    @pytest.mark.parametrize("kernel", ["sequential", "batch"])
+    def test_rejects_partition_for_other_matrix(
+        self, small_coo, medium_coo, geom, kernel
+    ):
+        part = build_ip_partitions(
+            small_coo.row_extents(), geom.tiles, geom.pes_per_tile
+        )
+        with pytest.raises(ConfigurationError, match="does not fit"):
+            self._run(kernel, medium_coo, geom, part)
 
 
 class TestProfile:
