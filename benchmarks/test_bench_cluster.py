@@ -2,8 +2,10 @@
 
 Runs PageRank on the large suite graphs single-node, then through a
 4-shard :class:`~repro.cluster.ShardedRuntime` whose shard kernels fan
-out to a 4-worker pool (one persistent session: pool + shm arena, so
-matrix shards ship once).  Wall-clock times, the modeled network share,
+out to a 4-worker pool (one persistent session: the shard matrices are
+pinned to it, published to shared memory once and shipped by reference
+whatever their size, while each superstep's frontier and semiring
+arrays travel inline).  Wall-clock times, the modeled network share,
 and the speedup land in the persisted bench JSON and the bench history
 (``artifacts/bench-history.jsonl``) so ``make bench-regress`` gates on
 them.

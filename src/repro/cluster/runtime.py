@@ -14,9 +14,12 @@ Two execution paths produce bit-identical results:
 * **serial** (``jobs=1`` or a single shard) — shard runtimes live in
   this process and run back-to-back;
 * **pooled** — shard steps fan out through a
-  :class:`~repro.parallel.scheduler.SweepScheduler` session: matrix
-  shards are published to shared memory once per run (the session arena
-  memoises publishes), workers keep per-shard runtime memos, and the
+  :class:`~repro.parallel.scheduler.SweepScheduler` session: the shards'
+  COO/CSC arrays are pinned to the session, so they are published to
+  shared memory once per session and ship by reference in every task
+  whatever their size, while each superstep's frontier, semiring recipe
+  arrays and ``current`` slices travel inline (no segment per
+  superstep); workers keep per-shard runtime memos, and the
   coordinator remains the single source of truth for each shard's
   mutable decision state (last config + the stateful hardware mode), so
   results cannot depend on task-to-worker placement.
@@ -294,6 +297,11 @@ class ShardedRuntime:
             self._params_spec = (
                 None if params is DEFAULT_PARAMS else asdict(params)
             )
+            #: Per-shard COO/CSC task arrays: the session's pinned set.
+            self._shard_arrays = [
+                {**coo_arrays(s.coo), **csc_arrays(s.csc)}
+                for s in self.shards
+            ]
             #: Coordinator-authoritative per-shard decision state.  The
             #: ``last_*`` pair mirrors the log-scoped fields a
             #: ``reset_log`` clears; ``system_mode`` is the *persistent*
@@ -328,8 +336,14 @@ class ShardedRuntime:
 
     def __enter__(self) -> "ShardedRuntime":
         if self._scheduler is not None:
-            self._scheduler.start_session()
+            self._start_session()
         return self
+
+    def _start_session(self) -> None:
+        """Open (or keep) the pool session with the shard arrays pinned."""
+        self._scheduler.start_session(
+            [arr for arrays in self._shard_arrays for arr in arrays.values()]
+        )
 
     def __exit__(self, *exc) -> None:
         self.close()
@@ -538,15 +552,18 @@ class ShardedRuntime:
                 "jobs=1 to run it serially"
             )
         # Idempotent: keeps one pool + arena across iterations so the
-        # matrix shards are published to shared memory exactly once.
-        self._scheduler.start_session()
+        # pinned shard arrays are published to shared memory once per
+        # session.
+        self._start_session()
         marker, f_arrays = self._frontier_shipment(frontier)
         sr_arrays = {
             f"sr_{name}": arr
             for name, arr in (semiring.spec_arrays or {}).items()
         }
         tasks = []
-        for shard, state in zip(self.shards, self._state):
+        for shard, state, matrix in zip(
+            self.shards, self._state, self._shard_arrays
+        ):
             payload = {
                 "token": self._token,
                 "shard": shard.index,
@@ -563,12 +580,7 @@ class ShardedRuntime:
                 "frontier": marker,
                 "state": {"iteration": self._iteration, **state},
             }
-            arrays = {
-                **coo_arrays(shard.coo),
-                **csc_arrays(shard.csc),
-                **sr_arrays,
-                **f_arrays,
-            }
+            arrays = {**matrix, **sr_arrays, **f_arrays}
             if current is not None:
                 arrays["current"] = current[shard.lo:shard.hi]
             tasks.append(

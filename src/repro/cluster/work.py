@@ -7,10 +7,13 @@ scheduler ships back by pickle, not JSON.
 
 Worker-side memo
 ----------------
-Rebuilding a shard's :class:`~repro.core.runtime.CoSparseRuntime` (and
-re-sorting nothing — the COO/CSC arrays arrive pre-built through the
-shm arena) every iteration would dominate the fan-out, so workers keep
-one runtime per ``(run token, shard)`` in :data:`_shard_runtimes`.  The
+Rebuilding a shard's :class:`~repro.core.runtime.CoSparseRuntime` every
+iteration would dominate the fan-out, so workers keep one runtime per
+``(run token, shard)`` in :data:`_shard_runtimes`.  The COO/CSC arrays
+arrive pre-built: they are pinned to the scheduler session, published
+to shared memory once per session and shipped by reference in every
+task, so a worker's memoised runtime reads zero-copy views; the
+frontier, the semiring's recipe arrays and ``current`` ride inline.  The
 runtime's *mutable* decision state (last config, the stateful hardware
 mode) is never trusted across calls: the coordinator tracks it centrally
 and every task payload carries the authoritative snapshot, so results

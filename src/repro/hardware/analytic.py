@@ -128,18 +128,6 @@ def _miss_bearing(stream: AccessStream) -> float:
 _STORE_COST = 1.0
 
 
-@dataclass
-class _StreamVerdict:
-    """Per-stream pricing detail (kept in RunReport.detail)."""
-
-    region: str
-    count: float
-    latency: float
-    l1_hit_rate: float
-    l2_hit_rate: float
-    spm: bool
-
-
 class AnalyticModel:
     """Prices kernel profiles on a given geometry/parameter set."""
 
@@ -189,7 +177,6 @@ class AnalyticModel:
         tile_reports: List[TileReport] = []
         dram_seq = 0.0
         dram_rand = 0.0
-        verdicts: List[_StreamVerdict] = []
         line = params.cache_line_words
         l1_base = self._l1_base_latency(mode)
         spm_lat = self._spm_latency(mode)
@@ -329,11 +316,6 @@ class AnalyticModel:
                         counters.spm_accesses += s.count
                         if mode is HWMode.SCS:
                             counters.xbar_hops += s.count
-                        verdicts.append(
-                            _StreamVerdict(
-                                s.region.name, s.count, spm_lat, 1.0, 1.0, True
-                            )
-                        )
                         continue
                     key = (t_idx if not l2_shared else -1, int(s.region))
                     h2 = l2_rate.get(key, 1.0)
@@ -363,9 +345,6 @@ class AnalyticModel:
                     if l1_shared:
                         counters.xbar_hops += s.count
                     counters.xbar_hops += m1
-                    verdicts.append(
-                        _StreamVerdict(s.region.name, s.count, lat, h1, h2, False)
-                    )
                 visible_fill = fill_rate * (1.0 - params.spm_fill_overlap)
                 if pe.spm_fill_words:
                     cycles += pe.spm_fill_words * visible_fill
@@ -410,7 +389,6 @@ class AnalyticModel:
             fidelity="analytic",
             clock_hz=params.clock_hz,
             detail={
-                "streams": verdicts,
                 "compute_cycles": compute_cycles,
                 "mode": mode.label,
                 "algorithm": profile.algorithm,

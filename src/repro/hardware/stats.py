@@ -93,7 +93,7 @@ class RunReport:
     #: ``time_s`` tracks the configured frequency instead of assuming
     #: the Table II default.
     clock_hz: float = DEFAULT_PARAMS.clock_hz
-    #: Free-form details (per-stream latencies, hit-rate table, ...).
+    #: Free-form details (compute cycles, mode label, algorithm).
     detail: Dict[str, object] = field(default_factory=dict)
 
     @property

@@ -24,8 +24,11 @@ Execution strategy, in order:
    path imports neither :mod:`multiprocessing` nor
    :mod:`concurrent.futures`.
 3. **Process pool** — misses are shipped to a
-   ``ProcessPoolExecutor``; large arrays travel as shared-memory views
-   (:mod:`repro.parallel.shm`), small ones inline.  A worker death
+   ``ProcessPoolExecutor`` whose workers are each pinned to a CPU of
+   their own (round robin); large arrays travel as shared-memory views
+   (:mod:`repro.parallel.shm`), small ones inline — or, in a persistent
+   session, exactly the session's pinned arrays travel by reference
+   (see :meth:`SweepScheduler.start_session`).  A worker death
    (``BrokenProcessPool``) or a per-task timeout triggers **graceful
    degradation**: the event is logged as an ``obs`` warning and every
    unfinished task re-runs on the serial path.
@@ -37,7 +40,7 @@ Worker count resolution: explicit ``jobs=`` argument, else the
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,9 +52,9 @@ from .work import execute
 
 __all__ = ["SweepScheduler", "resolve_jobs"]
 
-#: Arrays at or above this many bytes ride shared memory; smaller ones
-#: are pickled inline with the task (a segment per tiny frontier would
-#: cost more in syscalls than the copy it saves).
+#: On per-call pools, arrays at or above this many bytes ride shared
+#: memory; smaller ones are pickled inline with the task (a segment per
+#: tiny frontier would cost more in syscalls than the copy it saves).
 SHM_MIN_BYTES = 1 << 20
 
 #: Pools only pay off with enough independent work; below this many
@@ -121,35 +124,48 @@ class SweepScheduler:
         #: Filled by :meth:`map`: dispatch/cache/fallback accounting of
         #: the most recent run (mirrored into perf counters and obs).
         self.last_stats: Dict[str, float] = {}
-        #: Persistent pool session: ``(ShmArena, ProcessPoolExecutor)``
-        #: reused across :meth:`map` calls, or None (per-call pools).
+        #: Persistent pool session: ``(ShmArena, ProcessPoolExecutor,
+        #: pinned)`` reused across :meth:`map` calls, or None (per-call
+        #: pools).  ``pinned`` maps ``id(array)`` to the array, whose
+        #: reference it retains so a recycled id cannot alias it.
         self._session = None
 
     # ------------------------------------------------------------------
     # Persistent session: pool + arena reused across map() calls
     # ------------------------------------------------------------------
-    def start_session(self) -> None:
+    def start_session(self, pinned: Sequence[np.ndarray] = ()) -> None:
         """Keep one worker pool and shm arena alive across :meth:`map`.
 
         Iterative callers (the sharded cluster runtime dispatches K
-        shard tasks per algorithm iteration) would otherwise fork a
-        fresh pool and republish every large array each call; the
-        session's arena memoises publishes by buffer identity, so
-        matrix shards ship exactly once per run.  Idempotent; ended by
-        :meth:`close_session` (a pool failure also ends it, after the
-        usual serial fallback).  No-op when ``jobs == 1``.
+        shard tasks per superstep) would otherwise fork a fresh pool
+        every call.  ``pinned`` holds the arrays every call reads (the
+        shard matrices): the first task that carries one publishes it
+        to the session's arena, and every task ships it by reference
+        from then on, whatever its size.  Nothing else is published in
+        a session — all other arrays travel inline — so the session's
+        segments, and the workers' attachment caches, stay bounded by
+        the pinned set however many calls run.
+
+        Idempotent while a session is open.  A session started again —
+        after :meth:`close_session`, or after a pool failure dropped it
+        (the usual serial fallback runs first) — pins what this call
+        passes into a fresh arena.  No-op when ``jobs == 1``.
         """
         if self._session is not None or self.jobs <= 1:
             return
         from .shm import ShmArena
 
-        self._session = (ShmArena(), _new_pool(self.jobs))
+        self._session = (
+            ShmArena(),
+            _new_pool(self.jobs),
+            {id(arr): arr for arr in pinned},
+        )
 
     def close_session(self) -> None:
         """Shut the persistent pool down and release its shm segments."""
         if self._session is None:
             return
-        arena, executor = self._session
+        arena, executor, _pinned = self._session
         self._session = None
         executor.shutdown(wait=True, cancel_futures=True)
         arena.close()
@@ -238,25 +254,28 @@ class SweepScheduler:
             workers = min(self.jobs, len(pending))
             arena = ShmArena()
             executor = _new_pool(workers)
+            pinned = None
         else:
             # Session mode: the long-lived pool keeps its full width and
-            # the arena keeps every prior publish (id-memoised).
+            # the arena keeps the pinned arrays published on first use.
             workers = self.jobs
-            arena, executor = session
+            arena, executor, pinned = session
         unfinished = list(pending)
+        inline_bytes = 0
+        shm_before = arena.nbytes
         busy_s = 0.0
         t_pool0 = time.perf_counter()
         try:
             try:
                 futures = {}
                 for i in pending:
-                    spec = (
-                        i,
-                        tasks[i].fn,
-                        tasks[i].payload,
-                        self._ship_arrays(arena, tasks[i].arrays),
+                    shipped, nbytes = self._ship_arrays(
+                        arena, tasks[i].arrays, pinned
                     )
+                    inline_bytes += nbytes
+                    spec = (i, tasks[i].fn, tasks[i].payload, shipped)
                     futures[i] = executor.submit(_pool_entry_trampoline, spec)
+                shm_bytes = arena.nbytes - shm_before
                 # Collect in *completion* order: a straggler must not
                 # block — or worse, discard — results that finished
                 # behind it in submission order.  The timeout bounds the
@@ -317,6 +336,8 @@ class SweepScheduler:
             if unfinished or session is None:
                 arena.close()
         wall_s = time.perf_counter() - t_pool0
+        stats["inline_bytes"] = inline_bytes
+        stats["shm_bytes"] = shm_bytes
         if wall_s > 0:
             stats["worker_utilization"] = round(
                 busy_s / (workers * wall_s), 4
@@ -352,31 +373,58 @@ class SweepScheduler:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _ship_arrays(arena, arrays: Dict[str, np.ndarray]) -> Dict[str, object]:
-        """Large arrays -> shared-memory refs, small ones stay inline."""
+    def _ship_arrays(
+        arena, arrays: Dict[str, np.ndarray], pinned: Optional[dict]
+    ) -> Tuple[Dict[str, object], int]:
+        """Task arrays -> shared-memory refs or inline, plus inline bytes.
+
+        A session (``pinned`` given) ships exactly its pinned arrays by
+        reference; a per-call pool publishes arrays of at least
+        :data:`SHM_MIN_BYTES`.
+        """
         shipped: Dict[str, object] = {}
+        inline_bytes = 0
         for name, arr in arrays.items():
-            if arr.nbytes >= SHM_MIN_BYTES:
+            if pinned is None:
+                by_ref = arr.nbytes >= SHM_MIN_BYTES
+            else:
+                by_ref = id(arr) in pinned
+            if by_ref:
                 shipped[name] = arena.publish(arr)
             else:
                 shipped[name] = arr
-        return shipped
+                inline_bytes += arr.nbytes
+        return shipped, inline_bytes
 
 
 def _new_pool(workers: int):
-    """A process pool whose workers share this process's resource tracker.
+    """A process pool whose workers share this process's resource tracker
+    and run on a CPU each.
 
     Forked workers inherit the tracker only if it is running before they
     start.  A worker that launched its own would, on exit, unlink and
     warn about every shared-memory segment it had attached.
+
+    Forked workers also start on this process's CPU.  Where the kernel
+    does not balance load across CPUs (a cpuset with load balancing off,
+    as in some containers), two workers can then share one CPU for the
+    pool's whole life while another CPU idles, which halves the pool's
+    throughput at random from one pool to the next.  The shared counter
+    lets :func:`~repro.parallel.work.pool_init` pin the i-th worker to
+    start to the i-th allowed CPU, round robin.
     """
     import concurrent.futures as cf
+    import multiprocessing
     from multiprocessing import resource_tracker
 
     from .work import pool_init
 
     resource_tracker.ensure_running()
-    return cf.ProcessPoolExecutor(max_workers=workers, initializer=pool_init)
+    return cf.ProcessPoolExecutor(
+        max_workers=workers,
+        initializer=pool_init,
+        initargs=(multiprocessing.Value("i", 0),),
+    )
 
 
 def _pool_entry_trampoline(spec):

@@ -10,11 +10,13 @@ view over the same physical pages.
 
 Lifecycle: the scheduler owns the arena for the duration of one pool
 run — publish before submit, ``close()`` (which unlinks) after the last
-future resolves.  Workers keep their attachments cached per segment
-name for the life of the process; they never unlink.  Workers share the
-coordinator's resource tracker (the scheduler starts it before any
-pool), so a worker's attach re-registers a name the tracker already
-holds, and the coordinator's unlink is the one unregister.
+future resolves — or, in a persistent session, until the session ends;
+a session publishes only the arrays pinned to it.  Workers keep their
+attachments cached per segment name for the life of the process; they
+never unlink.  Workers share the coordinator's resource tracker (the
+scheduler starts it before any pool), so a worker's attach re-registers
+a name the tracker already holds, and the coordinator's unlink is the
+one unregister.
 
 This module is imported lazily by the scheduler: the ``REPRO_JOBS=1``
 serial path never touches :mod:`multiprocessing`.
@@ -45,6 +47,8 @@ class ShmArena:
 
     def __init__(self):
         self._segments = []
+        #: Bytes copied into the live segments.
+        self.nbytes = 0
         #: id(array) -> (array, ref).  The array reference is retained
         #: so a garbage-collected buffer cannot recycle the id and
         #: alias a stale cache entry.
@@ -64,6 +68,7 @@ class ShmArena:
         self._segments.append(seg)
         view = np.ndarray(contiguous.shape, contiguous.dtype, buffer=seg.buf)
         view[...] = contiguous
+        self.nbytes += contiguous.nbytes
         ref = SharedArrayRef(seg.name, str(contiguous.dtype), contiguous.shape)
         self._published[id(arr)] = (arr, ref)
         return ref
@@ -78,6 +83,7 @@ class ShmArena:
                 pass
         self._segments.clear()
         self._published.clear()
+        self.nbytes = 0
 
     def __enter__(self) -> "ShmArena":
         return self

@@ -16,8 +16,9 @@ Task functions are addressed as ``"module.path:function"`` and resolve
 through :func:`repro.parallel.work.execute`; they receive
 ``(payload, arrays)`` and return a plain JSON-able dict (floats, ints,
 strings, lists, ``None``).  Arrays travel to pool workers either inline
-(small) or as :class:`~repro.parallel.shm.SharedArrayRef` views over
-``multiprocessing.shared_memory`` (large), see the scheduler.
+or as :class:`~repro.parallel.shm.SharedArrayRef` views over
+``multiprocessing.shared_memory`` (large arrays, or a session's pinned
+ones), see the scheduler.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ class PricingTask:
         hashed into the cache key verbatim.
     arrays:
         Named numpy arrays the function reads.  The scheduler ships
-        them to workers (shared memory above a size threshold) and
+        them to workers (shared memory above a size threshold, or when
+        pinned to a persistent session) and
         hashes their content into the cache key.
     cacheable:
         Whether the result may be persisted.  Tasks returning large

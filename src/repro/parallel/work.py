@@ -94,9 +94,22 @@ def execute(fn: str, payload: dict, arrays: Dict[str, object]) -> dict:
     return _resolve_fn(fn)(payload, resolve_arrays(arrays))
 
 
-def pool_init() -> None:
-    """ProcessPool initializer: mark the process as a pool worker."""
+def pool_init(started) -> None:
+    """ProcessPool initializer: mark the process as a pool worker and pin
+    it to a CPU of its own.
+
+    ``started`` is the pool's shared count of started workers; the i-th
+    worker to start takes the i-th CPU of the affinity set it inherited,
+    round robin (see :func:`repro.parallel.scheduler._new_pool` for why).
+    """
     os.environ[_POOL_ENV] = "1"
+    if not hasattr(os, "sched_setaffinity"):
+        return
+    with started.get_lock():
+        slot = started.value
+        started.value += 1
+    cpus = sorted(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, {cpus[slot % len(cpus)]})
 
 
 def pool_entry(spec) -> Tuple[int, dict, float]:

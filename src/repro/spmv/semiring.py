@@ -85,7 +85,7 @@ class Semiring:
         sharded runtime then runs them serially).
     spec_arrays:
         Arrays the recipe closes over (e.g. PageRank's per-source
-        out-degrees), shipped to workers through the shm arena.
+        out-degrees), shipped inline with every shard task.
     """
 
     name: str

@@ -8,10 +8,12 @@ from repro.cluster import LinkParams, ShardedRuntime
 from repro.core.runtime import CoSparseRuntime
 from repro.errors import ConfigurationError
 from repro.experiments.common import table3_graph
-from repro.graphs import bfs, pagerank, sssp
+from repro.graphs import Graph, bfs, pagerank, sssp
 from repro.graphs.pagerank import pagerank_semiring_for
 from repro.obs import Tracer, override
 from repro.perf import counters
+from repro.workloads import uniform_random
+from tests.parallel.test_shm import _psm_segments
 
 NODE_COUNTS = (1, 2, 4, 8)
 
@@ -73,6 +75,66 @@ class TestBitIdentity:
         assert p1.log.total_cycles == s1.log.total_cycles
         assert p2.log.total_cycles == s2.log.total_cycles
         assert p1.log.config_sequence() == s1.log.config_sequence()
+
+
+class TestPooledTransport:
+    """A pool session ships each shard matrix once and publishes nothing
+    per superstep."""
+
+    def test_shard_matrices_ship_once_per_session(self, twitter):
+        base = _run(pagerank, twitter)
+        rt = ShardedRuntime(twitter.operand, 4, jobs=2)
+        with override(Tracer(label="transport")) as tracer:
+            for _ in range(2):  # a re-entered session pins them again
+                with rt:
+                    run = _run(pagerank, twitter, runtime=rt)
+                assert np.array_equal(base.values, run.values)
+        matrix_bytes = sum(
+            arr.nbytes
+            for s in rt.shards
+            for arr in (s.coo.rows, s.coo.cols, s.coo.vals,
+                        s.csc.indptr, s.csc.indices, s.csc.vals)
+        )
+        # Every task carries the dense float64 rank frontier and the
+        # float64 out-degree recipe array inline, and nothing else.
+        per_task = 2 * 8 * twitter.n_vertices
+        sweeps = [
+            r["attrs"] for r in tracer.span_records()
+            if r["name"] == "parallel.sweep"
+        ]
+        steps = len(rt.log)
+        assert len(sweeps) == 2 * steps and steps > 1
+        assert [a["shm_bytes"] for a in sweeps] == (
+            [matrix_bytes] + [0] * (steps - 1)
+        ) * 2
+        assert [a["inline_bytes"] for a in sweeps] == (
+            [4 * per_task] * len(sweeps)
+        )
+        snap = tracer.metrics.snapshot()["counters"]
+        assert snap["parallel.shm_bytes"] == 2 * matrix_bytes
+        assert snap["parallel.inline_bytes"] == 4 * per_task * len(sweeps)
+
+    def test_session_shared_memory_stays_bounded(self):
+        # 140,000 float64 ranks make a dense frontier above 1 MiB, the
+        # size a per-call pool would publish to shared memory.
+        graph = Graph(uniform_random(140_000, nnz=280_000, seed=3))
+        before = _psm_segments()
+        after_step = []
+        with ShardedRuntime(graph.operand, 4, jobs=2) as rt:
+            step = rt.spmv
+
+            def spmv(*args, **kw):
+                result = step(*args, **kw)
+                after_step.append(_psm_segments() - before)
+                return result
+
+            rt.spmv = spmv
+            for _ in range(3):
+                pagerank(graph, runtime=rt, max_iters=3)
+        assert len(after_step) == 9
+        assert after_step[0]
+        assert after_step[-1] == after_step[0]
+        assert _psm_segments() - before == set()
 
 
 class TestExchange:

@@ -5,6 +5,9 @@ tiny (one matrix, one geometry) so they stay inside the fast subset
 even on a single-core machine.
 """
 
+import os
+import time
+
 import pytest
 
 from repro.experiments import run_fig4
@@ -103,6 +106,38 @@ def _poison_tasks(mode, n=3):
         )
         for i in range(n)
     ]
+
+
+def report_cpus(payload, arrays):
+    """Task run in pool workers: the worker's pid and allowed CPUs.  The
+    pause keeps a worker busy long enough for every task to get its own."""
+    time.sleep(payload["pause_s"])
+    return {"pid": os.getpid(), "cpus": sorted(os.sched_getaffinity(0))}
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity"), reason="no CPU affinity API"
+)
+class TestWorkerPlacement:
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_each_worker_gets_its_own_cpu(self, jobs):
+        # Forked workers start on the coordinator's CPU.  Where the
+        # kernel does not balance load across CPUs, two of them could
+        # share one for the pool's whole life while another idles.
+        tasks = [
+            PricingTask(
+                f"{__name__}:report_cpus",
+                {"pause_s": 0.5, "i": i},
+                cacheable=False,
+            )
+            for i in range(jobs)
+        ]
+        results = SweepScheduler(jobs=jobs, use_cache=False).map(tasks)
+        assert len({r["pid"] for r in results}) == jobs
+        allowed = sorted(os.sched_getaffinity(0))
+        assert sorted(r["cpus"] for r in results) == sorted(
+            [allowed[i % len(allowed)]] for i in range(jobs)
+        )
 
 
 class TestFallback:
