@@ -1,15 +1,15 @@
 """Batched-SpMV bench: K frontiers per superstep vs the sequential loop.
 
-Both IP kernels run each column through the same helper, whose cost
-scales with the column's active entries, so the sequential loop pays
-no per-call structural pass for the batch to amortise.  What the batch
-still shares across the K columns of a
-:class:`~repro.formats.multivector.MultiVector` is the IP schedule
-placement, once per configuration group, and the OP kernel's union CSC
-gather; per-column pricing and records stay bit-identical to K
-sequential ``spmv()`` calls.  This bench records both wall clocks,
-asserts the batch is not slower than the loop, and asserts the outputs
-really are bit-identical, so no speedup is ever bought with drift.
+The batched kernels place the static schedule (IP's partition check,
+vblock layout and per-PE entry edges; OP's tile bounds) once per
+configuration group and then run every column through the same
+per-column helper the sequential kernels call, whose cost scales with
+the column's active entries.  The sequential loop already reuses the
+runtime's cached partition, so the batch and the loop do the same work
+and their ratio is noise; this bench therefore records both wall clocks
+(the driver-level wall-clock check for ``bfs_multi`` is the end-to-end
+benchmark's ``traverse`` workload) and asserts that the outputs are
+bit-identical.
 """
 
 import time
@@ -22,11 +22,6 @@ from repro.experiments.report import ExperimentResult
 from repro.graphs import Graph, bfs, bfs_multi
 from repro.spmv import spmv_semiring
 from repro.workloads import random_frontier, uniform_random
-
-#: Acceptance floor for the K=32 mixed-density superstep: the batch must
-#: not be slower than the sequential loop.
-MIN_SPEEDUP = 1.0
-
 
 def _mixed_batch(n, k, rng):
     """K frontiers cycling sparse->dense densities, mixed native formats."""
@@ -61,7 +56,7 @@ def test_batched_spmv_vs_sequential_loop(once, full):
         bat = rt_bat.spmv_batch(cols, sr)
         t_batch = time.perf_counter() - t0
 
-        # The speedup only counts if the batch is bit-identical.
+        # The batch must be bit-identical to the loop.
         for a, b in zip(seq, bat):
             assert np.array_equal(a.values, b.values)
             assert np.array_equal(a.touched, b.touched)
@@ -71,7 +66,6 @@ def test_batched_spmv_vs_sequential_loop(once, full):
             "Batched SpMV (spmv_batch) vs K sequential spmv calls",
             ["workload", "n", "nnz", "k", "seq_ms", "batch_ms", "speedup"],
         )
-        speedup = t_seq / t_batch
         result.add(
             workload="spmv-mixed",
             n=n,
@@ -79,11 +73,7 @@ def test_batched_spmv_vs_sequential_loop(once, full):
             k=k,
             seq_ms=round(t_seq * 1e3, 1),
             batch_ms=round(t_batch * 1e3, 1),
-            speedup=round(speedup, 2),
-        )
-        assert speedup >= MIN_SPEEDUP, (
-            f"batched superstep only {speedup:.2f}x over the sequential "
-            f"loop (floor {MIN_SPEEDUP}x)"
+            speedup=round(t_seq / t_batch, 2),
         )
 
         # Multi-source BFS: the driver-level view of the same machinery.

@@ -37,7 +37,6 @@ __all__ = [
     "enabled",
     "active",
     "override",
-    "scope",
     "batch_scope",
     "Sanitizer",
 ]
@@ -219,13 +218,6 @@ def active() -> Sanitizer:
 
 
 # ----------------------------------------------------------------------
-@contextmanager
-def scope(label: str):
-    """Context manager handing out the active sanitizer for one
-    instrumented region (a kernel invocation, an accounting block)."""
-    yield active()
-
-
 @contextmanager
 def batch_scope(log, batch_id: int, n_columns: int):
     """Instrument one batched superstep: yields the active sanitizer and

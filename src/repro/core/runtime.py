@@ -34,6 +34,7 @@ from ..formats import (
     DenseVector,
     MultiVector,
     SparseVector,
+    conversion_cost,
 )
 from ..hardware import Geometry, HWMode, TransmuterSystem
 from ..hardware.params import DEFAULT_PARAMS, HardwareParams
@@ -247,9 +248,7 @@ class CoSparseRuntime:
         if isinstance(frontier, SparseVector):
             arr = np.full(frontier.n, semiring.absent)
             arr[frontier.indices] = frontier.values
-            return arr, ConversionCost(
-                reads=2 * frontier.nnz, writes=frontier.n + frontier.nnz
-            )
+            return arr, conversion_cost("sparse", "dense", frontier.n, frontier.nnz)
         arr = frontier.data if isinstance(frontier, DenseVector) else np.asarray(frontier, dtype=np.float64)
         return arr, ConversionCost()
 
@@ -260,7 +259,7 @@ class CoSparseRuntime:
         arr = frontier.data if isinstance(frontier, DenseVector) else np.asarray(frontier, dtype=np.float64)
         idx = np.nonzero(arr != semiring.absent)[0]
         sv = SparseVector(len(arr), idx, arr[idx], sort=False, check=False)
-        return sv, ConversionCost(reads=len(arr), writes=2 * sv.nnz)
+        return sv, conversion_cost("dense", "sparse", len(arr), sv.nnz)
 
     def _convert(self, kind: str, frontier, semiring: Semiring):
         """Memoized frontier conversion (one per kind per invocation).
@@ -281,6 +280,16 @@ class CoSparseRuntime:
     # ------------------------------------------------------------------
     # Kernel dispatch
     # ------------------------------------------------------------------
+    def _kernel_kw(self, mode: HWMode) -> dict:
+        """Keywords every kernel call shares: the hardware context and the
+        cached static partition (IP reads both levels, OP the tile one)."""
+        return dict(
+            hw_mode=mode,
+            params=self.params,
+            partition=self.operand.ip_partition(self.geometry, self.balanced),
+            balanced=self.balanced,
+        )
+
     def _run_kernel(
         self,
         algorithm: str,
@@ -290,34 +299,22 @@ class CoSparseRuntime:
         current,
         profile_only: bool = False,
     ) -> Tuple[SpMVResult, ConversionCost]:
+        kw = dict(
+            self._kernel_kw(mode),
+            current=current,
+            with_trace=self.with_trace,
+            profile_only=profile_only,
+        )
         if algorithm == "ip":
             vec, cost = self._convert("dense", frontier, semiring)
             result = inner_product(
-                self.operand.coo,
-                vec,
-                semiring,
-                self.geometry,
-                hw_mode=mode,
-                params=self.params,
-                current=current,
-                partition=self.operand.ip_partition(self.geometry, self.balanced),
-                balanced=self.balanced,
-                with_trace=self.with_trace,
-                profile_only=profile_only,
-                vblock_width=self._vblock_width,
+                self.operand.coo, vec, semiring, self.geometry,
+                vblock_width=self._vblock_width, **kw,
             )
         else:
             sv, cost = self._convert("sparse", frontier, semiring)
             result = outer_product(
-                self.operand.csc,
-                sv,
-                semiring,
-                self.geometry,
-                hw_mode=mode,
-                params=self.params,
-                current=current,
-                with_trace=self.with_trace,
-                profile_only=profile_only,
+                self.operand.csc, sv, semiring, self.geometry, **kw
             )
         return result, cost
 
@@ -438,42 +435,84 @@ class CoSparseRuntime:
         when a tracer is live."""
         return self.tree.decide(self.operand.info, density)
 
-    def _emit_decision_events(
-        self, tracer, record, shadow, alternatives, probe_reused: bool
-    ) -> None:
-        """Decision-audit (and, on a switch, reconfiguration) events for
-        one IterationRecord.  Must run before ``_last_*`` are updated."""
-        tracer.event(
-            DecisionEvent(
-                iteration=record.iteration,
-                policy=self.policy,
-                vector_density=record.vector_density,
-                algorithm=record.algorithm,
-                hw_mode=record.hw_mode.label,
-                tree_algorithm=shadow.algorithm if shadow else None,
-                tree_hw_mode=shadow.hw_mode.label if shadow else None,
-                cvd=shadow.cvd if shadow else None,
-                thresholds=asdict(self.tree.thresholds),
-                alternatives=serialize_alternatives(alternatives),
-                probe_reused=probe_reused,
-                batch_id=record.batch_id,
-                batch_column=record.batch_column,
-            )
+    def _log_column(
+        self, result, conv, algorithm, mode, density, alternatives, shadow,
+        san, label, probe_reused=False, batch_id=None, batch_column=None,
+    ) -> IterationRecord:
+        """Price one column's profile, check it and log its record.
+
+        :meth:`spmv` and :meth:`spmv_batch` both log through here, in
+        sequential iteration order: switches are charged against the
+        previous record's configuration, which this then advances.  With
+        a tracer live it emits the decision-audit event and, on a switch,
+        the reconfiguration event.
+        """
+        tracer = _obs_active()
+        column = {} if batch_column is None else {"column": batch_column}
+        with tracer.span("price", **column) as priced:
+            report = self.system.run(result.profile)
+            priced.set(cycles=report.cycles)
+        conv_cycles = (
+            conv.words * _CONV_CYCLES_PER_WORD / max(self.geometry.n_pes, 1)
         )
-        if record.sw_switched or record.hw_switched:
+        san.check_report(label, report)
+        san.check_conversion(label, conv, conv_cycles)
+        record = IterationRecord(
+            iteration=self._iteration,
+            vector_density=density,
+            algorithm=algorithm,
+            hw_mode=mode,
+            report=report,
+            conversion_cycles=conv_cycles,
+            conversion=conv,
+            sw_switched=(
+                self._last_algorithm is not None
+                and algorithm != self._last_algorithm
+            ),
+            hw_switched=(
+                self._last_mode is not None and mode is not self._last_mode
+            ),
+            alternatives=alternatives,
+            batch_id=batch_id,
+            batch_column=batch_column,
+        )
+        self.log.append(record)
+        if tracer.enabled:
             tracer.event(
-                ReconfigEvent(
+                DecisionEvent(
                     iteration=record.iteration,
-                    from_config=(
-                        f"{self._last_algorithm.upper()}"
-                        f"/{self._last_mode.label}"
-                    ),
-                    to_config=record.config_label,
-                    sw_switched=record.sw_switched,
-                    hw_switched=record.hw_switched,
-                    reconfig_cycles=record.report.reconfig_cycles,
+                    policy=self.policy,
+                    vector_density=density,
+                    algorithm=algorithm,
+                    hw_mode=mode.label,
+                    tree_algorithm=shadow.algorithm if shadow else None,
+                    tree_hw_mode=shadow.hw_mode.label if shadow else None,
+                    cvd=shadow.cvd if shadow else None,
+                    thresholds=asdict(self.tree.thresholds),
+                    alternatives=serialize_alternatives(alternatives),
+                    probe_reused=probe_reused,
+                    batch_id=batch_id,
+                    batch_column=batch_column,
                 )
             )
+            if record.sw_switched or record.hw_switched:
+                tracer.event(
+                    ReconfigEvent(
+                        iteration=record.iteration,
+                        from_config=(
+                            f"{self._last_algorithm.upper()}"
+                            f"/{self._last_mode.label}"
+                        ),
+                        to_config=record.config_label,
+                        sw_switched=record.sw_switched,
+                        hw_switched=record.hw_switched,
+                        reconfig_cycles=report.reconfig_cycles,
+                    )
+                )
+        self._iteration += 1
+        self._last_algorithm = algorithm
+        self._last_mode = mode
+        return record
 
     # ------------------------------------------------------------------
     def spmv(self, frontier, semiring: Semiring, current=None) -> SpMVResult:
@@ -499,46 +538,17 @@ class CoSparseRuntime:
                     result, conv = self._run_kernel(
                         algorithm, mode, frontier, semiring, current
                     )
-            conv_cycles = (
-                conv.words * _CONV_CYCLES_PER_WORD / max(self.geometry.n_pes, 1)
+            record = self._log_column(
+                result, conv, algorithm, mode, density, alternatives, shadow,
+                sanitize.active(), f"spmv iter {self._iteration}",
+                probe_reused,
             )
-            with sanitize.scope("spmv") as san, tracer.span("price") as priced:
-                report = self.system.run(result.profile)
-                priced.set(cycles=report.cycles)
-                san.check_report(f"spmv iter {self._iteration}", report)
-                san.check_conversion(
-                    f"spmv iter {self._iteration}", conv, conv_cycles
-                )
-            record = IterationRecord(
-                iteration=self._iteration,
-                vector_density=density,
-                algorithm=algorithm,
-                hw_mode=mode,
-                report=report,
-                conversion_cycles=conv_cycles,
-                conversion=conv,
-                sw_switched=(
-                    self._last_algorithm is not None
-                    and algorithm != self._last_algorithm
-                ),
-                hw_switched=(
-                    self._last_mode is not None and mode is not self._last_mode
-                ),
-                alternatives=alternatives,
-            )
-            self.log.append(record)
             if tracer.enabled:
                 root.set(
                     config=record.config_label,
                     vector_density=density,
                     cycles=record.total_cycles,
                 )
-                self._emit_decision_events(
-                    tracer, record, shadow, alternatives, probe_reused
-                )
-            self._iteration += 1
-            self._last_algorithm = algorithm
-            self._last_mode = mode
         return result
 
     # ------------------------------------------------------------------
@@ -552,9 +562,11 @@ class CoSparseRuntime:
 
         Decides ``(algorithm, hw_mode)`` per column exactly as
         :meth:`spmv` would, groups the columns by chosen configuration in
-        first-appearance order, and runs one *batched* kernel per group —
-        sharing the matrix traversal's structural work across the group
-        while the per-column profiles, reports and
+        first-appearance order, and runs one *batched* kernel per group.
+        A batched kernel places the static schedule once and runs each
+        column through the sequential kernel's own per-column helper, and
+        every column is priced and logged through the same helper as
+        :meth:`spmv`, so the per-column profiles, reports and
         :class:`IterationRecord`\\ s stay bit-identical to K sequential
         :meth:`spmv` calls issued in that same group order.  Hardware
         switch costs are charged per group boundary (the first column of
@@ -619,8 +631,9 @@ class CoSparseRuntime:
             "spmv_batch", batch_id=batch_id, k=mv.k, policy=self.policy
         ):
             # Per-column decisions, in input order — the same density/tree
-            # (or pricing-probe) path the sequential invocations would take.
-            decisions = []
+            # (or pricing-probe) path the sequential invocations would take
+            # — grouped by configuration in first-appearance order.
+            decisions, groups = [], {}
             for j in range(mv.k):
                 self._conv_cache.clear()
                 frontier_j = (
@@ -650,114 +663,48 @@ class CoSparseRuntime:
                                 executed=probe[0].executed,
                             )
                         )
-                decisions.append((algorithm, mode, alternatives, density,
-                                  shadow))
-            self._conv_cache.clear()
-
-            # Group columns by configuration, first-appearance order.
-            groups: dict = {}
-            for j, (algorithm, mode, _alts, _d, _shadow) in enumerate(
-                decisions
-            ):
+                decisions.append((alternatives, density, shadow))
                 groups.setdefault((algorithm, mode), []).append(j)
+            self._conv_cache.clear()
 
             results: List[Optional[SpMVResult]] = [None] * mv.k
             with sanitize.batch_scope(self.log, batch_id, mv.k) as san:
-                self._run_batch_groups(
-                    groups, mv, semiring, per_current, decisions, batch_id,
-                    results, san,
-                )
+                for (algorithm, mode), cols in groups.items():
+                    kw = dict(
+                        self._kernel_kw(mode),
+                        currents=[per_current[j] for j in cols],
+                        columns=cols,
+                    )
+                    with tracer.span(
+                        "batch_group",
+                        algorithm=algorithm,
+                        hw_mode=mode,
+                        columns=cols,
+                        batch_id=batch_id,
+                    ):
+                        if algorithm == "ip":
+                            group_results = inner_product_batch(
+                                self.operand.coo, mv, semiring, self.geometry,
+                                vblock_width=self._vblock_width, **kw,
+                            )
+                        else:
+                            group_results = outer_product_batch(
+                                self.operand.csc, mv, semiring, self.geometry,
+                                **kw,
+                            )
+                    target = "dense" if algorithm == "ip" else "sparse"
+                    for j, result in zip(cols, group_results):
+                        alternatives, density, shadow = decisions[j]
+                        conv = conversion_cost(
+                            mv.native(j), target, mv.n, mv.column_nnz(j)
+                        )
+                        self._log_column(
+                            result, conv, algorithm, mode, density,
+                            alternatives, shadow, san, f"spmv_batch col {j}",
+                            batch_id=batch_id, batch_column=j,
+                        )
+                        results[j] = result
         return results
-
-    def _run_batch_groups(
-        self, groups, mv, semiring, per_current, decisions, batch_id,
-        results, san,
-    ) -> None:
-        """Execute one batched kernel per configuration group, logging a
-        per-column :class:`IterationRecord` exactly as :meth:`spmv` would."""
-        tracer = _obs_active()
-        for (algorithm, mode), cols in groups.items():
-            group_span = tracer.span(
-                "batch_group",
-                algorithm=algorithm,
-                hw_mode=mode,
-                columns=cols,
-                batch_id=batch_id,
-            )
-            group_currents = [per_current[j] for j in cols]
-            with group_span:
-                if algorithm == "ip":
-                    group_results = inner_product_batch(
-                        self.operand.coo,
-                        mv,
-                        semiring,
-                        self.geometry,
-                        hw_mode=mode,
-                        params=self.params,
-                        currents=group_currents,
-                        partition=self.operand.ip_partition(
-                            self.geometry, self.balanced
-                        ),
-                        balanced=self.balanced,
-                        columns=cols,
-                        vblock_width=self._vblock_width,
-                    )
-                else:
-                    group_results = outer_product_batch(
-                        self.operand.csc,
-                        mv,
-                        semiring,
-                        self.geometry,
-                        hw_mode=mode,
-                        params=self.params,
-                        currents=group_currents,
-                        columns=cols,
-                    )
-            for j, result in zip(cols, group_results):
-                _alg, _mode, alternatives, density, shadow = decisions[j]
-                with tracer.span("price", column=j) as priced:
-                    report = self.system.run(result.profile)
-                    priced.set(cycles=report.cycles)
-                san.check_report(f"spmv_batch col {j}", report)
-                conv = mv.conversion_cost(
-                    j, "dense" if algorithm == "ip" else "sparse"
-                )
-                conv_cycles = (
-                    conv.words
-                    * _CONV_CYCLES_PER_WORD
-                    / max(self.geometry.n_pes, 1)
-                )
-                san.check_conversion(f"spmv_batch col {j}", conv, conv_cycles)
-                record = IterationRecord(
-                    iteration=self._iteration,
-                    vector_density=density,
-                    algorithm=algorithm,
-                    hw_mode=mode,
-                    report=report,
-                    conversion_cycles=conv_cycles,
-                    conversion=conv,
-                    sw_switched=(
-                        self._last_algorithm is not None
-                        and algorithm != self._last_algorithm
-                    ),
-                    hw_switched=(
-                        self._last_mode is not None
-                        and mode is not self._last_mode
-                    ),
-                    alternatives=alternatives,
-                    batch_id=batch_id,
-                    batch_column=j,
-                )
-                self.log.append(record)
-                if tracer.enabled:
-                    self._emit_decision_events(
-                        tracer, record, shadow, alternatives,
-                        probe_reused=False,
-                    )
-                self._iteration += 1
-                self._last_algorithm = algorithm
-                self._last_mode = mode
-                results[j] = result
 
     # ------------------------------------------------------------------
     def describe(self) -> dict:

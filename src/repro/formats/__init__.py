@@ -15,6 +15,7 @@ from .multivector import MultiVector
 from .sparse_vector import SparseVector
 from .convert import (
     ConversionCost,
+    conversion_cost,
     dense_to_sparse,
     ensure_dense,
     ensure_sparse,
@@ -31,6 +32,7 @@ __all__ = [
     "MultiVector",
     "SparseVector",
     "ConversionCost",
+    "conversion_cost",
     "dense_to_sparse",
     "sparse_to_dense",
     "ensure_dense",

@@ -9,10 +9,12 @@ column is a contiguous array — the batched IP kernel gathers one column
 at a time.
 
 Every column remembers its *native* representation (what the caller
-supplied), because the runtime charges frontier format conversions
-per column exactly the way the sequential path does: a natively sparse
-column pays to materialise densely, a natively dense one pays the
-compaction scan, and a column already in the kernel's format is free.
+supplied) and its structural non-zero count, because the runtime charges
+frontier format conversions per column exactly the way the sequential
+path does, through :func:`~repro.formats.convert.conversion_cost`: a
+natively sparse column pays to materialise densely, a natively dense one
+pays the compaction scan, and a column already in the kernel's format is
+free.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from ..errors import FormatError, ShapeError
-from .convert import ConversionCost
 from .dense import DenseVector
 from .sparse_vector import SparseVector
 
@@ -154,24 +155,6 @@ class MultiVector:
             sv = SparseVector(self.n, idx, col[idx], sort=False, check=False)
             self._sparse[j] = sv
         return sv
-
-    def conversion_cost(self, j: int, target: str) -> ConversionCost:
-        """Conversion words column ``j`` pays to reach ``target`` format.
-
-        Mirrors the sequential runtime's ``_to_dense`` / ``_to_sparse``
-        charging so batched per-column records stay bit-identical to K
-        sequential invocations.
-        """
-        if target not in ("dense", "sparse"):
-            raise FormatError(f"target must be 'dense' or 'sparse', got {target!r}")
-        nnz = self.column_nnz(j)
-        if target == "dense":
-            if self._native[j] == "dense":
-                return ConversionCost()
-            return ConversionCost(reads=2 * nnz, writes=self.n + nnz)
-        if self._native[j] == "sparse":
-            return ConversionCost()
-        return ConversionCost(reads=self.n, writes=2 * nnz)
 
     # ------------------------------------------------------------------
     def select(self, columns) -> "MultiVector":

@@ -5,9 +5,11 @@ betweenness pivots, landmark distance sketches, multi-seed reachability):
 every superstep advances K independent frontiers over the *same* matrix.
 The drivers here keep the K traversals in lockstep —
 :meth:`~repro.core.runtime.CoSparseRuntime.spmv_batch` groups each
-round's live columns by their decided configuration and shares the
-matrix traversal's structural work — while converged columns retire from
-the batch and stop paying for supersteps they no longer need.
+round's live columns by their decided configuration and runs one batched
+kernel per group, which places the static schedule once and runs each
+column through the sequential kernel's per-column helper — while
+converged columns retire from the batch and stop paying for supersteps
+they no longer need.
 
 Each column's values are bit-identical to the corresponding
 single-source :func:`~repro.graphs.bfs.bfs` /

@@ -1,10 +1,10 @@
 """Query coalescing: concurrent single-source traversals become one batch.
 
-The batched SpMM path (``spmv_batch``, PR 2) shares the matrix
-traversal's structural work across K frontiers — a ~4.5x win over K
-sequential supersteps.  Under serving load that win is free throughput:
-when several clients ask for BFS/SSSP on the *same* graph at the same
-time, one ``bfs_multi``/``sssp_multi`` execution answers all of them,
+The batched SpMM path (``spmv_batch``) advances K frontiers in
+lockstep, one batched superstep for all of them.  Under serving load
+that is free throughput: when several clients ask for BFS/SSSP on the
+*same* graph at the same time, one ``bfs_multi``/``sssp_multi``
+execution answers all of them,
 and each column is **bit-identical** to the single-source run the
 client would have gotten alone.
 

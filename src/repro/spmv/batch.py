@@ -2,24 +2,18 @@
 
 Multi-source traversals (BFS/SSSP from K roots, batched PageRank
 personalisation) issue K independent SpMV invocations per superstep.  The
-kernels here run one *batch* of same-config columns against one matrix:
-
-* :func:`inner_product_batch` places the static IP schedule (partition
-  check, vblock layout, per-PE entry edges) once and runs every dense
-  column through :func:`~repro.spmv.inner._ip_column`, the per-column
-  helper the sequential kernel calls too;
-* :func:`outer_product_batch` gathers the CSC columns of the **union**
-  frontier once and slices each batch column's entries out of the union
-  gather, so overlapping frontiers do not re-read the matrix.
+kernels here run one *batch* of same-config columns against one matrix.
+Each places its static schedule once — for IP the partition check,
+vblock layout and per-PE entry edges (``_ip_schedule``), for OP the tile
+bounds (``_op_schedule``) — and then runs every column through the very
+per-column helper its sequential kernel calls
+(:func:`~repro.spmv.inner._ip_column`,
+:func:`~repro.spmv.outer._op_column`).
 
 Everything a column observes — functional values, touched mask, and the
 :class:`~repro.hardware.profile.KernelProfile` the pricing layer consumes
-— is **bit-identical** to running the sequential kernel on that column
-alone.  The profiles are built by the very same helpers
-(:func:`~repro.spmv.inner._build_ip_profile`,
-:func:`~repro.spmv.outer._build_op_profile`) the sequential kernels use,
-so hardware pricing stays per-query-faithful; only redundant *structural*
-work is shared.
+— is therefore **bit-identical** to running the sequential kernel on
+that column alone, and hardware pricing stays per-query-faithful.
 """
 
 from __future__ import annotations
@@ -28,7 +22,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..analysis import sanitize
 from ..errors import ConfigurationError, ShapeError
 from ..formats import COOMatrix, CSCMatrix, MultiVector
 from ..hardware import Geometry, HWMode
@@ -36,8 +29,8 @@ from ..hardware.params import DEFAULT_PARAMS, HardwareParams
 from ..obs.tracer import traced
 from ..perf import counters as _perf
 from .inner import _ip_column, _ip_schedule
-from .outer import _build_op_profile, _op_stats
-from .partition import IPPartition, equal_nnz_row_bounds, equal_rows_bounds
+from .outer import _op_column, _op_schedule
+from .partition import IPPartition
 from .result import SpMVResult
 from .semiring import Semiring
 
@@ -57,6 +50,11 @@ def _check_batch_args(frontiers, matrix_cols: int, semiring: Semiring, columns, 
         raise ConfigurationError(
             "the batched kernels handle scalar semirings; vector-valued "
             f"semirings like {semiring.name} already batch internally"
+        )
+    if frontiers.absent != semiring.absent:
+        raise ConfigurationError(
+            f"MultiVector absent={frontiers.absent} does not match "
+            f"semiring {semiring.name} absent={semiring.absent}"
         )
     if columns is None:
         columns = list(range(frontiers.k))
@@ -108,11 +106,6 @@ def inner_product_batch(
     columns, currents = _check_batch_args(
         frontiers, matrix.n_cols, semiring, columns, currents
     )
-    if frontiers.absent != semiring.absent:
-        raise ConfigurationError(
-            f"MultiVector absent={frontiers.absent} does not match "
-            f"semiring {semiring.name} absent={semiring.absent}"
-        )
     _perf.kernel_batched_columns += len(columns)
     return [
         _ip_column(
@@ -141,123 +134,33 @@ def outer_product_batch(
     hw_mode: HWMode = HWMode.PC,
     params: HardwareParams = DEFAULT_PARAMS,
     currents: Optional[Sequence[Optional[np.ndarray]]] = None,
+    partition: Optional[IPPartition] = None,
     balanced: bool = True,
     columns: Optional[Sequence[int]] = None,
     profile_only: bool = False,
 ) -> List[SpMVResult]:
     """Batched OP SpMV: one result per selected column, in ``columns`` order.
 
-    Parameters mirror :func:`~repro.spmv.outer.outer_product`; the union
-    of the selected columns' active sets is gathered from the CSC matrix
-    once, and every column's entry stream is sliced out of that union
-    gather (per-column masks) in exactly the order the sequential
-    ``gather_columns`` would produce.  The exact heap-merge path (and
-    with it trace generation) stays sequential-only.
+    Parameters mirror :func:`~repro.spmv.outer.outer_product`, with the
+    sparse frontier replaced as in :func:`inner_product_batch`.  The exact
+    heap-merge path (and with it trace generation) is sequential-only.
     """
-    if hw_mode not in (HWMode.PC, HWMode.PS, HWMode.SC):
-        raise ConfigurationError(f"OP runs under PC, PS or SC, not {hw_mode}")
+    schedule = _op_schedule(matrix, geometry, hw_mode, params, partition, balanced)
     columns, currents = _check_batch_args(
         frontiers, matrix.n_cols, semiring, columns, currents
     )
-
-    T, P = geometry.tiles, geometry.pes_per_tile
-    if balanced:
-        row_counts = np.bincount(matrix.indices, minlength=matrix.n_rows)
-        row_ptr = np.zeros(matrix.n_rows + 1, dtype=np.int64)
-        np.cumsum(row_counts, out=row_ptr[1:])
-        tile_bounds = equal_nnz_row_bounds(row_ptr, T)
-    else:
-        tile_bounds = equal_rows_bounds(matrix.n_rows, T)
-
-    # Union gather: each matrix column touched by *any* batch column is
-    # read once; per-column streams are segment slices of this gather.
-    sparse_cols = [frontiers.column_sparse(j) for j in columns]
-    if sparse_cols:
-        union = np.unique(np.concatenate([sv.indices for sv in sparse_cols]))
-    else:
-        union = np.zeros(0, dtype=np.int64)
-    rows_u, vals_u, col_of_u = matrix.gather_columns(union)
-    tile_of_u = np.clip(
-        np.searchsorted(tile_bounds, rows_u, side="right") - 1, 0, T - 1
-    )
-    lens_u = matrix.column_lengths(union) if len(union) else np.zeros(0, dtype=np.int64)
-    starts_u = np.zeros(len(union) + 1, dtype=np.int64)
-    np.cumsum(lens_u, out=starts_u[1:])
-
-    results: List[SpMVResult] = []
-    _san = sanitize.active()
     _perf.kernel_batched_columns += len(columns)
-    for sv, current in zip(sparse_cols, currents):
-        # Slice this column's entries out of the union gather.  Both the
-        # union and the column's index list are sorted, so concatenating
-        # the per-column segments in index order reproduces the
-        # sequential gather_columns(sv.indices) stream exactly.
-        pos_u = np.searchsorted(union, sv.indices)
-        lens = lens_u[pos_u]
-        total = int(lens.sum())
-        if total:
-            offsets = np.repeat(starts_u[pos_u], lens)
-            within = np.arange(total) - np.repeat(np.cumsum(lens) - lens, lens)
-            sel = offsets + within
-        else:
-            sel = np.zeros(0, dtype=np.int64)
-        rows_g = rows_u[sel]
-        vals_g = vals_u[sel]
-        col_of = col_of_u[sel]
-        tile_of = tile_of_u[sel]
-        pos_of = np.searchsorted(sv.indices, col_of)
-
-        chunks = sv.chunk(P)
-        chunk_starts = np.concatenate(
-            [[0], np.cumsum([len(c[0]) for c in chunks])]
-        ).astype(np.int64)
-
-        if profile_only:
-            _perf.kernel_profile_only += 1
-            out = None
-            touched = None
-        else:
-            _perf.kernel_executions += 1
-            v_src = sv.values[pos_of]
-            out = semiring.init_output(matrix.n_rows, current)
-            v_dst = None
-            if semiring.needs_dst:
-                if current is None:
-                    raise ShapeError(
-                        f"semiring {semiring.name} needs current dst values"
-                    )
-                v_dst = np.asarray(current, dtype=np.float64)[rows_g]
-            contrib = semiring.combine(vals_g, v_src, v_dst, col_of, rows_g)
-            semiring.scatter(out, rows_g, contrib)
-            touched = np.zeros(matrix.n_rows, dtype=bool)
-            touched[rows_g] = True
-            prev = (
-                np.asarray(current, dtype=np.float64)
-                if current is not None
-                else semiring.init_output(matrix.n_rows, None)
-            )
-            out = semiring.apply_vector_op(out, prev)
-
-        elems, heads, pe_out, tile_out, cols_pe = _op_stats(
-            matrix, rows_g, col_of, pos_of, tile_of, chunk_starts, chunks, T, P
-        )
-        _san.check_histogram("outer_product_batch/elements", elems, len(rows_g))
-        _san.check_histogram("outer_product_batch/frontier", cols_pe, sv.nnz)
-        profile = _build_op_profile(
+    return [
+        _op_column(
             matrix,
-            sv,
+            schedule,
+            frontiers.column_sparse(j),
             semiring,
-            geometry,
-            hw_mode,
-            params,
-            elems,
-            heads,
-            pe_out,
-            tile_out,
-            cols_pe,
-            len(rows_g),
+            current,
+            profile_only,
+            exact=False,
+            with_trace=False,
+            label=f"outer_product_batch[{j}]",
         )
-        results.append(
-            SpMVResult(values=out, touched=touched, profile=profile, semiring=semiring)
-        )
-    return results
+        for j, current in zip(columns, currents)
+    ]

@@ -173,7 +173,7 @@ def _ip_schedule(
             balanced=balanced,
         )
     else:
-        _check_partition(partition, matrix.n_rows, geometry)
+        partition.check_fits(matrix.n_rows, geometry)
     width, n_vblocks = _ip_layout(
         matrix.n_cols, geometry, params, vw, override=vblock_width
     )
@@ -188,24 +188,6 @@ def _ip_schedule(
         geometry, hw_mode, partition, balanced, width, n_vblocks, pe_rows,
         pe_entries,
     )
-
-
-def _check_partition(partition: IPPartition, n_rows: int, geometry: Geometry):
-    """A reused partition must have been built for this geometry and matrix."""
-    bounds = partition.pe_bounds
-    fits = (
-        len(bounds) == geometry.tiles
-        and all(len(b) == geometry.pes_per_tile + 1 for b in bounds)
-        and int(bounds[0][0]) == 0
-        and int(bounds[-1][-1]) == n_rows
-    )
-    if not fits:
-        raise ConfigurationError(
-            f"IP partition does not fit geometry {geometry.name} over "
-            f"{n_rows} rows: it needs {geometry.tiles} tiles of "
-            f"{geometry.pes_per_tile + 1} PE bounds covering rows "
-            f"[0, {n_rows}]"
-        )
 
 
 def _ip_column(

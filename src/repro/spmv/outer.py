@@ -2,7 +2,9 @@
 
 Section III-A of the paper: the matrix is stored in CSC; the frontier is a
 sparse list of (index, value) pairs.  Rows are split across tiles in
-equal-nnz partitions; within a tile the LCP hands each PE a contiguous
+equal-nnz partitions (the tile level of the static
+:class:`~repro.spmv.partition.IPPartition` the IP kernel uses, when the
+caller passes one); within a tile the LCP hands each PE a contiguous
 chunk of frontier non-zeros, and the PE merge-sorts the corresponding
 matrix columns using a binary min-heap of column heads ("the sorted
 list").  Merged elements flow to the LCP, which combines duplicates
@@ -16,12 +18,17 @@ Two functional paths produce identical results:
 * the **exact path** (``exact=True`` or ``with_trace=True``) runs the
   real per-PE heap merge element by element, which doubles as the
   address-trace generator for the PC/PS hardware comparison.
+
+Both :func:`outer_product` and
+:func:`~repro.spmv.batch.outer_product_batch` place the tile bounds once
+(``_op_schedule``) and run each frontier column through one helper
+(``_op_column``): gather, scatter, work statistics and profile.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -44,7 +51,7 @@ from ..hardware.spm import Scratchpad
 from ..obs.tracer import traced
 from ..perf import counters as _perf
 from .heap import MergeHeap
-from .partition import equal_nnz_row_bounds, equal_rows_bounds
+from .partition import IPPartition, split_rows
 from .result import SpMVResult
 from .semiring import Semiring
 
@@ -71,6 +78,7 @@ def outer_product(
     hw_mode: HWMode = HWMode.PC,
     params: HardwareParams = DEFAULT_PARAMS,
     current: Optional[np.ndarray] = None,
+    partition: Optional[IPPartition] = None,
     exact: bool = False,
     with_trace: bool = False,
     balanced: bool = True,
@@ -80,7 +88,9 @@ def outer_product(
 
     See module docstring; parameters mirror
     :func:`repro.spmv.inner.inner_product` except that the matrix is CSC
-    and the frontier sparse.  ``hw_mode`` must be ``PC`` or ``PS``.
+    and the frontier sparse.  ``hw_mode`` must be ``PC``, ``PS`` or
+    ``SC``.  ``partition`` is the same cached static partition the IP
+    kernel takes; OP reads only its tile level.
 
     ``profile_only=True`` skips the functional scatter/merge and returns
     a result with ``values is None`` — unless the exact path is forced
@@ -88,11 +98,7 @@ def outer_product(
     trace generator; its functional output then comes along for free and
     the result reports ``executed``.
     """
-    if hw_mode not in (HWMode.PC, HWMode.PS, HWMode.SC):
-        # The decision tree only ever pairs OP with the private modes,
-        # but Fig. 9 also *prices* OP under the shared cache (its "OP /
-        # SC" column), so the kernel accepts SC for evaluation.
-        raise ConfigurationError(f"OP runs under PC, PS or SC, not {hw_mode}")
+    schedule = _op_schedule(matrix, geometry, hw_mode, params, partition, balanced)
     if not isinstance(frontier, SparseVector):
         raise ShapeError("outer_product expects a SparseVector frontier")
     if frontier.n != matrix.n_cols:
@@ -104,73 +110,103 @@ def outer_product(
             f"the OP kernel handles scalar semirings; {semiring.name} uses "
             "vector values and always runs dense (IP) in the paper"
         )
-    if with_trace:
-        exact = True
+    return _op_column(
+        matrix, schedule, frontier, semiring, current, profile_only,
+        exact or with_trace, with_trace, "outer_product",
+    )
 
-    T, P = geometry.tiles, geometry.pes_per_tile
 
-    # Row partitioning across tiles: equal-nnz (static balancing) or the
-    # naive equal-rows baseline (Fig. 7's "w/o partition" ablation).
-    if balanced:
-        row_counts = np.bincount(matrix.indices, minlength=matrix.n_rows)
+class _OPSchedule(NamedTuple):
+    """The frontier-independent half of an OP call, shared by a batch."""
+
+    geometry: Geometry
+    hw_mode: HWMode
+    params: HardwareParams
+    #: Tile ``t`` owns rows ``tile_bounds[t]:tile_bounds[t+1]``.
+    tile_bounds: np.ndarray
+
+
+def _op_schedule(
+    matrix: CSCMatrix,
+    geometry: Geometry,
+    hw_mode: HWMode,
+    params: HardwareParams,
+    partition: Optional[IPPartition],
+    balanced: bool,
+) -> _OPSchedule:
+    """Validate the hardware context and place the tile bounds.
+
+    Rows are split across tiles in equal-nnz partitions (or equal-rows
+    ones, Fig. 7's "w/o partition" ablation).  A partition passed in
+    supplies its tile level for free; without one the split costs an
+    O(nnz) row count over the CSC.
+    """
+    if hw_mode not in (HWMode.PC, HWMode.PS, HWMode.SC):
+        # The decision tree only ever pairs OP with the private modes,
+        # but Fig. 9 also *prices* OP under the shared cache (its "OP /
+        # SC" column), so the kernel accepts SC for evaluation.
+        raise ConfigurationError(f"OP runs under PC, PS or SC, not {hw_mode}")
+    if partition is None:
         row_ptr = np.zeros(matrix.n_rows + 1, dtype=np.int64)
-        np.cumsum(row_counts, out=row_ptr[1:])
-        tile_bounds = equal_nnz_row_bounds(row_ptr, T)
+        np.cumsum(
+            np.bincount(matrix.indices, minlength=matrix.n_rows), out=row_ptr[1:]
+        )
+        tile_bounds = split_rows(row_ptr, geometry.tiles, balanced)
     else:
-        tile_bounds = equal_rows_bounds(matrix.n_rows, T)
+        partition.check_fits(matrix.n_rows, geometry)
+        tile_bounds = partition.tile_bounds
+    return _OPSchedule(geometry, hw_mode, params, tile_bounds)
 
+
+def _op_column(
+    matrix: CSCMatrix,
+    schedule: _OPSchedule,
+    frontier: SparseVector,
+    semiring: Semiring,
+    current: Optional[np.ndarray],
+    profile_only: bool,
+    exact: bool,
+    with_trace: bool,
+    label: str,
+) -> SpMVResult:
+    """Run one validated sparse frontier column through ``schedule``.
+
+    The frontier's CSC columns are gathered once; that gather feeds the
+    functional scatter (or the exact heap merge, cross-checked against
+    it) and the per-(tile, PE) work statistics the profile is built from.
+    """
     # Dynamic chunking of frontier non-zeros across PEs (by the LCP).
-    chunks = frontier.chunk(P)
-    chunk_starts = np.concatenate(
-        [[0], np.cumsum([len(c[0]) for c in chunks])]
-    ).astype(np.int64)
-
-    # ------------------------------------------------------------------
-    # Functional result
-    # ------------------------------------------------------------------
-    # The gathered structure (rows_g/col_of/pos_of) feeds the work
-    # statistics below whether or not the functional result is wanted.
+    chunks = frontier.chunk(schedule.geometry.pes_per_tile)
     rows_g, vals_g, col_of = matrix.gather_columns(frontier.indices)
     pos_of = np.searchsorted(frontier.indices, col_of)
+    traces, merge_stats = None, None
     if profile_only and not exact:
         _perf.kernel_profile_only += 1
         out = None
         touched = None
-        traces, merge_stats = None, None
     else:
         _perf.kernel_executions += 1
-        v_src = frontier.values[pos_of]
         out = semiring.init_output(matrix.n_rows, current)
         v_dst = None
         if semiring.needs_dst:
             if current is None:
                 raise ShapeError(f"semiring {semiring.name} needs current dst values")
             v_dst = np.asarray(current, dtype=np.float64)[rows_g]
-        contrib = semiring.combine(vals_g, v_src, v_dst, col_of, rows_g)
+        contrib = semiring.combine(
+            vals_g, frontier.values[pos_of], v_dst, col_of, rows_g
+        )
+        semiring.scatter(out, rows_g, contrib)
         if exact:
             exact_out, traces, merge_stats = _exact_merge(
-                matrix,
-                frontier,
-                semiring,
-                chunks,
-                tile_bounds,
-                current,
-                with_trace,
-                T,
-                P,
+                matrix, frontier, semiring, chunks, schedule, current, with_trace
             )
-            fast = semiring.init_output(matrix.n_rows, current)
-            semiring.scatter(fast, rows_g, contrib)
-            if not np.allclose(exact_out, fast, equal_nan=True):
+            if not np.allclose(exact_out, out, equal_nan=True):
                 # A real error, not an `assert`: the cross-check must
                 # survive `python -O` (assert statements are stripped).
                 raise SimulationError(
                     "exact heap merge disagrees with the vectorised OP path"
                 )
             out = exact_out
-        else:
-            semiring.scatter(out, rows_g, contrib)
-            traces, merge_stats = None, None
         touched = np.zeros(matrix.n_rows, dtype=bool)
         touched[rows_g] = True
         prev = (
@@ -180,51 +216,36 @@ def outer_product(
         )
         out = semiring.apply_vector_op(out, prev)
 
-    # ------------------------------------------------------------------
-    # Per-(tile, PE) work statistics, vectorised over all touched entries
-    # ------------------------------------------------------------------
-    tile_of = np.clip(
-        np.searchsorted(tile_bounds, rows_g, side="right") - 1, 0, T - 1
-    )
     elems, heads, pe_out, tile_out, cols_pe = _op_stats(
-        matrix, rows_g, col_of, pos_of, tile_of, chunk_starts, chunks, T, P
+        matrix, schedule, rows_g, col_of, pos_of, chunks
     )
     _san = sanitize.active()
-    _san.check_histogram("outer_product/elements", elems, len(rows_g))
-    _san.check_histogram("outer_product/frontier", cols_pe, frontier.nnz)
-
+    _san.check_histogram(f"{label}/elements", elems, len(rows_g))
+    _san.check_histogram(f"{label}/frontier", cols_pe, frontier.nnz)
     profile = _build_op_profile(
-        matrix,
-        frontier,
-        semiring,
-        geometry,
-        hw_mode,
-        params,
-        elems,
-        heads,
-        pe_out,
-        tile_out,
-        cols_pe,
-        len(rows_g),
-        merge_stats,
-        traces,
-        exact,
+        matrix, frontier, semiring, schedule, elems, heads, pe_out, tile_out,
+        cols_pe, len(rows_g), merge_stats, traces, exact,
     )
     return SpMVResult(values=out, touched=touched, profile=profile, semiring=semiring)
 
 
 def _op_stats(
     matrix: CSCMatrix,
+    schedule: _OPSchedule,
     rows_g: np.ndarray,
     col_of: np.ndarray,
     pos_of: np.ndarray,
-    tile_of: np.ndarray,
-    chunk_starts: np.ndarray,
     chunks,
-    T: int,
-    P: int,
 ):
-    """Per-(tile, PE) merge workload counts shared by single/batched OP."""
+    """Per-(tile, PE) merge workload counts, vectorised over all touched
+    entries: entry ``e`` belongs to the tile owning its row and the PE
+    whose frontier chunk holds its column."""
+    T, P = schedule.geometry.tiles, schedule.geometry.pes_per_tile
+    tile_of = np.clip(
+        np.searchsorted(schedule.tile_bounds, rows_g, side="right") - 1, 0, T - 1
+    )
+    cols_pe = np.array([len(c[0]) for c in chunks], dtype=np.int64)
+    chunk_starts = np.concatenate([[0], np.cumsum(cols_pe)]).astype(np.int64)
     pe_of = np.clip(
         np.searchsorted(chunk_starts, pos_of, side="right") - 1, 0, P - 1
     )
@@ -246,7 +267,6 @@ def _op_stats(
     tile_out = np.bincount(
         (np.unique(tile_row) // matrix.n_rows).astype(np.int64), minlength=T
     ).astype(np.int64)
-    cols_pe = np.array([len(c[0]) for c in chunks], dtype=np.int64)
     return elems, heads, pe_out, tile_out, cols_pe
 
 
@@ -254,9 +274,7 @@ def _build_op_profile(
     matrix: CSCMatrix,
     frontier: SparseVector,
     semiring: Semiring,
-    geometry: Geometry,
-    hw_mode: HWMode,
-    params: HardwareParams,
+    schedule: _OPSchedule,
     elems: np.ndarray,
     heads: np.ndarray,
     pe_out: np.ndarray,
@@ -268,6 +286,7 @@ def _build_op_profile(
     exact: bool = False,
 ) -> KernelProfile:
     """Assemble the OP :class:`KernelProfile` from per-cell counts."""
+    geometry, hw_mode, params = schedule.geometry, schedule.hw_mode, schedule.params
     T, P = geometry.tiles, geometry.pes_per_tile
     spm_words = hw_mode.spm_words(geometry, params)
     tiles: List[TileProfile] = []
@@ -424,17 +443,17 @@ def _exact_merge(
     frontier: SparseVector,
     semiring: Semiring,
     chunks,
-    tile_bounds: np.ndarray,
+    schedule: _OPSchedule,
     current: Optional[np.ndarray],
     with_trace: bool,
-    T: int,
-    P: int,
 ):
     """Element-by-element heap merge, per (tile, PE) — the real schedule.
 
     Returns the reduced output array, optional per-PE traces, and
     measured heap statistics keyed by PE cell index.
     """
+    T, P = schedule.geometry.tiles, schedule.geometry.pes_per_tile
+    tile_bounds = schedule.tile_bounds
     out = semiring.init_output(matrix.n_rows, current)
     cur = np.asarray(current, dtype=np.float64) if current is not None else None
     traces: List[Optional[PETrace]] = [None] * (T * P)

@@ -23,11 +23,12 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..errors import ShapeError
+from ..errors import ConfigurationError, ShapeError
 
 __all__ = [
     "equal_nnz_row_bounds",
     "equal_rows_bounds",
+    "split_rows",
     "commvol_row_bounds",
     "cut_columns",
     "nnz_per_partition",
@@ -64,6 +65,17 @@ def equal_rows_bounds(n_rows: int, n_parts: int) -> np.ndarray:
     if n_parts <= 0:
         raise ShapeError("n_parts must be positive")
     return np.linspace(0, n_rows, n_parts + 1).astype(np.int64)
+
+
+def split_rows(row_ptr: np.ndarray, n_parts: int, balanced: bool = True) -> np.ndarray:
+    """Equal-nnz row bounds, or equal-rows ones with ``balanced=False``.
+
+    The one place the Fig. 7 ablation switch is read: both levels of the
+    IP partition and the OP kernel's tile split go through it.
+    """
+    if balanced:
+        return equal_nnz_row_bounds(row_ptr, n_parts)
+    return equal_rows_bounds(len(row_ptr) - 1, n_parts)
 
 
 #: Boundary-refinement search: candidate rows probed on each side of an
@@ -177,11 +189,13 @@ def vblock_width(spm_words: int, value_words: int = 1) -> int:
 
 @dataclass(frozen=True)
 class IPPartition:
-    """The IP kernel's static schedule for one geometry.
+    """The static row schedule for one geometry.
 
     ``tile_bounds`` split rows across tiles; ``pe_bounds[t]`` split tile
     ``t``'s rows across its PEs.  Both are equal-nnz unless ``balanced``
-    was disabled (Fig. 7's ablation).
+    was disabled (Fig. 7's ablation).  The IP kernel reads both levels;
+    the OP kernel reads only ``tile_bounds``, since its PEs take frontier
+    chunks rather than rows.
     """
 
     tile_bounds: np.ndarray
@@ -193,23 +207,32 @@ class IPPartition:
         b = self.pe_bounds[tile]
         return int(b[pe]), int(b[pe + 1])
 
+    def check_fits(self, n_rows: int, geometry) -> None:
+        """A reused partition must have been built for this geometry and matrix."""
+        bounds = self.pe_bounds
+        fits = (
+            len(bounds) == geometry.tiles
+            and all(len(b) == geometry.pes_per_tile + 1 for b in bounds)
+            and int(bounds[0][0]) == 0
+            and int(bounds[-1][-1]) == n_rows
+        )
+        if not fits:
+            raise ConfigurationError(
+                f"partition does not fit geometry {geometry.name} over "
+                f"{n_rows} rows: it needs {geometry.tiles} tiles of "
+                f"{geometry.pes_per_tile + 1} PE bounds covering rows "
+                f"[0, {n_rows}]"
+            )
+
 
 def build_ip_partitions(
     row_ptr: np.ndarray, tiles: int, pes_per_tile: int, balanced: bool = True
 ) -> IPPartition:
     """Two-level (tile, PE) row partitioning for the IP kernel."""
-    n_rows = len(row_ptr) - 1
-    if balanced:
-        tile_bounds = equal_nnz_row_bounds(row_ptr, tiles)
-    else:
-        tile_bounds = equal_rows_bounds(n_rows, tiles)
+    tile_bounds = split_rows(row_ptr, tiles, balanced)
     pe_bounds = []
     for t in range(tiles):
         lo, hi = int(tile_bounds[t]), int(tile_bounds[t + 1])
-        if balanced:
-            sub_ptr = row_ptr[lo : hi + 1] - row_ptr[lo]
-            local = equal_nnz_row_bounds(sub_ptr, pes_per_tile)
-        else:
-            local = equal_rows_bounds(hi - lo, pes_per_tile)
-        pe_bounds.append(local + lo)
+        sub_ptr = row_ptr[lo : hi + 1] - row_ptr[lo]
+        pe_bounds.append(split_rows(sub_ptr, pes_per_tile, balanced) + lo)
     return IPPartition(tile_bounds=tile_bounds, pe_bounds=pe_bounds, balanced=balanced)

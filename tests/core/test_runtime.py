@@ -7,7 +7,7 @@ from repro.errors import ConfigurationError
 from repro.core import CoSparseRuntime, SpMVOperand
 from repro.formats import DenseVector, SparseVector
 from repro.hardware import Geometry, HWMode
-from repro.spmv import bfs_semiring, spmv_semiring
+from repro.spmv import bfs_semiring, outer_product, spmv_semiring
 from repro.workloads import random_frontier, uniform_random
 
 
@@ -146,3 +146,23 @@ class TestLogging:
             random_frontier(medium_coo.n_cols, 0.01, seed=11), spmv_semiring()
         )
         assert "iterations" in runtime.log.summary()
+
+
+class TestUnbalanced:
+    @pytest.mark.parametrize("geometry", ["2x8", "4x8"])
+    @pytest.mark.parametrize("path", ["spmv", "spmv_batch"])
+    def test_op_honours_balanced_false(self, powerlaw_coo, geometry, path):
+        """``balanced=False`` reaches OP's tile split, not only IP's."""
+        operand = SpMVOperand(powerlaw_coo)
+        rt = CoSparseRuntime(
+            operand, geometry, policy="static",
+            static_config=("op", HWMode.PC), balanced=False,
+        )
+        sr = spmv_semiring()
+        f = random_frontier(powerlaw_coo.n_cols, 0.05, seed=8)
+        res = rt.spmv(f, sr) if path == "spmv" else rt.spmv_batch([f], sr)[0]
+        g = Geometry.parse(geometry)
+        naive = outer_product(operand.csc, f, sr, g, HWMode.PC, balanced=False)
+        balanced = outer_product(operand.csc, f, sr, g, HWMode.PC)
+        assert naive.profile != balanced.profile
+        assert res.profile == naive.profile

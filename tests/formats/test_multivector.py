@@ -85,25 +85,6 @@ class TestDensityAndViews:
         assert mv.nnz == 3
 
 
-class TestConversionCost:
-    def test_native_format_is_free(self):
-        sv = SparseVector(5, [1], [1.0])
-        mv = MultiVector([sv, np.array([0.0, 1.0, 0.0, 0.0, 2.0])])
-        assert mv.conversion_cost(0, "sparse") == ConversionCost()
-        assert mv.conversion_cost(1, "dense") == ConversionCost()
-
-    def test_cross_format_matches_sequential_charges(self):
-        sv = SparseVector(5, [1, 3], [1.0, 2.0])
-        arr = np.array([0.0, 1.0, 0.0, 0.0, 2.0])
-        mv = MultiVector([sv, arr])
-        # sparse -> dense: read 2*nnz pair words, write n + nnz
-        assert mv.conversion_cost(0, "dense") == ConversionCost(reads=4, writes=7)
-        # dense -> sparse: scan n, write 2*nnz
-        assert mv.conversion_cost(1, "sparse") == ConversionCost(reads=5, writes=4)
-        with pytest.raises(FormatError):
-            mv.conversion_cost(0, "blocked")
-
-
 class TestSelect:
     def test_select_preserves_native_repr(self):
         sv = SparseVector(4, [1], [1.0])

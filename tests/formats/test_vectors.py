@@ -8,6 +8,7 @@ from repro.formats import (
     ConversionCost,
     DenseVector,
     SparseVector,
+    conversion_cost,
     dense_to_sparse,
     ensure_dense,
     ensure_sparse,
@@ -106,6 +107,12 @@ class TestConversions:
         assert dv.nnz == 2
         assert cost.reads == 4
         assert cost.writes == 6 + 2
+
+    def test_same_format_is_free_and_unknown_rejected(self):
+        assert conversion_cost("dense", "dense", 6, 2) == ConversionCost()
+        assert conversion_cost("sparse", "sparse", 6, 2) == ConversionCost()
+        with pytest.raises(FormatError):
+            conversion_cost("sparse", "blocked", 6, 2)
 
     def test_ensure_dense_noop(self):
         dv = DenseVector.zeros(4)

@@ -187,6 +187,12 @@ class TestOuterBatch:
             outer_product_batch(
                 medium_csc, mv, sr, geom24, columns=[1]
             )
+        # A 0-absent batch under SSSP, whose absent is +inf.
+        with pytest.raises(ConfigurationError, match="absent"):
+            outer_product_batch(
+                medium_csc, mv, sssp_semiring(), geom24,
+                currents=[np.zeros(medium_csc.n_cols)],
+            )
 
 
 class TestExactCrossCheckError:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, ShapeError
-from repro.formats import COOMatrix, MultiVector
+from repro.formats import COOMatrix, CSCMatrix, MultiVector
 from repro.hardware import Geometry, HWMode, Region
 from repro.spmv import (
     bfs_semiring,
@@ -12,6 +12,8 @@ from repro.spmv import (
     cf_semiring,
     inner_product,
     inner_product_batch,
+    outer_product,
+    outer_product_batch,
     reference_spmv,
     spmv_semiring,
     sssp_semiring,
@@ -101,19 +103,28 @@ class TestValidation:
                 small_coo, F, sr, geom, HWMode.SC, current=F, with_trace=True
             )
 
+    KERNELS = ["sequential", "batch", "op", "op_batch"]
+
     @staticmethod
     def _run(kernel, coo, geometry, partition):
         v = np.ones(coo.n_cols)
+        sr, mv = spmv_semiring(), MultiVector([v])
         if kernel == "batch":
             return inner_product_batch(
-                coo, MultiVector([v]), spmv_semiring(), geometry,
+                coo, mv, sr, geometry, partition=partition
+            )
+        if kernel == "op":
+            return outer_product(
+                CSCMatrix.from_coo(coo), mv.column_sparse(0), sr, geometry,
                 partition=partition,
             )
-        return inner_product(
-            coo, v, spmv_semiring(), geometry, partition=partition
-        )
+        if kernel == "op_batch":
+            return outer_product_batch(
+                CSCMatrix.from_coo(coo), mv, sr, geometry, partition=partition
+            )
+        return inner_product(coo, v, sr, geometry, partition=partition)
 
-    @pytest.mark.parametrize("kernel", ["sequential", "batch"])
+    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize(
         "built, used", [("8x16", "4x8"), ("4x8", "8x16"), ("4x16", "8x8")]
     )
@@ -127,7 +138,7 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="does not fit"):
             self._run(kernel, medium_coo, Geometry.parse(used), part)
 
-    @pytest.mark.parametrize("kernel", ["sequential", "batch"])
+    @pytest.mark.parametrize("kernel", KERNELS)
     def test_rejects_partition_for_other_matrix(
         self, small_coo, medium_coo, geom, kernel
     ):
