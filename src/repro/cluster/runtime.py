@@ -58,7 +58,6 @@ from ..parallel import PricingTask, SweepScheduler
 from ..parallel.scheduler import resolve_jobs
 from ..parallel.work import coo_arrays, csc_arrays
 from ..perf import counters as _perf
-from ..perf import timed
 from ..spmv import SpMVResult
 from ..spmv.semiring import Semiring
 from .partition import build_shards, shard_bounds
@@ -436,11 +435,10 @@ class ShardedRuntime:
                         )
                     )
             cur = None if current is None else np.asarray(current)
-            with timed("cluster.spmv"):
-                if self._runtimes is not None:
-                    pieces = self._run_serial(frontier, semiring, cur)
-                else:
-                    pieces = self._run_pool(frontier, semiring, cur)
+            if self._runtimes is not None:
+                pieces = self._run_serial(frontier, semiring, cur)
+            else:
+                pieces = self._run_pool(frontier, semiring, cur)
             # Shard-order merge: shard p's output IS rows [lo_p, hi_p).
             values = np.concatenate([p[0] for p in pieces])
             touched = np.concatenate([p[1] for p in pieces])

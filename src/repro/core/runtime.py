@@ -650,8 +650,9 @@ class CoSparseRuntime:
                         density, semiring, frontier_j, per_current[j]
                     )
                 if probe is not None:
-                    # Unlike spmv()'s reuse path, the batch kernel always
-                    # recomputes the winner: the probe's result is wasted.
+                    # The batch kernel runs the winner; spmv() would
+                    # reuse the probe only had it executed (with_trace,
+                    # which spmv_batch rejects).
                     _perf.kernel_probe_discarded += 1
                     if tracer.enabled:
                         tracer.event(

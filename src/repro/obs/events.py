@@ -20,9 +20,9 @@ Event kinds
     Emitted when an invocation switched software and/or hardware
     configuration; carries the from/to labels and the charged cycles.
 ``probe_discarded``
-    A batched superstep priced candidates for a column but the batch
-    kernel recomputed the winner from scratch (see docs/model.md §6b's
-    known-inefficiency note).
+    A batched superstep priced candidates for a column and the batch
+    kernel ran the winner without reusing its profile-only probe, as
+    sequential ``spmv`` would without a trace (docs/model.md §6b).
 ``sanitizer_violation``
     The runtime sanitizer found a broken invariant (the event is
     emitted just before the ``SimulationError`` is raised).
@@ -104,7 +104,7 @@ class ReconfigEvent:
 
 @dataclass
 class ProbeDiscardedEvent:
-    """A batch column's winning pricing probe was thrown away."""
+    """A batch column's winning pricing probe was not reused."""
 
     batch_id: int
     batch_column: int

@@ -1,7 +1,6 @@
 """The observability metrics registry (telemetry v2).
 
-Generalises the ad-hoc ``PerfCounters.wall_seconds`` dict into the
-always-on telemetry layer the serving stack reports from:
+The always-on telemetry layer the serving stack reports from:
 
 * named monotonic **counters** (:meth:`MetricsRegistry.inc`);
 * named **observations** (:meth:`MetricsRegistry.observe`, keeping a
@@ -20,9 +19,8 @@ Every mutating entry point takes one shared lock: the serve drivers run
 on worker threads and hammer one registry concurrently, so the old
 unlocked read-modify-write ``inc``/``observe`` could lose updates
 (``tests/obs/test_metrics.py`` pins the fix with an 8-thread hammer).
-:func:`repro.perf.timed` forwards its measured block durations here
-whenever a tracer is live, so one exported run carries both the
-modelled quantities and the host-side costs of producing them.
+The process-global perf counters stay in :mod:`repro.perf`; spans
+carry their deltas.
 """
 
 from __future__ import annotations

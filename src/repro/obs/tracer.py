@@ -23,7 +23,9 @@ Name, parent (spans nest through an explicit stack), wall-clock start
 and duration *relative to the tracer's epoch*, free-form attributes
 (``span.set(cycles=...)`` attaches modelled cycles after pricing), and
 the delta of :data:`repro.perf.counters` across the span — so one span
-says both what the model charged and what the host paid.
+says both what the model charged and what the host paid.  Spans a pool
+worker records come back with its task and join the coordinator's
+tracer through :meth:`Tracer.adopt`, tagged with the worker's ``pid``.
 
 This module is the one place outside :mod:`repro.perf` allowed to read
 the host clock (registered in the R4 lint exemption list): wall time
@@ -37,6 +39,7 @@ import time
 from contextlib import contextmanager
 from typing import List, Optional
 
+from ..perf import counters as _perf
 from .events import event_record
 from .flight import recorder as _flight_recorder
 from .metrics import MetricsRegistry
@@ -54,34 +57,6 @@ __all__ = [
 
 _ENV_VAR = "REPRO_TRACE"
 _FALSEY = {"", "0", "false", "off", "no"}
-
-#: Perf counters whose per-span deltas are recorded (only non-zero
-#: deltas land in the span record, so extending this list is free for
-#: spans that never touch the new subsystems).
-_SPAN_COUNTER_KEYS = (
-    "kernel_executions",
-    "kernel_profile_only",
-    "kernel_batched_columns",
-    "kernel_probe_discarded",
-    "trace_accesses",
-    "pricing_tasks",
-    "pricing_cache_hits",
-    "pricing_cache_misses",
-    "pricing_fallbacks",
-    "tuning_runs",
-    "tuning_candidates",
-    "tuning_plan_cache_hits",
-    "tuning_plan_cache_misses",
-    "tuning_plans_applied",
-)
-
-
-def _perf_counters():
-    """The process-global perf counters (late import keeps this module
-    importable before :mod:`repro.perf` side-effects)."""
-    from ..perf import counters
-
-    return counters
 
 
 def _jsonable(value):
@@ -150,7 +125,7 @@ class Span:
         self.parent_id: Optional[int] = None
         self._tracer = tracer
         self._start_s = 0.0
-        self._c0 = ()
+        self._c0: dict = {}
 
     def set(self, **attrs) -> None:
         """Attach or update attributes (e.g. modelled cycles) mid-span."""
@@ -162,8 +137,7 @@ class Span:
         tr._next_id += 1
         self.parent_id = tr._stack[-1].span_id if tr._stack else None
         tr._stack.append(self)
-        c = _perf_counters()
-        self._c0 = tuple(getattr(c, key) for key in _SPAN_COUNTER_KEYS)
+        self._c0 = _perf.snapshot()
         self._start_s = time.perf_counter()
         return self
 
@@ -172,21 +146,15 @@ class Span:
         tr = self._tracer
         if tr._stack and tr._stack[-1] is self:
             tr._stack.pop()
-        c = _perf_counters()
-        deltas = {}
-        for key, before in zip(_SPAN_COUNTER_KEYS, self._c0):
-            diff = getattr(c, key) - before
-            if diff:
-                deltas[key] = diff
         record = {
             "type": "span",
             "name": self.name,
             "id": self.span_id,
             "parent": self.parent_id,
-            "start_s": self._start_s - tr._epoch_s,
+            "start_s": self._start_s - tr.epoch_s,
             "dur_s": end_s - self._start_s,
             "attrs": {k: _jsonable(v) for k, v in self.attrs.items()},
-            "counters": deltas,
+            "counters": _perf.since(self._c0),
         }
         if exc_type is not None:
             record["error"] = exc_type.__name__
@@ -212,7 +180,8 @@ class Tracer(NullTracer):
         self._metrics = MetricsRegistry()
         self._stack: List[Span] = []
         self._next_id = 1
-        self._epoch_s = time.perf_counter()
+        #: ``perf_counter()`` at creation; record times are relative to it.
+        self.epoch_s = time.perf_counter()
 
     @property
     def metrics(self) -> MetricsRegistry:
@@ -222,9 +191,36 @@ class Tracer(NullTracer):
         return Span(self, name, attrs)
 
     def event(self, event) -> None:
-        record = event_record(event, time.perf_counter() - self._epoch_s)
+        record = event_record(event, time.perf_counter() - self.epoch_s)
         self.records.append(record)
         _flight_recorder().record(record)
+
+    def adopt(self, records: List[dict], epoch_s: float, pid: int) -> None:
+        """Append another tracer's records (a pool task's) to this one.
+
+        They nest as spans opened here would: ids are renumbered past
+        this tracer's, roots get the open span as parent, times move
+        from the other tracer's epoch ``epoch_s`` to this one's
+        (``perf_counter`` is system-wide), and every span is tagged with
+        the ``pid`` that recorded it.
+        """
+        parent = self._stack[-1].span_id if self._stack else None
+        base = self._next_id - 1
+        shift = epoch_s - self.epoch_s
+        for record in records:
+            record = dict(record)
+            if record["type"] == "span":
+                record["id"] += base
+                record["parent"] = (
+                    parent if record["parent"] is None
+                    else record["parent"] + base
+                )
+                record["start_s"] += shift
+                record["attrs"] = dict(record["attrs"], pid=pid)
+                self._next_id = max(self._next_id, record["id"] + 1)
+            else:
+                record["t_s"] += shift
+            self.records.append(record)
 
     # ------------------------------------------------------------------
     def span_records(self) -> List[dict]:

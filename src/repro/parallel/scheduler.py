@@ -190,7 +190,10 @@ class SweepScheduler:
             span.set(**self.last_stats)
             if tracer.enabled:
                 for name, value in self.last_stats.items():
-                    tracer.metrics.inc(f"parallel.{name}", value)
+                    if name == "worker_utilization":  # a per-call ratio
+                        tracer.metrics.observe(f"parallel.{name}", value)
+                    else:
+                        tracer.metrics.inc(f"parallel.{name}", value)
         return results
 
     def _map_inner(self, tasks: List[PricingTask]) -> List[dict]:
@@ -260,7 +263,9 @@ class SweepScheduler:
             # the arena keeps the pinned arrays published on first use.
             workers = self.jobs
             arena, executor, pinned = session
+        tracer = _obs_active()
         unfinished = list(pending)
+        traces: Dict[int, tuple] = {}
         inline_bytes = 0
         shm_before = arena.nbytes
         busy_s = 0.0
@@ -273,7 +278,10 @@ class SweepScheduler:
                         arena, tasks[i].arrays, pinned
                     )
                     inline_bytes += nbytes
-                    spec = (i, tasks[i].fn, tasks[i].payload, shipped)
+                    spec = (
+                        i, tasks[i].fn, tasks[i].payload, shipped,
+                        tracer.enabled,
+                    )
                     futures[i] = executor.submit(_pool_entry_trampoline, spec)
                 shm_bytes = arena.nbytes - shm_before
                 # Collect in *completion* order: a straggler must not
@@ -298,13 +306,18 @@ class SweepScheduler:
                     for fut in done:
                         remaining.pop(fut)
                         try:
-                            index, result, task_s = fut.result()
+                            index, result, task_s, deltas, trace = (
+                                fut.result()
+                            )
                         except BrokenProcessPool:
                             failure = (
                                 "a pricing worker died (BrokenProcessPool)"
                             )
                             break
                         busy_s += task_s
+                        _perf.add(deltas)
+                        if trace is not None:
+                            traces[index] = trace
                         results[index] = result
                         unfinished.remove(index)
                         if keys[index] is not None and self.cache is not None:
@@ -336,6 +349,8 @@ class SweepScheduler:
             if unfinished or session is None:
                 arena.close()
         wall_s = time.perf_counter() - t_pool0
+        for i in sorted(traces):  # submission order
+            tracer.adopt(*traces[i])
         stats["inline_bytes"] = inline_bytes
         stats["shm_bytes"] = shm_bytes
         if wall_s > 0:

@@ -21,6 +21,12 @@ hot path, so the expensive invariants are cached per process:
 The memos live at module scope: pool workers are forked with the module
 already imported, and the ``REPRO_JOBS=1`` serial path shares the very
 same caches, so both paths price through identical objects.
+
+Telemetry
+---------
+:func:`pool_entry` returns each pool task's :mod:`repro.perf` counter
+deltas and, when the coordinator traces, its span and event records, so
+the coordinator's counters and trace read the same for any worker count.
 """
 
 from __future__ import annotations
@@ -34,6 +40,8 @@ import numpy as np
 from ..formats import COOMatrix, CSCMatrix, SparseVector
 from ..hardware import Geometry, HWMode, TransmuterSystem
 from ..hardware.params import DEFAULT_PARAMS, HardwareParams
+from ..obs.tracer import NullTracer, Tracer, override
+from ..perf import counters as _perf
 from ..spmv import (
     inner_product,
     outer_product,
@@ -112,19 +120,28 @@ def pool_init(started) -> None:
     os.sched_setaffinity(0, {cpus[slot % len(cpus)]})
 
 
-def pool_entry(spec) -> Tuple[int, dict, float]:
-    """Pool-side task entry: ``(index, fn, payload, arrays)`` in,
-    ``(index, result, busy_seconds)`` out.
+def pool_entry(spec) -> Tuple[int, dict, float, dict, Optional[tuple]]:
+    """Pool-side task entry: ``(index, fn, payload, arrays, traced)`` in,
+    ``(index, result, busy_seconds, counter_deltas, trace)`` out.
 
-    The busy time is host wall clock (never model cycles); the
-    scheduler aggregates it into the worker-utilization metric.
+    The task runs under a fresh tracer when the coordinator traces, else
+    under a null one, so a forked worker never appends to its inherited
+    copy of the coordinator's tracer.  ``trace`` is ``(records, epoch_s,
+    pid)`` for :meth:`~repro.obs.tracer.Tracer.adopt`, or None.  The busy
+    time is host wall clock (never model cycles); the scheduler
+    aggregates it into the worker-utilization metric.
     """
     import time
 
-    index, fn, payload, arrays = spec
+    index, fn, payload, arrays, traced = spec
+    tracer = Tracer(label="worker") if traced else NullTracer()
+    before = _perf.snapshot()
     t0 = time.perf_counter()
-    result = execute(fn, payload, arrays)
-    return index, result, time.perf_counter() - t0
+    with override(tracer):
+        result = execute(fn, payload, arrays)
+    busy_s = time.perf_counter() - t0
+    trace = (tracer.records, tracer.epoch_s, os.getpid()) if traced else None
+    return index, result, busy_s, _perf.since(before), trace
 
 
 # ----------------------------------------------------------------------

@@ -2,12 +2,14 @@
 
 Two concerns live here:
 
-* **Counters** — a process-global :class:`PerfCounters` instance that the
-  kernels and the trace-replay engine increment (functional executions
-  vs. profile-only pricings, words replayed through the cache simulator)
-  plus named wall-clock accumulators via :func:`timed`.  Tests use the
-  counters to pin invariants like "the oracle policy executes exactly one
-  functional kernel per invocation".
+* **Counters** — :data:`COUNTERS` names every process-global perf
+  counter once; the kernels, the trace-replay engine and the sweep,
+  tuning and cluster layers increment the matching attribute of
+  :data:`counters` (``counters.x += n``).  Tests use them to pin
+  invariants like "the oracle policy executes exactly one functional
+  kernel per invocation".  Spans record their deltas, and a pool task's
+  deltas ride back with its result, so totals do not depend on the
+  worker count.
 * **The microbench** — ``python -m repro.perf`` (the ``make perf``
   target) replays a 200k-access random trace through a 16-bank shared
   cache with every available engine, prints accesses/s per engine plus
@@ -23,169 +25,80 @@ import json
 import os
 import sys
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
-__all__ = ["PerfCounters", "counters", "timed", "microbench", "main"]
+__all__ = ["COUNTERS", "PerfCounters", "counters", "microbench", "main"]
+
+#: Every perf counter: name -> what it counts.
+COUNTERS: Dict[str, str] = {
+    "kernel_executions": "kernel calls that computed the functional result",
+    "kernel_profile_only": "kernel calls that built only the KernelProfile "
+        "(profile_only pricing probes)",
+    "kernel_batched_columns": "columns run by the batch kernels (each also "
+        "counts in kernel_executions or kernel_profile_only)",
+    "kernel_probe_discarded": "winning pricing probes of spmv_batch columns "
+        "(oracle/adaptive), not reused; spmv reuses a probe only when it "
+        "executed, which needs with_trace, and spmv_batch rejects with_trace, "
+        "so this counts no extra work (docs/model.md §6b)",
+    "trace_accesses": "words replayed through the batched cache engine",
+    "pricing_tasks": "PricingTasks submitted to a SweepScheduler",
+    "pricing_cache_hits": "submitted tasks the pricing cache answered (a "
+        "warm sweep: hits == tasks, zero kernel_executions)",
+    "pricing_cache_misses": "submitted tasks the pricing cache missed",
+    "pricing_fallbacks": "pool runs that degraded to the serial path "
+        "(worker death or timeout), once per run",
+    "tuning_runs": "autotune calls (plan-cache hits included)",
+    "tuning_candidates": "candidate configurations evaluated (zero on a "
+        "warm plan-cache hit)",
+    "tuning_plan_cache_hits": "tuning-plan cache hits (a warm re-tune: one "
+        "hit, zero candidates, pricing tasks and kernel executions)",
+    "tuning_plan_cache_misses": "tuning-plan cache misses",
+    "tuning_plans_applied": "non-identity TuningPlans wired into a runtime "
+        "operand",
+    "cluster_spmv_calls": "ShardedRuntime.spmv calls (one per cluster "
+        "iteration)",
+    "cluster_shard_tasks": "shard steps of ShardedRuntime.spmv calls (K "
+        "per call, serial or pooled)",
+    "cluster_exchange_bytes": "modeled frontier-exchange bytes charged "
+        "through the cluster interconnect",
+}
 
 
-@dataclass
 class PerfCounters:
-    """Process-global counters (see module docstring).
+    """Process-global counters: one ``int`` attribute per
+    :data:`COUNTERS` name."""
 
-    Attributes
-    ----------
-    kernel_executions:
-        SpMV kernel invocations that computed the functional semiring
-        result.
-    kernel_profile_only:
-        Invocations that built only the :class:`KernelProfile`
-        (``profile_only=True`` pricing probes).
-    kernel_batched_columns:
-        Batch columns processed by the batched (SpMM-style) kernels.
-        Each batched column also counts once in ``kernel_executions`` /
-        ``kernel_profile_only``, so the sequential invariants still hold;
-        this counter isolates how much work went through the batch path.
-    kernel_probe_discarded:
-        Pricing probes whose winning result was thrown away instead of
-        reused.  ``spmv_batch`` runs oracle/adaptive probes per column
-        but the batched kernel always recomputes the winner (a known
-        inefficiency, docs/model.md §6b); sequential ``spmv`` reuses the
-        winner when it executed, so this isolates the wasted probes.
-    trace_accesses:
-        Words replayed through the batched cache engine.
-    pricing_tasks:
-        :class:`~repro.parallel.tasks.PricingTask` units submitted to a
-        :class:`~repro.parallel.scheduler.SweepScheduler`.
-    pricing_cache_hits / pricing_cache_misses:
-        Persistent pricing-cache outcomes per submitted task.  A fully
-        warm sweep shows ``hits == tasks`` and zero
-        ``kernel_executions`` — the invariant the cache round-trip test
-        pins.
-    pricing_fallbacks:
-        Pool runs that degraded to the serial path (worker death or
-        timeout); each increments once regardless of how many tasks
-        were re-run.
-    tuning_runs:
-        :func:`repro.tune.autotune` invocations (plan-cache hits
-        included).
-    tuning_candidates:
-        Candidate configurations actually evaluated (zero on a warm
-        plan-cache hit).
-    tuning_plan_cache_hits / tuning_plan_cache_misses:
-        Persistent tuning-plan cache outcomes.  A warm second tune of
-        the same matrix shows one hit and zero ``tuning_candidates`` /
-        ``pricing_tasks`` / ``kernel_executions`` — the OSKI
-        "tune once, reuse forever" invariant the tune tests pin.
-    tuning_plans_applied:
-        Non-identity :class:`~repro.tune.TuningPlan`\\ s wired into a
-        :class:`~repro.core.runtime.CoSparseRuntime` operand.
-    cluster_spmv_calls:
-        Distributed SpMV invocations through a
-        :class:`~repro.cluster.ShardedRuntime` (one per cluster
-        iteration, regardless of shard count).
-    cluster_shard_tasks:
-        Per-shard kernel steps those invocations fanned out (serial or
-        pooled; ``K`` per cluster iteration).
-    cluster_exchange_bytes:
-        Modeled frontier-exchange traffic charged through the cluster
-        interconnect, in bytes.
-    wall_seconds:
-        Named wall-clock accumulators fed by :func:`timed`.
-    """
+    __slots__ = tuple(COUNTERS)
 
-    kernel_executions: int = 0
-    kernel_profile_only: int = 0
-    kernel_batched_columns: int = 0
-    kernel_probe_discarded: int = 0
-    trace_accesses: int = 0
-    pricing_tasks: int = 0
-    pricing_cache_hits: int = 0
-    pricing_cache_misses: int = 0
-    pricing_fallbacks: int = 0
-    tuning_runs: int = 0
-    tuning_candidates: int = 0
-    tuning_plan_cache_hits: int = 0
-    tuning_plan_cache_misses: int = 0
-    tuning_plans_applied: int = 0
-    cluster_spmv_calls: int = 0
-    cluster_shard_tasks: int = 0
-    cluster_exchange_bytes: int = 0
-    wall_seconds: Dict[str, float] = field(default_factory=dict)
+    def __init__(self):
+        self.reset()
 
     def reset(self) -> None:
         """Zero everything (tests bracket measurements with this)."""
-        self.kernel_executions = 0
-        self.kernel_profile_only = 0
-        self.kernel_batched_columns = 0
-        self.kernel_probe_discarded = 0
-        self.trace_accesses = 0
-        self.pricing_tasks = 0
-        self.pricing_cache_hits = 0
-        self.pricing_cache_misses = 0
-        self.pricing_fallbacks = 0
-        self.tuning_runs = 0
-        self.tuning_candidates = 0
-        self.tuning_plan_cache_hits = 0
-        self.tuning_plan_cache_misses = 0
-        self.tuning_plans_applied = 0
-        self.cluster_spmv_calls = 0
-        self.cluster_shard_tasks = 0
-        self.cluster_exchange_bytes = 0
-        self.wall_seconds.clear()
+        for name in COUNTERS:
+            setattr(self, name, 0)
 
-    def add_time(self, name: str, seconds: float) -> None:
-        self.wall_seconds[name] = self.wall_seconds.get(name, 0.0) + seconds
+    def snapshot(self) -> Dict[str, int]:
+        """A plain name -> int copy (safe to stash and diff)."""
+        return {name: getattr(self, name) for name in COUNTERS}
 
-    def snapshot(self) -> dict:
-        """A plain-dict copy (safe to stash and diff)."""
-        return {
-            "kernel_executions": self.kernel_executions,
-            "kernel_profile_only": self.kernel_profile_only,
-            "kernel_batched_columns": self.kernel_batched_columns,
-            "kernel_probe_discarded": self.kernel_probe_discarded,
-            "trace_accesses": self.trace_accesses,
-            "pricing_tasks": self.pricing_tasks,
-            "pricing_cache_hits": self.pricing_cache_hits,
-            "pricing_cache_misses": self.pricing_cache_misses,
-            "pricing_fallbacks": self.pricing_fallbacks,
-            "tuning_runs": self.tuning_runs,
-            "tuning_candidates": self.tuning_candidates,
-            "tuning_plan_cache_hits": self.tuning_plan_cache_hits,
-            "tuning_plan_cache_misses": self.tuning_plan_cache_misses,
-            "tuning_plans_applied": self.tuning_plans_applied,
-            "cluster_spmv_calls": self.cluster_spmv_calls,
-            "cluster_shard_tasks": self.cluster_shard_tasks,
-            "cluster_exchange_bytes": self.cluster_exchange_bytes,
-            "wall_seconds": dict(self.wall_seconds),
-        }
+    def since(self, before: Dict[str, int]) -> Dict[str, int]:
+        """The non-zero changes since the :meth:`snapshot` ``before``."""
+        deltas = {}
+        for name, was in before.items():
+            diff = getattr(self, name) - was
+            if diff:
+                deltas[name] = diff
+        return deltas
+
+    def add(self, deltas: Dict[str, int]) -> None:
+        """Add :meth:`since` deltas (a pool task's) to these counters."""
+        for name, diff in deltas.items():
+            setattr(self, name, getattr(self, name) + diff)
 
 
 #: The process-global instance every subsystem increments.
 counters = PerfCounters()
-
-
-@contextmanager
-def timed(name: str, store: Optional[PerfCounters] = None):
-    """Accumulate the block's wall-clock time under ``name``.
-
-    When a tracer is live (:mod:`repro.obs`) the measured duration is
-    also recorded as a ``wall.<name>`` observation in its metrics
-    registry, so exported runs subsume these accumulators.
-    """
-    from .obs.tracer import active as _obs_active  # late: avoids a cycle
-
-    store = store if store is not None else counters
-    t0 = time.perf_counter()
-    try:
-        yield
-    finally:
-        dt = time.perf_counter() - t0
-        store.add_time(name, dt)
-        tracer = _obs_active()
-        if tracer.enabled:
-            tracer.metrics.observe(f"wall.{name}", dt)
 
 
 # ----------------------------------------------------------------------

@@ -152,12 +152,14 @@ class TestExchange:
         assert rt.log.total_network_cycles == 0.0
         assert rt.log.total_bytes == 0
 
-    def test_perf_counters(self, twitter):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_perf_counters(self, twitter, jobs):
         counters.reset()
-        rt = ShardedRuntime(twitter.operand, 4, jobs=1)
-        _run(pagerank, twitter, runtime=rt)
+        with ShardedRuntime(twitter.operand, 4, jobs=jobs) as rt:
+            _run(pagerank, twitter, runtime=rt)
         assert counters.cluster_spmv_calls == len(rt.log)
         assert counters.cluster_shard_tasks == 4 * len(rt.log)
+        assert counters.kernel_executions == 4 * len(rt.log)
         assert counters.cluster_exchange_bytes == rt.log.total_bytes
         assert rt.log.total_bytes > 0
 

@@ -14,7 +14,7 @@ from repro.obs import (
     traced,
 )
 from repro.obs.tracer import _NULL_SPAN
-from repro.perf import counters, timed
+from repro.perf import counters
 
 
 class TestNullObject:
@@ -115,6 +115,36 @@ class TestSpans:
         (rec,) = tracer.span_records()
         assert rec["error"] == "ValueError"
 
+    def test_adopt_nests_foreign_records(self):
+        worker = Tracer(label="worker")
+        with worker.span("task"):
+            with worker.span("kernel"):
+                pass
+            worker.event(WarningEvent(source="w", message="m"))
+        tracer = Tracer()
+        with tracer.span("before"):
+            pass
+        with tracer.span("sweep") as sweep:
+            tracer.adopt(worker.records, worker.epoch_s, pid=4321)
+        with tracer.span("after"):
+            pass
+        spans = tracer.span_records()
+        ids = [s["id"] for s in spans]
+        assert len(ids) == len(set(ids))
+        adopted = {s["name"]: s for s in spans if "pid" in s["attrs"]}
+        assert set(adopted) == {"task", "kernel"}
+        assert min(s["id"] for s in adopted.values()) > sweep.span_id
+        assert adopted["task"]["parent"] == sweep.span_id
+        assert adopted["kernel"]["parent"] == adopted["task"]["id"]
+        assert all(s["attrs"]["pid"] == 4321 for s in adopted.values())
+        shift = worker.epoch_s - tracer.epoch_s
+        (worker_event,) = worker.event_records("warning")
+        (event,) = tracer.event_records("warning")
+        assert event["t_s"] == worker_event["t_s"] + shift
+        by_name = {s["name"]: s for s in worker.span_records()}
+        for name, span in adopted.items():
+            assert span["start_s"] == by_name[name]["start_s"] + shift
+
     def test_jsonable_attr_coercion(self):
         from repro.hardware import HWMode
 
@@ -170,12 +200,3 @@ class TestMetrics:
         assert obs["total"] == 2.0
         assert obs["min"] == 0.5
         assert obs["max"] == 1.5
-
-    def test_timed_feeds_tracer_metrics(self):
-        tracer = Tracer()
-        with override(tracer):
-            with timed("unit_test_block"):
-                pass
-        snap = tracer.metrics.snapshot()
-        assert "wall.unit_test_block" in snap["observations"]
-        counters.wall_seconds.pop("unit_test_block", None)

@@ -7,6 +7,7 @@ even on a single-core machine.
 
 import os
 import time
+from collections import Counter
 
 import pytest
 
@@ -64,11 +65,25 @@ class TestResolveJobs:
                 resolve_jobs()
 
 
+def _traced_fig4(jobs):
+    """One ``_GRID`` run under its own tracer from zeroed counters: the
+    rows, the span-name multiset and the counter totals."""
+    counters.reset()
+    with override(Tracer(label="t")) as tracer:
+        result = run_fig4(jobs=jobs, **_GRID)
+    names = Counter(s["name"] for s in tracer.span_records())
+    return result.rows, names, counters.snapshot()
+
+
 class TestBitIdentity:
     def test_pool_matches_serial(self, cold_cache):
-        serial = run_fig4(jobs=1, **_GRID)
-        pooled = run_fig4(jobs=4, **_GRID)
-        assert pooled.rows == serial.rows  # bit-identical, not approx
+        serial, serial_spans, serial_counters = _traced_fig4(1)
+        pooled, pooled_spans, pooled_counters = _traced_fig4(4)
+        assert pooled == serial  # bit-identical, not approx
+        # Worker spans and counter increments come back to the
+        # coordinator: telemetry does not depend on the worker count.
+        assert pooled_spans == serial_spans
+        assert pooled_counters == serial_counters
 
     def test_env_jobs_matches_explicit(self, cold_cache, monkeypatch):
         serial = run_fig4(jobs=1, **_GRID)
@@ -263,3 +278,14 @@ class TestSpanIntegration:
         assert attrs["label"] == "fig4"
         assert attrs["jobs"] == 1
         assert attrs["dispatched"] == attrs["tasks"]
+
+    def test_worker_utilization_is_observed(self, cold_cache):
+        # A per-call ratio: summing it as a counter reads past 1.
+        with override(Tracer(label="t")) as tracer:
+            for _ in range(3):
+                run_fig4(jobs=2, **_GRID)
+        snap = tracer.metrics.snapshot()
+        assert "parallel.worker_utilization" not in snap["counters"]
+        digest = snap["observations"]["parallel.worker_utilization"]
+        assert digest["count"] == 3
+        assert digest["max"] <= 1.0

@@ -1,4 +1,4 @@
-"""Tests for :mod:`repro.perf` — counters, timers, and the microbench."""
+"""Tests for :mod:`repro.perf` — counters and the microbench."""
 
 import json
 
@@ -21,20 +21,10 @@ class TestCounters:
     def test_reset_zeroes_everything(self):
         perf.counters.kernel_executions = 3
         perf.counters.trace_accesses = 7
-        perf.counters.add_time("x", 0.5)
         perf.counters.reset()
         snap = perf.counters.snapshot()
         assert snap["kernel_executions"] == 0
         assert snap["trace_accesses"] == 0
-        assert snap["wall_seconds"] == {}
-
-    def test_timed_accumulates(self):
-        with perf.timed("block"):
-            pass
-        with perf.timed("block"):
-            pass
-        assert perf.counters.wall_seconds["block"] >= 0.0
-        assert len(perf.counters.wall_seconds) == 1
 
     def test_trace_replay_counts_accesses(self):
         cache = BankedCache(2, DEFAULT_PARAMS)
