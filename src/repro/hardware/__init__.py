@@ -10,15 +10,7 @@ the paper's own gem5/trace split).  See DESIGN.md §2 and §4.
 from .geometry import Geometry
 from .hwconfig import HWMode, MemKind, Sharing, modes_for_algorithm
 from .params import DEFAULT_PARAMS, HardwareParams
-from .profile import (
-    AccessStream,
-    KernelProfile,
-    PEProfile,
-    PETrace,
-    Pattern,
-    Region,
-    TileProfile,
-)
+from .profile import KernelProfile, PETrace, Pattern, Region
 from .stats import MemCounters, RunReport, TileReport
 from .energy import EnergyBreakdown, EnergyModel
 from .pipeline import Event, InOrderPipeline
@@ -32,13 +24,10 @@ __all__ = [
     "modes_for_algorithm",
     "DEFAULT_PARAMS",
     "HardwareParams",
-    "AccessStream",
     "KernelProfile",
-    "PEProfile",
     "PETrace",
     "Pattern",
     "Region",
-    "TileProfile",
     "MemCounters",
     "RunReport",
     "TileReport",

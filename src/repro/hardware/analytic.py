@@ -4,7 +4,9 @@ The paper evaluates systems up to 8x16 in gem5 and switches to "a
 trace-based simulation model" beyond that because detailed simulation
 becomes prohibitive (Section IV-A).  This module is the analogous fast
 mode: it prices a :class:`~repro.hardware.profile.KernelProfile` without
-replaying addresses, using a reuse-distance cache model.
+replaying addresses, using a reuse-distance cache model, and it prices
+the profile's columns with array operations — every PE (or tile) at
+once — rather than stream by stream.
 
 Hit-rate model (per cache level)
 --------------------------------
@@ -22,6 +24,13 @@ are split across the cores cooperating on it (a tile collectively takes
 one cold miss per vector line, not one per PE — this is also how tiles
 "fetch the vector elements for the other tiles into L2", Section III-B).
 
+All caches of a level are solved at once: one per PE (private L1, the
+PE's streams as entries), per tile (shared L1, private L2) or one for
+the system (shared L2), whose entries are regions in first-appearance
+order.  Sums run left to right in the order a stream-by-stream walk adds
+its terms and ``exp`` is ``math.exp``, so prices are bit-identical to
+pricing each stream in turn.
+
 Latency composition is shared with the trace engine
 (:mod:`repro.hardware.latency`): hits cost the issue slot plus
 unhideable crossbar serialisation; miss latency is discounted by the
@@ -36,96 +45,129 @@ tile unless the HBM bandwidth floor is higher.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+
+import numpy as np
 
 from .geometry import Geometry
 from .hwconfig import HWMode, Sharing
-from .latency import compose_latency, shared_conflict_cycles
+from .latency import compose_latency, l1_base_latency, spm_latency
 from .params import HardwareParams
-from .profile import AccessStream, KernelProfile, Pattern, Region
+from .profile import KernelProfile, Pattern
 from .stats import MemCounters, RunReport, TileReport
 
 __all__ = ["AnalyticModel"]
 
 #: Fixed-point iterations for the insert-rate solve.
 _FLUX_ITERATIONS = 4
-
-
-@dataclass
-class _Entry:
-    """One stream's view at a cache level (counts may be aggregated)."""
-
-    region: Region
-    count: float
-    footprint: float
-    pattern: str
-    passes: int
-    cold_sharers: float = 1.0
-    miss: float = 0.0  # solved
-
-
-def _solve_level(entries: List[_Entry], capacity_words: float, params) -> None:
-    """Fixed-point solve of per-entry miss counts at one cache level."""
-    line = params.cache_line_words
-    c_lines = max(capacity_words / line, 1e-9)
-    total = sum(e.count for e in entries)
-    if total <= 0:
-        for e in entries:
-            e.miss = 0.0
-        return
-    # Capacity shares among random/dependent entries (by access count).
-    rand_total = sum(
-        e.count for e in entries if e.pattern != Pattern.SEQUENTIAL
-    )
-    # Initial guess: streams miss once per line, random misses everything.
-    for e in entries:
-        cold = min(e.count, e.footprint / line / max(e.cold_sharers, 1.0))
-        if e.pattern == Pattern.SEQUENTIAL:
-            e.miss = min(e.count, cold * e.passes)
-        else:
-            e.miss = e.count
-    for _ in range(_FLUX_ITERATIONS):
-        insert_rate = sum(e.miss for e in entries) / total
-        for e in entries:
-            if e.count <= 0:
-                e.miss = 0.0
-                continue
-            cold = min(
-                e.count, e.footprint / line / max(e.cold_sharers, 1.0)
-            )
-            if e.pattern == Pattern.SEQUENTIAL:
-                fp_lines = e.footprint / line
-                if e.passes > 1 and fp_lines <= 0.5 * c_lines:
-                    e.miss = min(e.count, cold)  # later passes hit
-                else:
-                    e.miss = min(e.count, cold * e.passes)
-                continue
-            fp_lines = max(e.footprint / line, 1e-9)
-            interval = total * fp_lines / e.count
-            k = insert_rate * interval
-            h_flux = 1.0 - math.exp(-c_lines / k) if k > 0 else 1.0
-            share = e.count / rand_total if rand_total else 1.0
-            h_cap = min(1.0, c_lines * share / fp_lines)
-            h = min(h_flux, max(h_cap, 0.0))
-            e.miss = min(e.count, cold + max(e.count - cold, 0.0) * (1.0 - h))
-
-
-def _miss_bearing(stream: AccessStream) -> float:
-    """Load accesses of a stream that can actually miss.
-
-    Stores retire through the write buffer; when ``distinct_touches`` is
-    set, the remaining loads are register-run re-touches that hit by
-    construction.
-    """
-    reads = max(stream.count - stream.writes, 0.0)
-    if stream.distinct_touches is not None:
-        reads = min(reads, stream.distinct_touches)
-    return reads
-
-
 #: Cycles a store occupies the pipeline (write-buffered).
 _STORE_COST = 1.0
+#: Rows of the per-tile accumulator holding terms at all three levels.
+_SPM, _DRAM, _DRAM_SEQ, _DRAM_RAND = 0, 5, 6, 7
+
+
+def _seq_sum(x: np.ndarray) -> np.ndarray:
+    """Left-to-right sums along the last axis (``np.sum`` adds pairwise)."""
+    if not x.shape[-1]:
+        return np.zeros(x.shape[:-1])
+    return np.cumsum(x, axis=-1)[..., -1]
+
+
+def _miss_bearing(count, writes, distinct_touches):
+    """Load accesses of each stream that can actually miss.
+
+    Stores retire through the write buffer; beyond ``distinct_touches``
+    the remaining loads are register-run re-touches that hit by
+    construction.
+    """
+    return np.minimum(np.maximum(count - writes, 0.0), distinct_touches)
+
+
+def _solve_misses(
+    count, footprint, sequential, passes, cold_sharers, capacity_words, params
+) -> np.ndarray:
+    """Fixed-point solve of miss counts: one cache per row, one entry per
+    column, every argument shaped ``(caches, entries)``.
+
+    A zero-count entry misses nothing and adds nothing to any sum, so
+    rows may be padded with them.
+    """
+    line = params.cache_line_words
+    c_lines = max(capacity_words / line, 1e-9)
+    total = _seq_sum(count)
+    live = count > 0
+    fp_lines = footprint / line
+    cold = np.minimum(count, fp_lines / np.maximum(cold_sharers, 1.0))
+    every_pass = np.minimum(count, cold * passes)
+    # Initial guess: streams miss once per line, random misses everything.
+    miss = np.where(sequential, every_pass, count)
+    # From the first iteration on, a stream's later passes hit when its
+    # footprint fits in half the cache.
+    settled = np.where(
+        (passes > 1) & (fp_lines <= 0.5 * c_lines),
+        np.minimum(count, cold),
+        every_pass,
+    )
+    # Random entries, compacted: only they depend on the insert rate.
+    rows, cols = np.nonzero(live & ~sequential)
+    n, cold = count[rows, cols], cold[rows, cols]
+    slack = np.maximum(n - cold, 0.0)
+    fp_lines = np.maximum(fp_lines[rows, cols], 1e-9)
+    rand_total = _seq_sum(np.where(sequential, 0.0, count))[rows]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        interval = total[rows] * fp_lines / n
+        h_cap = np.maximum(np.minimum(1.0, c_lines * (n / rand_total) / fp_lines), 0.0)
+        for step in range(_FLUX_ITERATIONS):
+            k = (_seq_sum(miss) / total)[rows] * interval
+            if not step:
+                miss = np.where(sequential, settled, miss)
+            # math.exp per element: np.exp differs in the last bit on
+            # some inputs.  Survival is certain unless k > 0.
+            survive = np.fromiter(map(math.exp, (-c_lines / k).tolist()), float, len(k))
+            h = np.minimum(np.where(k > 0, 1.0 - survive, 1.0), h_cap)
+            miss[rows, cols] = np.minimum(n, cold + slack * (1.0 - h))
+    return miss
+
+
+class _RegionGroups:
+    """Each cache's eligible streams grouped by region, for the levels
+    whose entries are regions.  Inputs are ``(caches, streams)`` in
+    program order; groups enter the solve in the order their regions
+    first appear."""
+
+    def __init__(self, region: np.ndarray, eligible: np.ndarray):
+        self.region = region
+        self.caches = np.arange(len(region))[:, None]
+        self.member = eligible[:, None, :] & (
+            region[:, None, :] == np.arange(int(region.max()) + 1)[:, None]
+        )
+        self.first = self.member.argmax(axis=2)
+        present = self.member.any(axis=2)
+        self.order = self.caches, np.argsort(
+            np.where(present, self.first, self.first.max() + 1),
+            axis=1,
+            kind="stable",
+        )
+
+    def total(self, x: np.ndarray, keep=True) -> np.ndarray:
+        """Each group's left-to-right sum of ``x`` (where ``keep``)."""
+        return _seq_sum(np.where(self.member & keep, x[:, None, :], 0.0))
+
+    def of_first(self, x: np.ndarray) -> np.ndarray:
+        """``x`` of each group's first stream."""
+        return x[self.caches, self.first]
+
+    def hit_rates(self, count, footprint, passes, cold_sharers, sequential,
+                  capacity_words, params) -> np.ndarray:
+        """Solve the groups as cache entries; each stream's group hit rate."""
+        order = self.order
+        miss = np.empty(count.shape)
+        miss[order] = _solve_misses(
+            count[order], footprint[order], self.of_first(sequential)[order],
+            passes[order], cold_sharers[order], capacity_words, params,
+        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rates = np.where(count > 0, 1.0 - miss / count, 1.0)
+        return rates[self.caches, self.region]
 
 
 class AnalyticModel:
@@ -136,244 +178,181 @@ class AnalyticModel:
         self.params = params
 
     # ------------------------------------------------------------------
-    # Latency building blocks (also used by the trace engine)
-    # ------------------------------------------------------------------
-    def _spm_latency(self, mode: HWMode) -> float:
-        """Visible cycles of one scratchpad access under ``mode``.
-
-        A pipelined in-order core hides the 1-2 cycle response behind the
-        issue slot; visible are the issue cycle, the software
-        SPM-management overhead and — for the shared SPM — crossbar
-        serialisation (in SCS roughly P/2 requesters contend for the P/2
-        SPM banks).
-        """
-        p = self.params
-        if mode is HWMode.SCS:
-            half = max(self.geometry.pes_per_tile // 2, 1)
-            serial = shared_conflict_cycles(half, half, p) - p.xbar_arbitration
-            return 1.0 + p.spm_management_overhead + max(serial, 0.0)
-        return 1.0 + p.spm_management_overhead
-
-    def _l1_base_latency(self, mode: HWMode) -> float:
-        """Visible cycles of an L1 cache-path access that hits."""
-        p = self.params
-        if mode.l1_sharing is Sharing.SHARED:
-            requesters = self.geometry.pes_per_tile
-            banks = self.geometry.l1_banks_per_tile
-            if mode is HWMode.SCS:  # traffic and banks both halve
-                requesters = max(requesters // 2, 1)
-                banks = max(banks // 2, 1)
-            serial = shared_conflict_cycles(requesters, banks, p) - (
-                p.xbar_arbitration
-            )
-            return 1.0 + max(serial, 0.0)
-        return 1.0
-
-    # ------------------------------------------------------------------
     def evaluate(self, profile: KernelProfile) -> RunReport:
         """Price one kernel invocation; returns cycles + counters."""
         geom, params, mode = self.geometry, self.params, profile.mode
-        counters = MemCounters()
-        tile_reports: List[TileReport] = []
-        dram_seq = 0.0
-        dram_rand = 0.0
-        line = params.cache_line_words
-        l1_base = self._l1_base_latency(mode)
-        spm_lat = self._spm_latency(mode)
-        l1_capacity = mode.l1_cache_words(geom, params)
-        l2_capacity = mode.l2_words(geom, params)
+        T, P, S = shape = profile.count.shape
+        count, writes, in_spm = profile.count, profile.writes, profile.in_spm
+        sequential = profile.pattern == Pattern.SEQUENTIAL
+        mb = _miss_bearing(count, writes, profile.distinct_touches)
+        cached = ~in_spm & (mb > 0)
+        l1_base = l1_base_latency(mode, geom, params)
         l1_shared = mode.l1_sharing is Sharing.SHARED
-        l2_shared = mode.l2_sharing is Sharing.SHARED
+        l1_capacity = mode.l1_cache_words(geom, params)
+
+        # ---- Stage 1: L1 hit rates ------------------------------------
+        if not l1_shared:
+            # One cache per PE; its entries are the PE's streams.
+            flat = (T * P, S)
+            miss = _solve_misses(
+                np.where(cached, mb, 0.0).reshape(flat),
+                profile.footprint.reshape(flat),
+                sequential.reshape(flat),
+                profile.passes.reshape(flat),
+                np.ones(flat),
+                l1_capacity,
+                params,
+            ).reshape(shape)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                h1 = np.where(cached, 1.0 - miss / mb, 1.0)
+            m1 = np.where(cached, miss, 0.0)
+        else:
+            # One cache per tile; its entries are the tile's regions, each
+            # with the first stream's footprint plus every later private
+            # one, and the most passes any stream makes.
+            h1 = np.ones(shape)
+            if cached.any():
+                grid = (T, P * S)
+                groups = _RegionGroups(
+                    profile.region.reshape(grid), cached.reshape(grid)
+                )
+                shared_fp = profile.shared_footprint.reshape(grid)
+                later = np.arange(P * S) != groups.first[..., None]
+                passes = np.where(
+                    groups.member,
+                    profile.passes.reshape(grid)[:, None, :],
+                    np.iinfo(np.int64).min,
+                )
+                h1 = groups.hit_rates(
+                    groups.total(mb.reshape(grid)),
+                    groups.total(
+                        profile.footprint.reshape(grid),
+                        ~(later & shared_fp[:, None, :]),
+                    ),
+                    passes.max(axis=2),
+                    np.where(groups.of_first(shared_fp), float(P), 1.0),
+                    sequential.reshape(grid),
+                    l1_capacity,
+                    params,
+                )
+                h1 = np.where(cached, h1.reshape(shape), 1.0)
+            m1 = np.where(cached, mb * (1.0 - h1), 0.0)
+
+        # ---- Stage 2: L2 hit rates --------------------------------------
+        # L1 misses aggregate per (L2 scope, region): the system when L2
+        # is shared, else the tile.  Each entry takes its first stream's
+        # pattern and passes.
+        h2 = np.ones(shape)
+        reaching = ~in_spm & (m1 > 0)
+        if reaching.any():
+            grid = (1, -1) if mode.l2_sharing is Sharing.SHARED else (T, P * S)
+            groups = _RegionGroups(profile.region.reshape(grid), reaching.reshape(grid))
+            h2 = groups.hit_rates(
+                groups.total(m1.reshape(grid)),
+                _l2_footprints(
+                    groups.member,
+                    profile.shared_footprint.reshape(grid)[:, None, :],
+                    profile.footprint.reshape(grid)[:, None, :],
+                ),
+                groups.of_first(profile.passes.reshape(grid)),
+                np.ones(groups.first.shape),
+                sequential.reshape(grid),
+                mode.l2_words(geom, params),
+                params,
+            ).reshape(shape)
+
+        # ---- Stage 3: latency composition --------------------------------
+        live = count > 0
+        spm = live & in_spm
+        path = live & ~in_spm
+        lat = compose_latency(l1_base, h1, h2, profile.pattern, params)
+        cheap_loads = np.maximum(count - writes - mb, 0.0)
+        stream_cycles = np.where(
+            spm,
+            count * spm_latency(mode, geom, params),
+            np.where(
+                path,
+                mb * lat + cheap_loads * l1_base + writes * _STORE_COST,
+                0.0,
+            ),
+        )
         fill_rate = max(
             params.spm_fill_cycles_per_word,
             geom.tiles / params.dram_words_per_cycle,
         )
+        visible_fill = fill_rate * (1.0 - params.spm_fill_overlap)
+        pe_cycles = profile.compute_ops
+        for s in range(S):
+            pe_cycles = pe_cycles + stream_cycles[:, :, s]
+        # Shared-SPM fill: PEs wait out the un-overlapped part.
+        pe_cycles = (
+            pe_cycles
+            + profile.spm_fill_words * visible_fill
+            + profile.tile_spm_fill_words[:, None] * visible_fill
+        )
 
-        # ---- Stage 1: L1 hit rates per tile --------------------------
-        # staged[t] = (per-PE [(stream, h1, m1)], spm info)
-        staged: List[List[List[Tuple[AccessStream, float, float]]]] = []
-        l2_entries: List[_Entry] = []  # aggregated per (tile, region)
-        l2_entry_of: Dict[Tuple[int, int], _Entry] = {}
-        for t_idx, tile in enumerate(profile.tiles):
-            per_pe: List[List[Tuple[AccessStream, float, float]]] = []
-            if l1_shared:
-                # one solve for the tile's pooled cache-path streams
-                agg: Dict[Region, _Entry] = {}
-                for pe in tile.pes:
-                    for s in pe.streams:
-                        mb = _miss_bearing(s)
-                        if s.in_spm or mb <= 0:
-                            continue
-                        e = agg.get(s.region)
-                        if e is None:
-                            agg[s.region] = _Entry(
-                                s.region,
-                                mb,
-                                s.footprint,
-                                s.pattern,
-                                s.passes,
-                                cold_sharers=(
-                                    len(tile.pes) if s.shared_footprint else 1.0
-                                ),
-                            )
-                        else:
-                            e.count += mb
-                            if not s.shared_footprint:
-                                e.footprint += s.footprint
-                            e.passes = max(e.passes, s.passes)
-                entries = list(agg.values())
-                _solve_level(entries, l1_capacity, params)
-                rates = {
-                    e.region: (1.0 - e.miss / e.count if e.count else 1.0)
-                    for e in entries
-                }
-                for pe in tile.pes:
-                    rows = []
-                    for s in pe.streams:
-                        mb = _miss_bearing(s)
-                        if s.in_spm or mb <= 0:
-                            rows.append((s, 1.0, 0.0))
-                            continue
-                        h1 = rates.get(s.region, 1.0)
-                        rows.append((s, h1, mb * (1.0 - h1)))
-                    per_pe.append(rows)
-            else:
-                for pe in tile.pes:
-                    entries = []
-                    own = []
-                    for s in pe.streams:
-                        mb = _miss_bearing(s)
-                        if s.in_spm or mb <= 0:
-                            own.append((s, None))
-                            continue
-                        e = _Entry(
-                            s.region, mb, s.footprint, s.pattern, s.passes
-                        )
-                        entries.append(e)
-                        own.append((s, e))
-                    _solve_level(entries, l1_capacity, params)
-                    rows = []
-                    for s, e in own:
-                        if e is None:
-                            rows.append((s, 1.0, 0.0))
-                        else:
-                            h1 = 1.0 - e.miss / e.count if e.count else 1.0
-                            rows.append((s, h1, e.miss))
-                    per_pe.append(rows)
-            staged.append(per_pe)
-            # aggregate L1 misses into L2 entries (per tile x region)
-            for rows in per_pe:
-                for s, _h1, m1 in rows:
-                    if s.in_spm or m1 <= 0:
-                        continue
-                    key = (t_idx if not l2_shared else -1, int(s.region))
-                    e = l2_entry_of.get(key)
-                    if e is None:
-                        e = _Entry(
-                            s.region,
-                            0.0,
-                            0.0,
-                            s.pattern,
-                            s.passes,
-                            cold_sharers=1.0,
-                        )
-                        l2_entry_of[key] = e
-                        l2_entries.append(e)
-                    e.count += m1
-                    # Footprints: a shared region appears once per L2
-                    # scope; private ones accumulate.
-                    if s.shared_footprint:
-                        e.footprint = max(e.footprint, s.footprint)
-                    else:
-                        e.footprint += s.footprint
-
-        # ---- Stage 2: L2 solve ----------------------------------------
-        if l2_shared:
-            _solve_level(l2_entries, l2_capacity, params)
-        else:
-            for t_idx in range(len(profile.tiles)):
-                group = [
-                    e
-                    for (tt, _r), e in l2_entry_of.items()
-                    if tt == t_idx
-                ]
-                _solve_level(group, l2_capacity, params)
-        l2_rate: Dict[Tuple[int, int], float] = {}
-        for key, e in l2_entry_of.items():
-            l2_rate[key] = 1.0 - e.miss / e.count if e.count else 1.0
-
-        # ---- Stage 3: latency composition ------------------------------
-        for t_idx, tile in enumerate(profile.tiles):
-            pe_cycles = []
-            for pe, rows in zip(tile.pes, staged[t_idx]):
-                cycles = pe.compute_ops
-                counters.pe_ops += pe.compute_ops
-                for s, h1, m1 in rows:
-                    if s.count <= 0:
-                        continue
-                    if s.in_spm:
-                        cycles += s.count * spm_lat
-                        counters.spm_accesses += s.count
-                        if mode is HWMode.SCS:
-                            counters.xbar_hops += s.count
-                        continue
-                    key = (t_idx if not l2_shared else -1, int(s.region))
-                    h2 = l2_rate.get(key, 1.0)
-                    lat = compose_latency(l1_base, h1, h2, s.pattern, params)
-                    mb = _miss_bearing(s)
-                    cheap_loads = max(s.count - s.writes - mb, 0.0)
-                    cycles += (
-                        mb * lat
-                        + cheap_loads * l1_base
-                        + s.writes * _STORE_COST
-                    )
-                    counters.l1_accesses += s.count
-                    counters.l1_hits += s.count - m1
-                    counters.l2_accesses += m1
-                    counters.l2_hits += h2 * m1
-                    m2 = m1 * (1.0 - h2)
-                    fill = m2 * (s.fill_granule if s.fill_granule else line)
-                    # Read-modify-write streams dirty the lines they
-                    # fetched; the eventual write-back doubles the fill
-                    # traffic (stores themselves hit the fetched line).
-                    writeback = fill if s.writes > 0 else 0.0
-                    counters.dram_words += fill + writeback
-                    if s.pattern == Pattern.SEQUENTIAL:
-                        dram_seq += fill + writeback
-                    else:
-                        dram_rand += fill + writeback
-                    if l1_shared:
-                        counters.xbar_hops += s.count
-                    counters.xbar_hops += m1
-                visible_fill = fill_rate * (1.0 - params.spm_fill_overlap)
-                if pe.spm_fill_words:
-                    cycles += pe.spm_fill_words * visible_fill
-                    counters.dram_words += pe.spm_fill_words
-                    counters.spm_accesses += pe.spm_fill_words
-                    dram_seq += pe.spm_fill_words
-                if tile.spm_fill_words:
-                    # Shared-SPM fill: PEs wait out the un-overlapped part.
-                    cycles += tile.spm_fill_words * visible_fill
-                pe_cycles.append(cycles)
-
-            # --- LCP serial tail ----------------------------------------
-            out_rows = tile.lcp_output_words / 2.0  # (index, value) pairs
-            lcp_cycles = (
-                tile.lcp_serial_elements * params.lcp_cycles_per_element
-                + out_rows * params.lcp_rmw_cycles_per_row
-                + tile.lcp_compute_ops
+        # ---- Counters, accumulated in program order -----------------------
+        # Per tile: each PE's streams, then its SPM fill; after the PEs,
+        # the LCP tail and the shared-SPM fill.
+        m2 = m1 * (1.0 - h2)
+        granule = profile.fill_granule
+        fill = m2 * np.where(granule != 0, granule, params.cache_line_words)
+        # Read-modify-write streams dirty the lines they fetched; the
+        # eventual write-back doubles the fill traffic.
+        traffic = np.where(path, np.where(writes > 0, fill + fill, fill), 0.0)
+        acc = np.zeros((8, T, P * (S + 1) + 2))
+        per_pe = acc[:, :, :-2].reshape(8, T, P, S + 1)
+        for row, term in enumerate(
+            (
+                np.where(spm, count, 0.0),
+                np.where(path, count, 0.0),
+                np.where(path, count - m1, 0.0),
+                m1,
+                h2 * m1,
+                traffic,
+                np.where(sequential, traffic, 0.0),
+                np.where(sequential, 0.0, traffic),
             )
-            counters.lcp_ops += tile.lcp_serial_elements * 4 + tile.lcp_compute_ops
-            # RMW traffic: read the old row value, write the new one.
-            dram_rand += out_rows
-            counters.dram_words += out_rows + tile.lcp_output_words
-            dram_seq += tile.lcp_output_words
-            if tile.spm_fill_words:
-                counters.dram_words += tile.spm_fill_words
-                counters.spm_accesses += tile.spm_fill_words
-                dram_seq += tile.spm_fill_words
-            tile_reports.append(TileReport(pe_cycles=pe_cycles, lcp_cycles=lcp_cycles))
+        ):
+            per_pe[row, ..., :S] = term
+        per_pe[[_SPM, _DRAM, _DRAM_SEQ], ..., S] = profile.spm_fill_words
+        out_rows = profile.lcp_output_words / 2.0  # (index, value) pairs
+        # RMW traffic: read the old row value, write the new one.
+        acc[_DRAM, :, -2] = out_rows + profile.lcp_output_words
+        acc[_DRAM_SEQ, :, -2] = profile.lcp_output_words
+        acc[_DRAM_RAND, :, -2] = out_rows
+        acc[[_DRAM, _SPM, _DRAM_SEQ], :, -1] = profile.tile_spm_fill_words
+        spm_acc, l1a, l1h, l2a, l2h, dram, dram_seq, dram_rand = _seq_sum(
+            acc.reshape(8, -1)
+        ).tolist()
+        # Crossbar hops: the shared SPM and shared L1 carry every access,
+        # then every L1 miss crosses to L2.
+        hops = (spm if mode is HWMode.SCS else False) | (path if l1_shared else False)
+        xbar = _seq_sum(np.stack([np.where(hops, count, 0.0), m1], axis=-1).ravel())
+        counters = MemCounters(
+            pe_ops=float(_seq_sum(profile.compute_ops.ravel())),
+            lcp_ops=float(
+                _seq_sum(profile.lcp_serial_elements * 4 + profile.lcp_compute_ops)
+            ),
+            spm_accesses=spm_acc,
+            l1_accesses=l1a,
+            l1_hits=l1h,
+            l2_accesses=l2a,
+            l2_hits=l2h,
+            dram_words=dram,
+            xbar_hops=float(xbar),
+        )
 
+        # ---- LCP serial tail and the system verdict -----------------------
+        lcp_cycles = (
+            profile.lcp_serial_elements * params.lcp_cycles_per_element
+            + out_rows * params.lcp_rmw_cycles_per_row
+            + profile.lcp_compute_ops
+        )
+        tile_reports = [
+            TileReport(pe_cycles=row, lcp_cycles=lcp)
+            for row, lcp in zip(pe_cycles.tolist(), lcp_cycles.tolist())
+        ]
         compute_cycles = max(t.cycles for t in tile_reports)
         bw_cycles = (
             dram_seq / params.dram_words_per_cycle
@@ -394,3 +373,22 @@ class AnalyticModel:
                 "algorithm": profile.algorithm,
             },
         )
+
+
+def _l2_footprints(member, shared, footprint) -> np.ndarray:
+    """Each L2 entry's footprint: a shared region counts once per scope
+    (its largest), private ones accumulate — folded in program order."""
+    private = member & ~shared
+    fp = _seq_sum(np.where(private, footprint, 0.0))
+    peaks = member & shared
+    if not peaks.any():
+        return fp
+    fp = np.maximum(fp, np.where(peaks, footprint, 0.0).max(axis=2))
+    # A group mixing both kinds depends on their order: fold it exactly.
+    for g, r in zip(*np.nonzero(private.any(axis=2) & peaks.any(axis=2))):
+        acc = 0.0
+        for i in np.flatnonzero(member[g, r]).tolist():
+            f = float(footprint[g, 0, i])
+            acc = max(acc, f) if shared[g, 0, i] else acc + f
+        fp[g, r] = acc
+    return fp

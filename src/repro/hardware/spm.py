@@ -11,7 +11,10 @@ of an SPM access is composed in :mod:`repro.hardware.latency` /
 
 from __future__ import annotations
 
+import math
 from typing import Dict
+
+import numpy as np
 
 from ..errors import SimulationError
 from .params import HardwareParams
@@ -79,7 +82,7 @@ class Scratchpad:
         self.fill_words += words
 
     @staticmethod
-    def heap_spm_access_fraction(heap_words: int, spm_words: int) -> float:
+    def heap_spm_access_fraction(heap_words, spm_words: int):
         """Fraction of heap accesses served by SPM when the heap spills.
 
         A binary heap is accessed level by level from the root; with the
@@ -87,15 +90,17 @@ class Scratchpad:
         expected fraction of sift accesses that land in the SPM is
         ``k / d`` — the paper's "the tree nature of heap ensures that the
         majority of comparisons and swaps still happen in the SPM".
+        ``heap_words`` is one heap's size or an array of them (one heap
+        per PE); the result has the same shape.
         """
-        if heap_words <= 0:
-            return 1.0
-        if spm_words <= 0:
-            return 0.0
-        if heap_words <= spm_words:
-            return 1.0
-        import math
-
-        total_levels = max(1, math.ceil(math.log2(heap_words + 1)))
-        spm_levels = max(1, math.floor(math.log2(spm_words + 1)))
-        return min(1.0, spm_levels / total_levels)
+        words = np.asarray(heap_words)
+        fits = (words <= 0) | ((spm_words > 0) & (words <= spm_words))
+        fraction = np.where(fits, 1.0, 0.0)
+        spills = ~fits & (spm_words > 0)
+        if spills.any():
+            spm_levels = max(1, math.floor(math.log2(spm_words + 1)))
+            total_levels = [
+                max(1, math.ceil(math.log2(w + 1))) for w in words[spills].tolist()
+            ]
+            fraction[spills] = np.minimum(1.0, spm_levels / np.array(total_levels))
+        return fraction if words.ndim else float(fraction)

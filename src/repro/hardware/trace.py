@@ -6,7 +6,8 @@ replays those traces through real set-associative LRU caches arranged per
 the active :class:`~repro.hardware.hwconfig.HWMode` — shared tile-level L1
 (SC/SCS), private per-PE banks (PC), scratchpad bypass (SCS vector / PS
 heap) — measures per-stream hit rates, and composes latencies with the
-*same* formulas as the analytic mode.
+*same* formulas as the analytic mode, reading the same profile columns
+(unused stream slots are outside SPM, so they never pin a region).
 
 Address convention
 ------------------
@@ -28,9 +29,9 @@ from ..errors import SimulationError
 from .cache import BankedCache, interleave_round_robin
 from .geometry import Geometry
 from .hwconfig import HWMode, Sharing
-from .latency import compose_latency
+from .latency import compose_latency, l1_base_latency, spm_latency
 from .params import HardwareParams
-from .profile import KernelProfile, Pattern, Region
+from .profile import KernelProfile, Pattern
 from .stats import MemCounters, RunReport, TileReport
 
 __all__ = ["TraceEngine"]
@@ -95,12 +96,8 @@ class TraceEngine:
         dram_seq = 0.0
         dram_rand = 0.0
         line = params.cache_line_words
-
-        from .analytic import AnalyticModel  # latency bases shared via methods
-
-        helper = AnalyticModel(geom, params)
-        l1_base = helper._l1_base_latency(mode)
-        spm_lat = helper._spm_latency(mode)
+        l1_base = l1_base_latency(mode, geom, params)
+        spm_lat = spm_latency(mode, geom, params)
 
         l2_shared = mode.l2_sharing is Sharing.SHARED
         shared_l2 = (
@@ -111,26 +108,24 @@ class TraceEngine:
         # Collected per tile: (pe_partials, miss streams for L2, ...)
         staged = []
 
-        for tile in profile.tiles:
-            # Which regions live in SPM for this tile (uniform across PEs).
-            spm_regions = {
-                s.region for pe in tile.pes for s in pe.streams if s.in_spm
-            }
-            patterns: Dict[Region, str] = {}
-            for pe in tile.pes:
-                for s in pe.streams:
-                    patterns.setdefault(s.region, s.pattern)
+        n_tiles, n_pes = profile.count.shape[:2]
+        for t_idx in range(n_tiles):
+            traces = profile.traces[t_idx * n_pes : (t_idx + 1) * n_pes]
+            # Which regions live in SPM for this tile (uniform across PEs),
+            # and each region's pattern (its first stream's).
+            spm_regions = np.unique(profile.region[t_idx][profile.in_spm[t_idx]])
+            patterns: Dict[int, int] = {}
+            for region, pattern in zip(
+                profile.region[t_idx].ravel().tolist(),
+                profile.pattern[t_idx].ravel().tolist(),
+            ):
+                patterns.setdefault(region, pattern)
 
             # Split each PE's trace into SPM and cache-path accesses.
             cache_parts = []  # (pe_idx, regions, addrs, writes)
-            spm_counts = np.zeros(len(tile.pes))
-            for pe_idx, pe in enumerate(tile.pes):
-                tr = pe.trace
-                in_spm = (
-                    np.isin(tr.regions, [int(r) for r in spm_regions])
-                    if spm_regions
-                    else np.zeros(len(tr.regions), dtype=bool)
-                )
+            spm_counts = np.zeros(n_pes)
+            for pe_idx, tr in enumerate(traces):
+                in_spm = np.isin(tr.regions, spm_regions)
                 spm_counts[pe_idx] = int(in_spm.sum())
                 cache_parts.append(
                     (
@@ -141,7 +136,6 @@ class TraceEngine:
                 )
 
             # --- L1 simulation ------------------------------------------
-            n_pes = len(tile.pes)
             hit1 = [None] * n_pes
             if mode.l1_sharing is Sharing.SHARED:
                 banks = geom.l1_banks_per_tile
@@ -164,13 +158,13 @@ class TraceEngine:
                         hit1[i] = bank.run_trace(addrs, writes)
                         wb1 += bank.writebacks
 
-            staged.append((tile, cache_parts, hit1, spm_counts, patterns, wb1))
+            staged.append((cache_parts, hit1, spm_counts, patterns, wb1))
 
         # --- L2 simulation (needs all tiles when shared) ------------------
         if l2_shared:
             # Interleave every tile's miss streams through one shared L2.
             flat = []  # (tile_idx, pe_idx, regs, addrs, writes)
-            for t_idx, (tile, parts, hit1, _spm, _pat, _wb) in enumerate(staged):
+            for t_idx, (parts, hit1, _spm, _pat, _wb) in enumerate(staged):
                 for p_idx, (regs, addrs, writes) in enumerate(parts):
                     miss = ~hit1[p_idx]
                     flat.append((t_idx, p_idx, regs[miss], addrs[miss], writes[miss]))
@@ -182,22 +176,29 @@ class TraceEngine:
         else:
             hit2_of = {}
             l2_writebacks = 0
-            for t_idx, (tile, parts, hit1, _spm, _pat, _wb) in enumerate(staged):
-                l2 = BankedCache(self.geometry.l2_banks_per_tile, self.params)
+            for t_idx, (parts, hit1, _spm, _pat, _wb) in enumerate(staged):
+                l2 = BankedCache(geom.l2_banks_per_tile, params)
                 for p_idx, (regs, addrs, writes) in enumerate(parts):
                     miss = ~hit1[p_idx]
                     hit2_of[(t_idx, p_idx)] = l2.run_trace(addrs[miss], writes[miss])
                 l2_writebacks += l2.writebacks
 
         # --- latency composition ------------------------------------------
-        for t_idx, (tile, parts, hit1, spm_counts, patterns, wb1) in enumerate(staged):
+        fill_rate = max(
+            params.spm_fill_cycles_per_word,
+            geom.tiles / params.dram_words_per_cycle,
+        )
+        visible_fill = fill_rate * (1.0 - params.spm_fill_overlap)
+        compute_ops = profile.compute_ops.tolist()
+        pe_fills = profile.spm_fill_words.tolist()
+        for t_idx, (parts, hit1, spm_counts, patterns, wb1) in enumerate(staged):
+            tile_fill = float(profile.tile_spm_fill_words[t_idx])
             pe_cycles = []
-            for p_idx, pe in enumerate(tile.pes):
-                regs, _addrs, _writes = parts[p_idx]
+            for p_idx, (regs, _addrs, _writes) in enumerate(parts):
                 h1_mask = hit1[p_idx]
                 h2_mask = hit2_of[(t_idx, p_idx)]
-                cycles = pe.compute_ops
-                counters.pe_ops += pe.compute_ops
+                cycles = compute_ops[t_idx][p_idx]
+                counters.pe_ops += cycles
                 cycles += spm_counts[p_idx] * spm_lat
                 counters.spm_accesses += spm_counts[p_idx]
 
@@ -209,8 +210,8 @@ class TraceEngine:
                     m_sel = miss_regs == region
                     m1 = int(m_sel.sum())
                     h2 = float(h2_mask[m_sel].sum()) / m1 if m1 else 1.0
-                    pattern = patterns.get(Region(int(region)), Pattern.RANDOM)
-                    lat = compose_latency(l1_base, h1, h2, pattern, self.params)
+                    pattern = patterns.get(int(region), Pattern.RANDOM)
+                    lat = compose_latency(l1_base, h1, h2, pattern, params)
                     cycles += count * lat
                     counters.l1_accesses += count
                     counters.l1_hits += h1 * count
@@ -227,34 +228,33 @@ class TraceEngine:
                         counters.xbar_hops += count
                     counters.xbar_hops += m1
 
-                fill_rate = max(
-                    self.params.spm_fill_cycles_per_word,
-                    geom.tiles / self.params.dram_words_per_cycle,
-                )
-                visible_fill = fill_rate * (1.0 - self.params.spm_fill_overlap)
-                if pe.spm_fill_words:
-                    cycles += pe.spm_fill_words * visible_fill
-                    counters.dram_words += pe.spm_fill_words
-                    counters.spm_accesses += pe.spm_fill_words
-                    dram_seq += pe.spm_fill_words
-                if tile.spm_fill_words:
-                    cycles += tile.spm_fill_words * visible_fill
+                pe_fill = pe_fills[t_idx][p_idx]
+                if pe_fill:
+                    cycles += pe_fill * visible_fill
+                    counters.dram_words += pe_fill
+                    counters.spm_accesses += pe_fill
+                    dram_seq += pe_fill
+                if tile_fill:
+                    cycles += tile_fill * visible_fill
                 pe_cycles.append(cycles)
 
-            out_rows = tile.lcp_output_words / 2.0  # (index, value) pairs
+            serial = float(profile.lcp_serial_elements[t_idx])
+            output_words = float(profile.lcp_output_words[t_idx])
+            lcp_ops = float(profile.lcp_compute_ops[t_idx])
+            out_rows = output_words / 2.0  # (index, value) pairs
             lcp_cycles = (
-                tile.lcp_serial_elements * self.params.lcp_cycles_per_element
-                + out_rows * self.params.lcp_rmw_cycles_per_row
-                + tile.lcp_compute_ops
+                serial * params.lcp_cycles_per_element
+                + out_rows * params.lcp_rmw_cycles_per_row
+                + lcp_ops
             )
-            counters.lcp_ops += tile.lcp_serial_elements * 4 + tile.lcp_compute_ops
-            counters.dram_words += out_rows + tile.lcp_output_words
+            counters.lcp_ops += serial * 4 + lcp_ops
+            counters.dram_words += out_rows + output_words
             dram_rand += out_rows
-            dram_seq += tile.lcp_output_words
-            if tile.spm_fill_words:
-                counters.dram_words += tile.spm_fill_words
-                counters.spm_accesses += tile.spm_fill_words
-                dram_seq += tile.spm_fill_words
+            dram_seq += output_words
+            if tile_fill:
+                counters.dram_words += tile_fill
+                counters.spm_accesses += tile_fill
+                dram_seq += tile_fill
             tile_reports.append(TileReport(pe_cycles=pe_cycles, lcp_cycles=lcp_cycles))
 
         wb_words = l2_writebacks * line
@@ -263,9 +263,9 @@ class TraceEngine:
 
         compute_cycles = max(t.cycles for t in tile_reports)
         bw_cycles = (
-            dram_seq / self.params.dram_words_per_cycle
+            dram_seq / params.dram_words_per_cycle
             + dram_rand
-            / (self.params.dram_words_per_cycle * self.params.dram_random_efficiency)
+            / (params.dram_words_per_cycle * params.dram_random_efficiency)
         )
         total = max(compute_cycles, bw_cycles) + profile.fixed_overhead_cycles
         return RunReport(
@@ -274,7 +274,7 @@ class TraceEngine:
             tile_reports=tile_reports,
             bandwidth_floor_cycles=bw_cycles,
             fidelity="trace",
-            clock_hz=self.params.clock_hz,
+            clock_hz=params.clock_hz,
             detail={
                 "compute_cycles": compute_cycles,
                 "mode": mode.label,

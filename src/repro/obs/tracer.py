@@ -19,13 +19,20 @@ Enabling
 
 What a span records
 -------------------
-Name, parent (spans nest through an explicit stack), wall-clock start
-and duration *relative to the tracer's epoch*, free-form attributes
-(``span.set(cycles=...)`` attaches modelled cycles after pricing), and
-the delta of :data:`repro.perf.counters` across the span — so one span
-says both what the model charged and what the host paid.  Spans a pool
-worker records come back with its task and join the coordinator's
-tracer through :meth:`Tracer.adopt`, tagged with the worker's ``pid``.
+Name, parent, wall-clock start and duration *relative to the tracer's
+epoch*, free-form attributes (``span.set(cycles=...)`` attaches modelled
+cycles after pricing), and the delta of :data:`repro.perf.counters`
+across the span — so one span says both what the model charged and what
+the host paid.  Spans a pool worker records come back with its task and
+join the coordinator's tracer through :meth:`Tracer.adopt`, tagged with
+the worker's ``pid``.
+
+A span's parent is the span open in the same thread or asyncio task (a
+:class:`contextvars.ContextVar`; a new thread starts with none open).
+``loop.run_in_executor`` does not carry the context over: run the work
+through ``contextvars.copy_context().run`` to nest it, as the query
+service does.  The counters are process-wide, so under concurrency a
+span's counter delta includes other threads' work.
 
 This module is the one place outside :mod:`repro.perf` allowed to read
 the host clock (registered in the R4 lint exemption list): wall time
@@ -34,6 +41,8 @@ here annotates observability output and never feeds the cycle model.
 
 from __future__ import annotations
 
+import contextvars
+import itertools
 import os
 import time
 from contextlib import contextmanager
@@ -112,11 +121,23 @@ class NullTracer:
         return MetricsRegistry()
 
 
+#: The span open in the current thread or asyncio task.
+_OPEN_SPAN: contextvars.ContextVar = contextvars.ContextVar(
+    "repro_open_span", default=None
+)
+
+
+def _open_span_id(tracer: "Tracer") -> Optional[int]:
+    """Id of ``tracer``'s span open in this context, if any."""
+    span = _OPEN_SPAN.get()
+    return span.span_id if span is not None and span._tracer is tracer else None
+
+
 class Span:
     """One live traced region; created by :meth:`Tracer.span`."""
 
     __slots__ = ("name", "attrs", "span_id", "parent_id", "_tracer",
-                 "_start_s", "_c0")
+                 "_start_s", "_c0", "_token")
 
     def __init__(self, tracer: "Tracer", name: str, attrs: dict):
         self.name = name
@@ -133,10 +154,9 @@ class Span:
 
     def __enter__(self) -> "Span":
         tr = self._tracer
-        self.span_id = tr._next_id
-        tr._next_id += 1
-        self.parent_id = tr._stack[-1].span_id if tr._stack else None
-        tr._stack.append(self)
+        self.span_id = next(tr._ids)
+        self.parent_id = _open_span_id(tr)
+        self._token = _OPEN_SPAN.set(self)
         self._c0 = _perf.snapshot()
         self._start_s = time.perf_counter()
         return self
@@ -144,8 +164,7 @@ class Span:
     def __exit__(self, exc_type, exc, tb) -> bool:
         end_s = time.perf_counter()
         tr = self._tracer
-        if tr._stack and tr._stack[-1] is self:
-            tr._stack.pop()
+        _OPEN_SPAN.reset(self._token)
         record = {
             "type": "span",
             "name": self.name,
@@ -178,8 +197,7 @@ class Tracer(NullTracer):
         self.label = label
         self.records: List[dict] = []
         self._metrics = MetricsRegistry()
-        self._stack: List[Span] = []
-        self._next_id = 1
+        self._ids = itertools.count(1)
         #: ``perf_counter()`` at creation; record times are relative to it.
         self.epoch_s = time.perf_counter()
 
@@ -198,26 +216,22 @@ class Tracer(NullTracer):
     def adopt(self, records: List[dict], epoch_s: float, pid: int) -> None:
         """Append another tracer's records (a pool task's) to this one.
 
-        They nest as spans opened here would: ids are renumbered past
-        this tracer's, roots get the open span as parent, times move
-        from the other tracer's epoch ``epoch_s`` to this one's
-        (``perf_counter`` is system-wide), and every span is tagged with
-        the ``pid`` that recorded it.
+        They nest as spans opened here would: every span gets a fresh id
+        from this tracer, roots get the span open in this context as
+        parent, times move from the other tracer's epoch ``epoch_s`` to
+        this one's (``perf_counter`` is system-wide), and every span is
+        tagged with the ``pid`` that recorded it.
         """
-        parent = self._stack[-1].span_id if self._stack else None
-        base = self._next_id - 1
+        parent = _open_span_id(self)
+        ids = {r["id"]: next(self._ids) for r in records if r["type"] == "span"}
         shift = epoch_s - self.epoch_s
         for record in records:
             record = dict(record)
             if record["type"] == "span":
-                record["id"] += base
-                record["parent"] = (
-                    parent if record["parent"] is None
-                    else record["parent"] + base
-                )
+                record["id"] = ids[record["id"]]
+                record["parent"] = ids.get(record["parent"], parent)
                 record["start_s"] += shift
                 record["attrs"] = dict(record["attrs"], pid=pid)
-                self._next_id = max(self._next_id, record["id"] + 1)
             else:
                 record["t_s"] += shift
             self.records.append(record)

@@ -21,14 +21,16 @@ JSON protocol (:mod:`repro.serve.protocol`).  The pipeline per query:
 Observability: when a tracer is live every answered query gets a
 ``serve.query`` span and a ``serve_query`` event, and queue-depth /
 coalesce-width observations land in the tracer's metrics registry.
-Wall-clock here measures *service latency* and never feeds the cycle
-model (``repro/serve/`` is on the R4 lint allowlist next to
-``repro/obs/``).
+Driver work runs on the executor in a copy of the query's context, so
+its spans nest under the query that ran it.  Wall-clock here measures
+*service latency* and never feeds the cycle model (``repro/serve/`` is
+on the R4 lint allowlist next to ``repro/obs/``).
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -430,7 +432,11 @@ class QueryService:
                 self.metrics.gauge("serve.in_flight", self.in_flight)
                 try:
                     loop = asyncio.get_running_loop()
-                    return await loop.run_in_executor(self._executor, work)
+                    # The copied context carries the open query span, so
+                    # the driver's spans nest under the query running it.
+                    return await loop.run_in_executor(
+                        self._executor, contextvars.copy_context().run, work
+                    )
                 finally:
                     self.in_flight -= 1
         finally:

@@ -24,15 +24,12 @@ from ..analysis import sanitize
 from ..errors import ConfigurationError, ShapeError
 from ..formats import COOMatrix, DenseVector
 from ..hardware import (
-    AccessStream,
     Geometry,
     HWMode,
     KernelProfile,
-    PEProfile,
     PETrace,
     Pattern,
     Region,
-    TileProfile,
 )
 from ..hardware.params import DEFAULT_PARAMS, HardwareParams
 from ..obs.tracer import traced
@@ -330,71 +327,44 @@ def _build_ip_profile(
     active_entries: int,
     trace_builder=None,
 ) -> KernelProfile:
-    """Assemble the IP :class:`KernelProfile` from per-PE counts."""
+    """Assemble the IP :class:`KernelProfile` from per-PE counts.
+
+    Every PE issues three streams: the matrix, the vector gathers and
+    the output read-modify-writes.
+    """
     geometry, hw_mode = schedule.geometry, schedule.hw_mode
     width, n_vblocks = schedule.width, schedule.n_vblocks
     vw = semiring.value_words
-    nnz_pe = np.diff(schedule.pe_entries).tolist()
-    act_pe, out_pe = act_pe.tolist(), out_pe.tolist()
-    T, P = geometry.tiles, geometry.pes_per_tile
-    tiles = []
-    for t in range(T):
-        pes = []
-        for p in range(P):
-            k = t * P + p
-            n_k, a_k = nnz_pe[k], act_pe[k]
-            lo, hi = schedule.partition.pe_row_range(t, p)
-            streams = [
-                AccessStream(
-                    Region.MATRIX,
-                    count=3 * n_k,
-                    pattern=Pattern.SEQUENTIAL,
-                    footprint=3 * n_k,
-                ),
-                AccessStream(
-                    Region.VECTOR_IN,
-                    count=n_k * vw,
-                    pattern=Pattern.RANDOM,
-                    footprint=min(width, matrix.n_cols) * vw,
-                    in_spm=hw_mode is HWMode.SCS,
-                    shared_footprint=True,
-                    # a multi-word vertex value is one gather: the first
-                    # word's fill covers the rest of the row
-                    distinct_touches=float(n_k),
-                    fill_granule=vw if vw > 1 else 0,
-                ),
-                AccessStream(
-                    Region.VECTOR_OUT,
-                    count=2 * a_k * vw,
-                    pattern=Pattern.RANDOM,
-                    footprint=max(hi - lo, 1) * vw,
-                    writes=a_k * vw,
-                    # one exposed load per (row, vblock) first touch;
-                    # a multi-word row is covered by its first fill
-                    distinct_touches=float(out_pe[k]),
-                    fill_granule=vw,
-                ),
-            ]
-            pe = PEProfile(
-                compute_ops=n_k * _OPS_PER_ENTRY + a_k * semiring.combine_flops,
-                streams=streams,
-            )
-            if trace_builder is not None:
-                pe.trace = trace_builder(k)
-            pes.append(pe)
-        fill = float(matrix.n_cols * vw) if hw_mode is HWMode.SCS else 0.0
-        tiles.append(
-            TileProfile(
-                pes=pes,
-                lcp_compute_ops=n_vblocks * _VBLOCK_SYNC,
-                spm_fill_words=fill,
-            )
-        )
-
+    shape = (geometry.tiles, geometry.pes_per_tile)
+    nnz = np.diff(schedule.pe_entries).reshape(shape)
+    act = act_pe.reshape(shape)
+    rows = np.maximum(np.diff(schedule.partition.pe_bounds, axis=1), 1)
     return KernelProfile(
         algorithm="ip",
         mode=hw_mode,
-        tiles=tiles,
+        region=(Region.MATRIX, Region.VECTOR_IN, Region.VECTOR_OUT),
+        pattern=(Pattern.SEQUENTIAL, Pattern.RANDOM, Pattern.RANDOM),
+        count=np.stack([3 * nnz, nnz * vw, 2 * act * vw], axis=-1),
+        footprint=np.stack(
+            [3 * nnz, np.full(shape, min(width, matrix.n_cols) * vw), rows * vw],
+            axis=-1,
+        ),
+        writes=np.stack([np.zeros(shape), np.zeros(shape), act * vw], axis=-1),
+        in_spm=(False, hw_mode is HWMode.SCS, False),
+        shared_footprint=(False, True, False),
+        # A multi-word vertex value is one gather: the first word's fill
+        # covers the rest of the row.  Only one output load per (row,
+        # vblock) first touch is exposed; a multi-word row is covered by
+        # its first fill.
+        distinct_touches=np.stack(
+            [np.full(shape, np.inf), nnz, out_pe.reshape(shape)], axis=-1
+        ),
+        fill_granule=(0, vw if vw > 1 else 0, vw),
+        compute_ops=nnz * _OPS_PER_ENTRY + act * semiring.combine_flops,
+        lcp_compute_ops=n_vblocks * _VBLOCK_SYNC,
+        tile_spm_fill_words=(
+            float(matrix.n_cols * vw) if hw_mode is HWMode.SCS else 0.0
+        ),
         fixed_overhead_cycles=_FIXED_OVERHEAD + n_vblocks * _VBLOCK_SYNC,
         meta={
             "n_vblocks": n_vblocks,
@@ -402,6 +372,11 @@ def _build_ip_profile(
             "balanced": schedule.balanced,
             "active_entries": active_entries,
         },
+        traces=(
+            None
+            if trace_builder is None
+            else [trace_builder(k) for k in range(geometry.n_pes)]
+        ),
     )
 
 

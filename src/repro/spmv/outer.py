@@ -36,15 +36,12 @@ from ..analysis import sanitize
 from ..errors import ConfigurationError, ShapeError, SimulationError
 from ..formats import CSCMatrix, SparseVector
 from ..hardware import (
-    AccessStream,
     Geometry,
     HWMode,
     KernelProfile,
-    PEProfile,
     PETrace,
     Pattern,
     Region,
-    TileProfile,
 )
 from ..hardware.params import DEFAULT_PARAMS, HardwareParams
 from ..hardware.spm import Scratchpad
@@ -285,84 +282,71 @@ def _build_op_profile(
     traces=None,
     exact: bool = False,
 ) -> KernelProfile:
-    """Assemble the OP :class:`KernelProfile` from per-cell counts."""
+    """Assemble the OP :class:`KernelProfile` from per-cell counts.
+
+    Every PE issues five streams: its frontier chunk, the column-pointer
+    lookups, the column entries, and the two heap streams of
+    :func:`_heap_streams`.
+    """
     geometry, hw_mode, params = schedule.geometry, schedule.hw_mode, schedule.params
     T, P = geometry.tiles, geometry.pes_per_tile
-    spm_words = hw_mode.spm_words(geometry, params)
-    tiles: List[TileProfile] = []
-    for t in range(T):
-        pes = []
-        for p in range(P):
-            k = t * P + p
-            n_el = int(elems[k])
-            n_heads = int(heads[k])
-            n_cols = int(cols_pe[p])
-            heap_words = _HEAP_SLOT_WORDS * max(n_heads, 1)
-            depth = math.log2(n_heads + 1) if n_heads else 0.0
-            if merge_stats is not None:
-                heap_accesses = merge_stats["heap_accesses"][k]
-                compares = merge_stats["compares"][k]
-            else:
-                # replace_top reads the root, writes the new head, and
-                # sifts down ~depth levels at ~10 slot-words per level;
-                # building the heap costs one push per head.
-                heap_accesses = n_el * (4 + 7.5 * depth) + n_heads * (
-                    4 + 2.0 * depth
-                )
-                compares = n_el * 2.2 * depth + n_heads * depth
-            streams = [
-                AccessStream(
-                    Region.FRONTIER,
-                    count=2 * n_cols,
-                    pattern=Pattern.SEQUENTIAL,
-                    footprint=2 * n_cols,
-                ),
-                AccessStream(
-                    Region.COLPTR,
-                    count=2 * n_cols,
-                    pattern=Pattern.RANDOM,
-                    footprint=matrix.n_cols + 1,
-                ),
-                AccessStream(
-                    Region.MATRIX,
-                    count=2 * n_el,
-                    pattern=Pattern.DEPENDENT,
-                    footprint=2 * n_el,
-                ),
-            ]
-            streams.extend(
-                _heap_streams(
-                    heap_accesses,
-                    heap_words,
-                    spm_words,
-                    hw_mode,
-                    geometry.l1_pe_words(params),
-                )
-            )
-            pe = PEProfile(
-                compute_ops=(
-                    n_el * (_OPS_PER_ELEMENT + semiring.combine_flops)
-                    + compares
-                    + n_cols * _OPS_PER_COLUMN
-                ),
-                streams=streams,
-            )
-            if traces is not None:
-                pe.trace = traces[k]
-            pes.append(pe)
-        tiles.append(
-            TileProfile(
-                pes=pes,
-                lcp_serial_elements=float(pe_out[t * P : (t + 1) * P].sum()),
-                lcp_output_words=2.0 * float(tile_out[t]),
-                lcp_compute_ops=2.0 * float(cols_pe.sum()) / T,
-            )
-        )
-
+    n_el = elems.reshape(T, P)
+    n_heads = heads.reshape(T, P)
+    n_cols = np.broadcast_to(cols_pe, (T, P))
+    heap_words = _HEAP_SLOT_WORDS * np.maximum(n_heads, 1)
+    if merge_stats is not None:
+        heap_accesses = merge_stats["heap_accesses"].reshape(T, P)
+        compares = merge_stats["compares"].reshape(T, P)
+    else:
+        depth = np.zeros(T * P)
+        busy = heads > 0
+        depth[busy] = list(map(math.log2, (heads[busy] + 1).tolist()))
+        depth = depth.reshape(T, P)
+        # replace_top reads the root, writes the new head, and sifts
+        # down ~depth levels at ~10 slot-words per level; building the
+        # heap costs one push per head.
+        heap_accesses = n_el * (4 + 7.5 * depth) + n_heads * (4 + 2.0 * depth)
+        compares = n_el * 2.2 * depth + n_heads * depth
+    heap_count, heap_footprint, heap_in_spm = _heap_streams(
+        heap_accesses,
+        heap_words,
+        hw_mode.spm_words(geometry, params),
+        hw_mode,
+        geometry.l1_pe_words(params),
+    )
+    false = np.zeros((T, P), dtype=bool)
     return KernelProfile(
         algorithm="op",
         mode=hw_mode,
-        tiles=tiles,
+        region=(
+            Region.FRONTIER, Region.COLPTR, Region.MATRIX, Region.HEAP,
+            Region.HEAP,
+        ),
+        pattern=(
+            Pattern.SEQUENTIAL, Pattern.RANDOM, Pattern.DEPENDENT,
+            Pattern.DEPENDENT, Pattern.DEPENDENT,
+        ),
+        count=np.stack(
+            [2 * n_cols, 2 * n_cols, 2 * n_el, *heap_count], axis=-1
+        ),
+        footprint=np.stack(
+            [
+                2 * n_cols,
+                np.full((T, P), matrix.n_cols + 1),
+                2 * n_el,
+                *heap_footprint,
+            ],
+            axis=-1,
+        ),
+        in_spm=np.stack([false, false, false, heap_in_spm, false], axis=-1),
+        compute_ops=(
+            n_el * (_OPS_PER_ELEMENT + semiring.combine_flops)
+            + compares
+            + n_cols * _OPS_PER_COLUMN
+        ),
+        lcp_serial_elements=pe_out.reshape(T, P).sum(axis=1),
+        lcp_output_words=2.0 * tile_out,
+        lcp_compute_ops=2.0 * float(cols_pe.sum()) / T,
         fixed_overhead_cycles=_FIXED_OVERHEAD,
         meta={
             "touched_columns": int(frontier.nnz),
@@ -370,16 +354,17 @@ def _build_op_profile(
             "frontier_density": frontier.density,
             "exact": bool(exact),
         },
+        traces=traces,
     )
 
 
 def _heap_streams(
-    heap_accesses: float,
-    heap_words: int,
+    heap_accesses: np.ndarray,
+    heap_words: np.ndarray,
     spm_words: int,
     hw_mode: HWMode,
     l1_pe_words: int,
-) -> List[AccessStream]:
+):
     """Heap traffic, split by residency of the binary tree's top levels.
 
     A sift walks the tree root-down, so accesses concentrate on the top
@@ -392,50 +377,24 @@ def _heap_streams(
     hot levels contend with the column stream.  The level-resident
     fraction comes from
     :meth:`repro.hardware.spm.Scratchpad.heap_spm_access_fraction`.
+
+    Returns, per PE, the resident and spilled streams' counts, their
+    footprints, and whether the resident one sits in SPM.  A heap that
+    fits leaves the spilled stream at zero count; under PS a heap with
+    no level in SPM leaves the resident one empty and out of SPM.
     """
-    if hw_mode is HWMode.PS and spm_words > 0:
-        f = Scratchpad.heap_spm_access_fraction(heap_words, spm_words)
-        streams = []
-        if f > 0:
-            streams.append(
-                AccessStream(
-                    Region.HEAP,
-                    count=heap_accesses * f,
-                    pattern=Pattern.DEPENDENT,
-                    footprint=min(heap_words, spm_words),
-                    in_spm=True,
-                )
-            )
-        if f < 1:
-            streams.append(
-                AccessStream(
-                    Region.HEAP,
-                    count=heap_accesses * (1 - f),
-                    pattern=Pattern.DEPENDENT,
-                    footprint=max(heap_words - spm_words, 0),
-                )
-            )
-        return streams
+    in_spm = hw_mode is HWMode.PS and spm_words > 0
     # PC: split hot (top-level, bank-sized) and cold (deep-level) shares.
-    f = Scratchpad.heap_spm_access_fraction(heap_words, l1_pe_words)
-    streams = [
-        AccessStream(
-            Region.HEAP,
-            count=heap_accesses * f,
-            pattern=Pattern.DEPENDENT,
-            footprint=min(heap_words, l1_pe_words),
-        )
-    ]
-    if f < 1:
-        streams.append(
-            AccessStream(
-                Region.HEAP,
-                count=heap_accesses * (1 - f),
-                pattern=Pattern.DEPENDENT,
-                footprint=max(heap_words - l1_pe_words, 0),
-            )
-        )
-    return streams
+    resident_words = spm_words if in_spm else l1_pe_words
+    f = Scratchpad.heap_spm_access_fraction(heap_words, resident_words)
+    return (
+        (heap_accesses * f, heap_accesses * (1 - f)),
+        (
+            np.minimum(heap_words, resident_words),
+            np.maximum(heap_words - resident_words, 0),
+        ),
+        (f > 0) if in_spm else np.zeros(f.shape, dtype=bool),
+    )
 
 
 def _exact_merge(

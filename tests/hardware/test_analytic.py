@@ -7,35 +7,29 @@ These pin down the *mechanisms* the reconfiguration thresholds rely on
 import pytest
 
 from repro.hardware import (
-    AccessStream,
     DEFAULT_PARAMS,
     Geometry,
     HWMode,
-    KernelProfile,
-    PEProfile,
     Pattern,
     Region,
-    TileProfile,
 )
 from repro.hardware.analytic import AnalyticModel, _miss_bearing
+
+from .reference_model import PE, Stream, Tile, pack
 
 
 def make_profile(mode, streams_per_pe, geometry, ops=1000.0, **tile_kw):
     tiles = [
-        TileProfile(
+        Tile(
             pes=[
-                PEProfile(compute_ops=ops, streams=[AccessStream(**s) for s in streams_per_pe])
+                PE(compute_ops=ops, streams=[Stream(**s) for s in streams_per_pe])
                 for _ in range(geometry.pes_per_tile)
             ],
             **tile_kw,
         )
         for _ in range(geometry.tiles)
     ]
-    return KernelProfile(
-        algorithm="ip" if mode in (HWMode.SC, HWMode.SCS) else "op",
-        mode=mode,
-        tiles=tiles,
-    )
+    return pack("ip" if mode in (HWMode.SC, HWMode.SCS) else "op", mode, tiles)
 
 
 @pytest.fixture
@@ -268,11 +262,19 @@ class TestReconfigurationDirections:
 
 class TestMissBearing:
     def test_writes_excluded(self):
-        s = AccessStream(Region.VECTOR_OUT, 100, Pattern.RANDOM, 10, writes=40)
-        assert _miss_bearing(s) == 60
+        s = make_profile(
+            HWMode.PC,
+            [dict(region=Region.VECTOR_OUT, count=100, pattern=Pattern.RANDOM,
+                  footprint=10, writes=40)],
+            Geometry(1, 1),
+        )
+        assert _miss_bearing(s.count, s.writes, s.distinct_touches) == 60
 
     def test_distinct_touches_cap(self):
-        s = AccessStream(
-            Region.VECTOR_OUT, 100, Pattern.RANDOM, 10, distinct_touches=25
+        s = make_profile(
+            HWMode.PC,
+            [dict(region=Region.VECTOR_OUT, count=100, pattern=Pattern.RANDOM,
+                  footprint=10, distinct_touches=25)],
+            Geometry(1, 1),
         )
-        assert _miss_bearing(s) == 25
+        assert _miss_bearing(s.count, s.writes, s.distinct_touches) == 25

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hardware import DEFAULT_PARAMS
-from repro.hardware.analytic import _Entry, _solve_level
+from repro.hardware.analytic import _solve_misses
 from repro.hardware.cache import BankedCache, CacheBank
-from repro.hardware.profile import Pattern, Region
+from repro.hardware.profile import Pattern
 
 
 class _ReferenceLRU:
@@ -64,8 +64,25 @@ class TestLRUAgainstReference:
 
 
 class TestFluxSolver:
-    def entry(self, count, footprint, pattern=Pattern.RANDOM, passes=1):
-        return _Entry(Region.VECTOR_IN, count, footprint, pattern, passes)
+    @staticmethod
+    def entry(count, footprint, pattern=Pattern.RANDOM, passes=1):
+        return count, footprint, pattern, passes
+
+    @staticmethod
+    def solve(entries, capacity):
+        """Misses of one cache level holding ``entries``."""
+        count, footprint, pattern, passes = (
+            np.array([column]) for column in zip(*entries)
+        )
+        return _solve_misses(
+            count.astype(float),
+            footprint.astype(float),
+            pattern == Pattern.SEQUENTIAL,
+            passes,
+            np.ones(count.shape),
+            capacity,
+            DEFAULT_PARAMS,
+        )[0]
 
     @given(
         count=st.floats(1, 1e6),
@@ -74,9 +91,8 @@ class TestFluxSolver:
     )
     @settings(max_examples=100, deadline=None)
     def test_misses_bounded(self, count, footprint, capacity):
-        e = self.entry(count, footprint)
-        _solve_level([e], capacity, DEFAULT_PARAMS)
-        assert 0.0 <= e.miss <= count + 1e-9
+        (miss,) = self.solve([self.entry(count, footprint)], capacity)
+        assert 0.0 <= miss <= count + 1e-9
 
     @given(
         count=st.floats(100, 1e5),
@@ -84,28 +100,25 @@ class TestFluxSolver:
     )
     @settings(max_examples=60, deadline=None)
     def test_monotone_in_capacity(self, count, footprint):
-        small = self.entry(count, footprint)
-        big = self.entry(count, footprint)
-        _solve_level([small], 1024.0, DEFAULT_PARAMS)
-        _solve_level([big], 64 * 1024.0, DEFAULT_PARAMS)
-        assert big.miss <= small.miss + 1e-6
+        (small,) = self.solve([self.entry(count, footprint)], 1024.0)
+        (big,) = self.solve([self.entry(count, footprint)], 64 * 1024.0)
+        assert big <= small + 1e-6
 
     def test_tiny_footprint_always_hits_after_cold(self):
-        e = self.entry(100_000, 64)
-        _solve_level([e], 4096, DEFAULT_PARAMS)
-        assert e.miss <= 64 / DEFAULT_PARAMS.cache_line_words + 1.0
+        (miss,) = self.solve([self.entry(100_000, 64)], 4096)
+        assert miss <= 64 / DEFAULT_PARAMS.cache_line_words + 1.0
 
     def test_streaming_competitor_degrades_random_stream(self):
-        alone = self.entry(50_000, 8_000)
-        _solve_level([alone], 8_192, DEFAULT_PARAMS)
-        shared = self.entry(50_000, 8_000)
-        stream = _Entry(
-            Region.MATRIX, 150_000, 150_000, Pattern.SEQUENTIAL, 1
+        (alone,) = self.solve([self.entry(50_000, 8_000)], 8_192)
+        shared, _stream = self.solve(
+            [
+                self.entry(50_000, 8_000),
+                self.entry(150_000, 150_000, Pattern.SEQUENTIAL, 1),
+            ],
+            8_192,
         )
-        _solve_level([shared, stream], 8_192, DEFAULT_PARAMS)
-        assert shared.miss >= alone.miss
+        assert shared >= alone
 
     def test_empty_level(self):
-        e = self.entry(0, 0)
-        _solve_level([e], 1024, DEFAULT_PARAMS)
-        assert e.miss == 0.0
+        (miss,) = self.solve([self.entry(0, 0)], 1024)
+        assert miss == 0.0

@@ -4,32 +4,28 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.hardware import (
-    AccessStream,
     DEFAULT_PARAMS,
     Geometry,
     HWMode,
-    KernelProfile,
-    PEProfile,
     Pattern,
     Region,
-    TileProfile,
     TransmuterSystem,
 )
 
+from .reference_model import PE, Stream, Tile, pack
+
 
 def tiny_profile(mode):
-    return KernelProfile(
-        algorithm="ip" if mode in (HWMode.SC, HWMode.SCS) else "op",
-        mode=mode,
-        tiles=[
-            TileProfile(
+    return pack(
+        "ip" if mode in (HWMode.SC, HWMode.SCS) else "op",
+        mode,
+        [
+            Tile(
                 pes=[
-                    PEProfile(
+                    PE(
                         compute_ops=100.0,
                         streams=[
-                            AccessStream(
-                                Region.MATRIX, 100, Pattern.SEQUENTIAL, 100
-                            )
+                            Stream(Region.MATRIX, 100, Pattern.SEQUENTIAL, 100)
                         ],
                     )
                 ]

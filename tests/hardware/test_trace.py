@@ -5,18 +5,16 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.hardware import (
-    AccessStream,
     DEFAULT_PARAMS,
     Geometry,
     HWMode,
-    KernelProfile,
-    PEProfile,
     PETrace,
     Pattern,
     Region,
-    TileProfile,
 )
 from repro.hardware.trace import TraceEngine
+
+from .reference_model import PE, Stream, Tile, pack
 
 
 def trace_profile(mode, geometry, addr_lists, region=Region.VECTOR_IN, in_spm=False):
@@ -34,10 +32,10 @@ def trace_profile(mode, geometry, addr_lists, region=Region.VECTOR_IN, in_spm=Fa
                 writes=np.zeros(len(addrs), dtype=bool),
             )
             pes.append(
-                PEProfile(
+                PE(
                     compute_ops=10.0,
                     streams=[
-                        AccessStream(
+                        Stream(
                             region,
                             len(addrs),
                             Pattern.RANDOM,
@@ -48,12 +46,8 @@ def trace_profile(mode, geometry, addr_lists, region=Region.VECTOR_IN, in_spm=Fa
                     trace=tr,
                 )
             )
-        tiles.append(TileProfile(pes=pes))
-    return KernelProfile(
-        algorithm="ip" if mode in (HWMode.SC, HWMode.SCS) else "op",
-        mode=mode,
-        tiles=tiles,
-    )
+        tiles.append(Tile(pes=pes))
+    return pack("ip" if mode in (HWMode.SC, HWMode.SCS) else "op", mode, tiles)
 
 
 @pytest.fixture
@@ -68,11 +62,7 @@ def engine(geom):
 
 class TestReplay:
     def test_requires_traces(self, engine, geom):
-        p = KernelProfile(
-            "ip",
-            HWMode.SC,
-            [TileProfile(pes=[PEProfile()])],
-        )
+        p = pack("ip", HWMode.SC, [Tile(pes=[PE()])])
         with pytest.raises(SimulationError):
             engine.evaluate(p)
 

@@ -1,6 +1,12 @@
 """Tracer core: null object, installation, nesting, counters, metrics."""
 
+import asyncio
+import threading
+import time
+
 import pytest
+
+import repro.obs.tracer as tracer_module
 
 from repro.obs import (
     MetricsRegistry,
@@ -153,6 +159,63 @@ class TestSpans:
             pass
         (rec,) = tracer.span_records()
         assert rec["attrs"] == {"mode": "SCS", "cols": [1, 2]}
+
+
+def assert_pairs_nest(tracer, tags, pairs):
+    """Every ``inner.<tag>`` span sits under an ``outer.<tag>`` span, and
+    every outer span is a root."""
+    spans = {s["id"]: s for s in tracer.span_records()}
+    assert len(spans) == 2 * pairs * len(tags)
+    wrong = 0
+    for span in spans.values():
+        kind, tag = span["name"].split(".")
+        if kind == "outer":
+            wrong += span["parent"] is not None
+        else:
+            wrong += spans[span["parent"]]["name"] != f"outer.{tag}"
+    assert wrong == 0
+
+
+class TestConcurrentNesting:
+    """Each thread and each asyncio task nests its own spans."""
+
+    def test_threads(self):
+        tracer = Tracer()
+        still_open = []
+
+        def work(tag):
+            for _ in range(200):
+                with tracer.span(f"outer.{tag}"):
+                    time.sleep(0)
+                    with tracer.span(f"inner.{tag}"):
+                        time.sleep(0)
+            still_open.append(tracer_module._OPEN_SPAN.get())
+
+        threads = [threading.Thread(target=work, args=(t,)) for t in "ab"]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert_pairs_nest(tracer, "ab", 200)
+        assert still_open == [None, None]
+        assert tracer_module._OPEN_SPAN.get() is None
+
+    def test_asyncio_tasks(self):
+        tracer = Tracer()
+
+        async def work(tag):
+            for _ in range(50):
+                with tracer.span(f"outer.{tag}"):
+                    await asyncio.sleep(0)
+                    with tracer.span(f"inner.{tag}"):
+                        await asyncio.sleep(0)
+
+        async def both():
+            await asyncio.gather(work("a"), work("b"))
+
+        asyncio.run(both())
+        assert_pairs_nest(tracer, "ab", 50)
+        assert tracer_module._OPEN_SPAN.get() is None
 
 
 class TestTracedDecorator:

@@ -2,6 +2,7 @@
 
 import asyncio
 
+import repro.obs.tracer as tracer_module
 from repro.graphs import Graph
 from repro.obs import Tracer, override
 from repro.obs.events import validate_record
@@ -64,3 +65,50 @@ class TestServeTracing:
         graph = Graph(chung_lu(400, 2500, seed=3), name="g")
         direct = bfs(graph, 2)
         assert response["result"]["cycles"] == direct.log.total_cycles
+
+
+class TestSpanNesting:
+    def test_driver_spans_nest_under_their_own_query(self):
+        """Concurrent queries on two graphs run their drivers on the
+        executor's two threads; each driver span's parent chain reaches
+        the query that ran it (or a root), never another query."""
+        service = QueryService(ServeConfig(port=0, concurrency=4))
+        for i in range(2):
+            name = f"g{i}"
+            service.registry.register(
+                name, Graph(chung_lu(400, 2500, seed=3 + i), name=name)
+            )
+        requests = [
+            {"id": j, "op": "query", "graph": f"g{j % 2}",
+             "algorithm": ("bfs", "sssp", "pagerank")[j % 3],
+             "source": j % 7}
+            for j in range(12)
+        ]
+        for r in requests:
+            if r["algorithm"] == "pagerank":
+                del r["source"]
+
+        async def burst():
+            return await asyncio.gather(*(service.handle(r) for r in requests))
+
+        tracer = Tracer(label="serve-nesting")
+        with override(tracer):
+            try:
+                responses = asyncio.run(burst())
+            finally:
+                service.close()
+        assert all(r["ok"] for r in responses)
+        spans = {s["id"]: s for s in tracer.span_records()}
+        drivers = [s for s in spans.values() if s["name"].startswith("algorithm.")]
+        assert drivers
+        for driver in drivers:
+            parent = driver["parent"]
+            while parent is not None and spans[parent]["name"] != "serve.query":
+                parent = spans[parent]["parent"]
+            if parent is None:
+                continue
+            query = spans[parent]["attrs"]
+            assert query["graph"] == driver["attrs"]["graph"]
+            if "source" in driver["attrs"]:
+                assert query["source"] == driver["attrs"]["source"]
+        assert tracer_module._OPEN_SPAN.get() is None

@@ -156,29 +156,26 @@ class TestProfile:
         p = res.profile
         assert p.algorithm == "ip"
         assert p.n_tiles == geom.tiles
-        assert all(len(t.pes) == geom.pes_per_tile for t in p.tiles)
+        assert p.count.shape[1] == geom.pes_per_tile
 
     def test_matrix_stream_covers_all_entries(self, medium_coo, geom, rng):
         v = rng.random(medium_coo.n_cols)
         res = inner_product(medium_coo, v, spmv_semiring(), geom, HWMode.SC)
-        total = sum(
-            pe.stream(Region.MATRIX).count
-            for t in res.profile.tiles
-            for pe in t.pes
-        )
+        p = res.profile
+        total = p.count[p.region == Region.MATRIX].sum()
         assert total == 3 * medium_coo.nnz
 
     def test_scs_puts_vector_in_spm(self, medium_coo, geom, rng):
         v = rng.random(medium_coo.n_cols)
         res = inner_product(medium_coo, v, spmv_semiring(), geom, HWMode.SCS)
-        s = res.profile.tiles[0].pes[0].stream(Region.VECTOR_IN)
-        assert s.in_spm
-        assert res.profile.tiles[0].spm_fill_words == medium_coo.n_cols
+        p = res.profile
+        assert p.in_spm[0, 0][p.region[0, 0] == Region.VECTOR_IN][0]
+        assert p.tile_spm_fill_words[0] == medium_coo.n_cols
 
     def test_sc_does_not_fill_spm(self, medium_coo, geom, rng):
         v = rng.random(medium_coo.n_cols)
         res = inner_product(medium_coo, v, spmv_semiring(), geom, HWMode.SC)
-        assert res.profile.tiles[0].spm_fill_words == 0.0
+        assert res.profile.tile_spm_fill_words[0] == 0.0
 
     def test_balanced_partition_evens_work(self, powerlaw_coo, geom, rng):
         v = rng.random(powerlaw_coo.n_cols)
@@ -190,11 +187,7 @@ class TestProfile:
         )
 
         def worst(profile):
-            return max(
-                pe.stream(Region.MATRIX).count
-                for t in profile.tiles
-                for pe in t.pes
-            )
+            return profile.count[profile.region == Region.MATRIX].max()
 
         assert worst(bal.profile) <= worst(naive.profile)
 
@@ -203,9 +196,9 @@ class TestProfile:
         res = inner_product(
             small_coo, v, spmv_semiring(), geom, HWMode.SC, with_trace=True
         )
-        for t in res.profile.tiles:
-            for pe in t.pes:
-                assert pe.trace is not None
-                assert pe.trace.n_accesses == pytest.approx(
-                    pe.total_accesses, abs=0
-                )
+        p = res.profile
+        for k, trace in enumerate(p.traces):
+            assert trace is not None
+            assert trace.n_accesses == pytest.approx(
+                p.count.reshape(len(p.traces), -1)[k].sum(), abs=0
+            )

@@ -18,16 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.formats import COOMatrix, MultiVector
-from repro.hardware import (
-    AccessStream,
-    Geometry,
-    HWMode,
-    KernelProfile,
-    PEProfile,
-    Pattern,
-    Region,
-    TileProfile,
-)
+from repro.hardware import Geometry, HWMode, Pattern, Region
 from repro.hardware.params import DEFAULT_PARAMS
 from repro.spmv import (
     bfs_semiring,
@@ -40,6 +31,8 @@ from repro.spmv import (
     vblock_width,
 )
 from repro.spmv.inner import _FIXED_OVERHEAD, _OPS_PER_ENTRY, _VBLOCK_SYNC
+
+from ..hardware.reference_model import PE, Stream, Tile, pack
 
 SEMIRINGS = {
     "spmv": spmv_semiring,
@@ -85,16 +78,16 @@ def _reference_profile(case, partition, counts, width, n_vblocks, n_active):
             n_k, a_k = int(nnz[k]), int(act[k])
             lo, hi = partition.pe_row_range(t, p)
             pes.append(
-                PEProfile(
+                PE(
                     compute_ops=n_k * _OPS_PER_ENTRY + a_k * sr.combine_flops,
                     streams=[
-                        AccessStream(
+                        Stream(
                             Region.MATRIX,
                             count=3 * n_k,
                             pattern=Pattern.SEQUENTIAL,
                             footprint=3 * n_k,
                         ),
-                        AccessStream(
+                        Stream(
                             Region.VECTOR_IN,
                             count=n_k * vw,
                             pattern=Pattern.RANDOM,
@@ -104,7 +97,7 @@ def _reference_profile(case, partition, counts, width, n_vblocks, n_active):
                             distinct_touches=float(n_k),
                             fill_granule=vw if vw > 1 else 0,
                         ),
-                        AccessStream(
+                        Stream(
                             Region.VECTOR_OUT,
                             count=2 * a_k * vw,
                             pattern=Pattern.RANDOM,
@@ -117,7 +110,7 @@ def _reference_profile(case, partition, counts, width, n_vblocks, n_active):
                 )
             )
         tiles.append(
-            TileProfile(
+            Tile(
                 pes=pes,
                 lcp_compute_ops=n_vblocks * _VBLOCK_SYNC,
                 spm_fill_words=(
@@ -125,10 +118,10 @@ def _reference_profile(case, partition, counts, width, n_vblocks, n_active):
                 ),
             )
         )
-    return KernelProfile(
-        algorithm="ip",
-        mode=hw_mode,
-        tiles=tiles,
+    return pack(
+        "ip",
+        hw_mode,
+        tiles,
         fixed_overhead_cycles=_FIXED_OVERHEAD + n_vblocks * _VBLOCK_SYNC,
         meta={
             "n_vblocks": n_vblocks,

@@ -119,54 +119,34 @@ class TestProfile:
         assert meta["touched_columns"] == sv.nnz
         rows, _, _ = medium_csc.gather_columns(sv.indices)
         assert meta["touched_entries"] == len(rows)
-        matrix_words = sum(
-            pe.stream(Region.MATRIX).count
-            for t in res.profile.tiles
-            for pe in t.pes
-        )
+        p = res.profile
+        matrix_words = p.count[p.region == Region.MATRIX].sum()
         assert matrix_words == 2 * len(rows)
 
     def test_ps_heap_in_spm(self, medium_csc, geom, rng):
         sv = frontier_for(medium_csc, 0.05, rng)
         res = outer_product(medium_csc, sv, spmv_semiring(), geom, HWMode.PS)
-        heap_streams = [
-            s
-            for t in res.profile.tiles
-            for pe in t.pes
-            for s in pe.streams
-            if s.region is Region.HEAP
-        ]
-        assert any(s.in_spm for s in heap_streams)
+        p = res.profile
+        assert p.in_spm[p.region == Region.HEAP].any()
 
     def test_pc_heap_not_in_spm(self, medium_csc, geom, rng):
         sv = frontier_for(medium_csc, 0.05, rng)
         res = outer_product(medium_csc, sv, spmv_semiring(), geom, HWMode.PC)
-        assert all(
-            not s.in_spm
-            for t in res.profile.tiles
-            for pe in t.pes
-            for s in pe.streams
-        )
+        assert not res.profile.in_spm.any()
 
     def test_lcp_serial_work_present(self, medium_csc, geom, rng):
         sv = frontier_for(medium_csc, 0.1, rng)
         res = outer_product(medium_csc, sv, spmv_semiring(), geom, HWMode.PC)
-        assert sum(t.lcp_serial_elements for t in res.profile.tiles) > 0
-        assert sum(t.lcp_output_words for t in res.profile.tiles) > 0
+        assert res.profile.lcp_serial_elements.sum() > 0
+        assert res.profile.lcp_output_words.sum() > 0
 
     def test_exact_mode_measures_heap_accesses(self, small_csc, geom, rng):
         sv = frontier_for(small_csc, 0.2, rng)
         res = outer_product(
             small_csc, sv, spmv_semiring(), geom, HWMode.PS, exact=True
         )
-        heap = [
-            s
-            for t in res.profile.tiles
-            for pe in t.pes
-            for s in pe.streams
-            if s.region is Region.HEAP
-        ]
-        assert sum(s.count for s in heap) > 0
+        p = res.profile
+        assert p.count[p.region == Region.HEAP].sum() > 0
 
     def test_trace_generation(self, small_csc, geom, rng):
         sv = frontier_for(small_csc, 0.2, rng)

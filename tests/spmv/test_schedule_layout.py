@@ -32,7 +32,7 @@ def test_trace_vector_order_matches_blocked_schedule(medium_coo, rng):
     for t in range(geometry.tiles):
         for p in range(geometry.pes_per_tile):
             k = t * geometry.pes_per_tile + p
-            trace = res.profile.tiles[t].pes[p].trace
+            trace = res.profile.traces[k]
             # the vector gathers appear once per entry, in schedule order
             vec_addrs = trace.addrs[trace.regions == int(Region.VECTOR_IN)]
             sched_cols = np.concatenate(
@@ -48,8 +48,7 @@ def test_trace_matrix_stream_is_sequential(medium_coo, rng):
     res = inner_product(
         medium_coo, v, spmv_semiring(), geometry, HWMode.SC, with_trace=True
     )
-    for tile in res.profile.tiles:
-        for pe in tile.pes:
-            m = pe.trace.addrs[pe.trace.regions == int(Region.MATRIX)]
-            if len(m):
-                assert np.all(np.diff(m) > 0)  # strictly increasing words
+    for trace in res.profile.traces:
+        m = trace.addrs[trace.regions == int(Region.MATRIX)]
+        if len(m):
+            assert np.all(np.diff(m) > 0)  # strictly increasing words
