@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install lint lint-cold test test-O test-sanitize test-all serve-smoke perf bench bench-parallel bench-tune bench-serve bench-cluster bench-full bench-regress artifacts examples trace-demo clean
+.PHONY: install lint lint-cold test test-O test-sanitize test-all serve-smoke bench bench-parallel bench-tune bench-serve bench-cluster bench-full bench-regress artifacts examples trace-demo clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -53,10 +53,6 @@ test-all:
 # against the direct driver call.
 serve-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.serve smoke
-
-# Trace-replay microbench: prints M acc/s per engine plus one JSON line.
-perf:
-	PYTHONPATH=src $(PYTHON) -c "import sys; from repro.perf import main; sys.exit(main())"
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

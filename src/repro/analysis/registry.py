@@ -71,15 +71,14 @@ WALLCLOCK_CALLS = frozenset(
     }
 )
 
-#: Modules whose *job* is measuring host wall-clock time (the perf
-#: microbench, the span tracer whose wall times annotate observability
-#: output without ever feeding the cycle model, and the parallel sweep
-#: engine whose clock reads feed only worker-utilization stats and pool
-#: timeouts — REPRO_JOBS is determinism-neutral: results are
-#: bit-identical for any worker count); everything else in the library
-#: models cycles and must not read the host clock.
+#: Modules whose *job* is measuring host wall-clock time (the span
+#: tracer whose wall times annotate observability output without ever
+#: feeding the cycle model, and the parallel sweep engine whose clock
+#: reads feed only worker-utilization stats and pool timeouts —
+#: REPRO_JOBS is determinism-neutral: results are bit-identical for any
+#: worker count); everything else in the library models cycles and must
+#: not read the host clock.
 R4_WALLCLOCK_ALLOWED_PREFIXES = (
-    "repro/perf.py",
     "repro/obs/",
     "repro/parallel/",
     # The linter itself times its own analysis passes for --stats.

@@ -17,7 +17,7 @@ The rules encode this codebase's real invariant classes:
 * **R3 magic-constant** — clock rates, cache geometry and CVD thresholds
   live in config objects, not inline literals (the 1 GHz hardcode class).
 * **R4 nondeterminism** — no legacy/unseeded RNG, and no host wall-clock
-  reads outside the perf microbench.
+  reads outside the modules allowlisted for measuring host time.
 * **R5 kernel-purity** — registered pricing kernels must not mutate
   their array arguments in place (a pricing probe must be repeatable).
 """

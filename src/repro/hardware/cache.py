@@ -1,160 +1,67 @@
-"""Set-associative cache bank simulation for the trace fidelity mode.
+"""Set-associative LRU cache simulation for trace replay.
 
-Models one Table II RCache bank in CACHE mode — 4 kB, 4-way set
+Models Table II RCache banks in CACHE mode — each 4 kB, 4-way set
 associative, 64 B (16-word) blocks, LRU replacement — and the banked
 arrangements the four hardware configurations build out of them.  The
 simulator is functional (it tracks tags, not data) and word-granular on
 the request side, line-granular on the fill side, exactly like the paper's
 hardware.
 
-Two engines implement the same replacement semantics:
+:class:`BankedCache` is the one simulator.  Its state is a dense
+``(n_sets, ways)`` tag matrix ordered oldest-to-newest per set; whole
+address arrays are replayed at once by reformulating LRU as a
+reuse-distance problem (access *i* with previous same-line occurrence
+*p* hits iff fewer than ``ways`` distinct lines of its set intervene),
+resolved with two packed integer sorts, a cumulative first-occurrence
+counter, and short chunked scans for the few undecided windows.
 
-* :class:`CacheBank` — the batched engine.  State is a dense
-  ``(n_sets, ways)`` tag matrix ordered oldest-to-newest per set; whole
-  address arrays are replayed at once by reformulating LRU as a
-  reuse-distance problem (access *i* with previous same-line occurrence
-  *p* hits iff fewer than ``ways`` distinct lines of its set intervene),
-  resolved with two packed integer sorts, a cumulative first-occurrence
-  counter, and short chunked scans for the few undecided windows.  A
-  small optional C kernel (:mod:`repro.hardware._native`) accelerates
-  the same semantics further when a host compiler exists.
-* :class:`ReferenceCacheBank` — the original per-word ``OrderedDict``
-  simulator, kept verbatim as the ground truth for the differential
-  tests (``tests/hardware/test_cache_differential.py``) and as the
-  baseline for the ``make perf`` microbench.
-
-Hit/miss/writeback counters and per-access hit masks are bit-identical
-between the engines by construction and by test.
+Two callers replay traces: the trace fidelity mode
+(:class:`~repro.hardware.trace.TraceEngine`) and the autotuner's cache
+probe (:func:`repro.tune.probe.cache_probe`).  The per-word
+``OrderedDict`` simulator in ``tests/hardware/reference_cache.py`` is
+the oracle: ``tests/hardware/test_cache_differential.py`` holds hit
+masks, counters and end state bit-identical to it for any split of a
+trace into batches.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Iterable, List, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
 from ..errors import SimulationError
 from ..obs.tracer import active as _obs_active
 from ..perf import counters as _perf
-from . import _native
 from .params import HardwareParams
 
-__all__ = [
-    "CacheBank",
-    "BankedCache",
-    "ReferenceCacheBank",
-    "interleave_round_robin",
-]
+__all__ = ["BankedCache", "interleave_round_robin"]
 
 
-class ReferenceCacheBank:
-    """One 4 kB, 4-way, LRU cache bank — the reference implementation.
+class BankedCache:
+    """``n_banks`` LRU cache banks (Table II: 4 kB, 4-way) simulated as one.
 
-    Replays one word per Python-level iteration through per-set
-    ``OrderedDict``s (LRU order: oldest first; values are dirty flags).
-    Kept as the semantic ground truth the vectorized engine is checked
-    against; use :class:`CacheBank` everywhere performance matters.
+    For hit-rate purposes a group of banks behind one shared crossbar
+    behaves as one cache of the aggregate capacity with word-level bank
+    interleaving, so the group is simulated as a single cache with
+    ``n_banks`` times one bank's sets; a private bank is a group of one.
+    Bank conflicts are not simulated: arbitration is priced by
+    :func:`~repro.hardware.latency.shared_conflict_cycles`.
 
-    Parameters
-    ----------
-    params:
-        Hardware constants (bank size, ways, line words).
-    sets_override:
-        Optional set count, for banks logically merged into one larger
-        cache (a shared tile-level L1 is modelled as a single cache of
-        ``n_banks x bank`` capacity for hit-rate purposes).
+    State is a ``(n_sets, ways)`` tag matrix (``-1`` = empty way, oldest
+    way in column 0) plus a matching dirty matrix.  It carries over from
+    one :meth:`run_trace` batch to the next, so a trace replays the same
+    however it is split into batches.
     """
 
-    def __init__(self, params: HardwareParams, sets_override: int = 0):
+    def __init__(self, n_banks: int, params: HardwareParams):
+        if n_banks <= 0:
+            raise SimulationError("need at least one bank")
+        self.n_banks = n_banks
         self.params = params
         self.line_words = params.cache_line_words
         self.ways = params.cache_ways
-        self.n_sets = sets_override or params.cache_sets_per_bank
-        if self.n_sets <= 0:
-            raise SimulationError("cache must have at least one set")
-        self._sets: List["OrderedDict[int, bool]"] = [
-            OrderedDict() for _ in range(self.n_sets)
-        ]
-        self.hits = 0
-        self.misses = 0
-        self.writebacks = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def capacity_words(self) -> int:
-        """Total words this bank can hold."""
-        return self.n_sets * self.ways * self.line_words
-
-    def reset_lines(self) -> None:
-        """Invalidate all lines but keep counters (reconfiguration flush)."""
-        for s in self._sets:
-            s.clear()
-
-    def access(self, word_addr: int, write: bool = False) -> bool:
-        """Look up one word address; returns True on hit, filling on miss."""
-        line = word_addr // self.line_words
-        idx = line % self.n_sets
-        ways = self._sets[idx]
-        if line in ways:
-            ways[line] = ways[line] or write
-            ways.move_to_end(line)
-            self.hits += 1
-            return True
-        self.misses += 1
-        if len(ways) >= self.ways:
-            _victim, dirty = ways.popitem(last=False)
-            if dirty:
-                self.writebacks += 1
-        ways[line] = write
-        return False
-
-    def run_trace(self, addrs: np.ndarray, writes: np.ndarray) -> np.ndarray:
-        """Replay a trace one word at a time; return the hit mask."""
-        n = len(addrs)
-        hit = np.empty(n, dtype=bool)
-        access = self.access  # local alias, hot loop
-        addr_list = np.asarray(addrs).tolist()
-        write_list = np.asarray(writes).tolist()
-        for i in range(n):
-            hit[i] = access(addr_list[i], write_list[i])
-        return hit
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits over accesses (1.0 when idle)."""
-        return self.hits / self.accesses if self.accesses else 1.0
-
-
-class CacheBank:
-    """One 4 kB, 4-way, LRU cache bank (batched engine).
-
-    Same constructor, semantics and counters as
-    :class:`ReferenceCacheBank`; state lives in a ``(n_sets, ways)`` tag
-    matrix (``-1`` = empty way, oldest way in column 0) plus a matching
-    dirty matrix, which both the scalar :meth:`access` path and the
-    batched :meth:`run_trace` path read and rebuild — the two can be
-    mixed freely mid-stream.
-
-    Parameters
-    ----------
-    params:
-        Hardware constants (bank size, ways, line words).
-    sets_override:
-        Optional set count, for banks logically merged into one larger
-        cache (a shared tile-level L1 is modelled as a single cache of
-        ``n_banks x bank`` capacity for hit-rate purposes).
-    """
-
-    def __init__(self, params: HardwareParams, sets_override: int = 0):
-        self.params = params
-        self.line_words = params.cache_line_words
-        self.ways = params.cache_ways
-        self.n_sets = sets_override or params.cache_sets_per_bank
+        self.n_sets = n_banks * params.cache_sets_per_bank
         if self.n_sets <= 0:
             raise SimulationError("cache must have at least one set")
         self._tags = np.full((self.n_sets, self.ways), -1, dtype=np.int64)
@@ -166,7 +73,7 @@ class CacheBank:
     # ------------------------------------------------------------------
     @property
     def capacity_words(self) -> int:
-        """Total words this bank can hold."""
+        """Total words the group can hold."""
         return self.n_sets * self.ways * self.line_words
 
     def reset_lines(self) -> None:
@@ -184,76 +91,23 @@ class CacheBank:
         return self.hits / self.accesses if self.accesses else 1.0
 
     # ------------------------------------------------------------------
-    def access(self, word_addr: int, write: bool = False) -> bool:
-        """Look up one word address; returns True on hit, filling on miss."""
-        line = word_addr // self.line_words
-        s = line % self.n_sets
-        row = self._tags[s]
-        drow = self._dirty[s]
-        W = self.ways
-        for j in range(W):
-            if row[j] == line:
-                d = drow[j] or write
-                k = j
-                while k + 1 < W and row[k + 1] != -1:
-                    row[k] = row[k + 1]
-                    drow[k] = drow[k + 1]
-                    k += 1
-                row[k] = line
-                drow[k] = d
-                self.hits += 1
-                return True
-        self.misses += 1
-        if row[W - 1] != -1:  # full set: evict the oldest way
-            if drow[0]:
-                self.writebacks += 1
-            row[:-1] = row[1:]
-            drow[:-1] = drow[1:]
-            row[W - 1] = line
-            drow[W - 1] = write
-        else:
-            v = int(np.argmax(row == -1))
-            row[v] = line
-            drow[v] = write
-        return False
+    def run_trace(self, addrs: np.ndarray, writes: np.ndarray) -> np.ndarray:
+        """Replay a word-address trace in one batch; return its hit mask.
 
-    # ------------------------------------------------------------------
-    def run_trace(
-        self, addrs: np.ndarray, writes: np.ndarray, want_mask: bool = True
-    ):
-        """Replay a word-address trace in one batch.
-
-        Returns the per-access hit mask (or, with ``want_mask=False``,
-        just the batch hit count).  The caller aggregates the mask per
-        stream (``np.add.at``) and forwards the missing addresses to the
-        next memory level.
+        The caller aggregates the mask per stream (``np.add.at``) and
+        forwards the missing addresses to the next memory level.
         """
-        addrs = np.ascontiguousarray(addrs, dtype=np.int64)
-        n = len(addrs)
-        _perf.trace_accesses += n
-        if n == 0:
-            return np.zeros(0, dtype=bool) if want_mask else 0
-        native = self._run_native(addrs, writes, want_mask)
-        if native is not None:
-            return native
-        return self._run_numpy(addrs, np.asarray(writes), want_mask)
+        tracer = _obs_active()
+        if not tracer.enabled:
+            return self._replay(addrs, writes)
+        with tracer.span(
+            "cache.run_trace", n_banks=self.n_banks, accesses=len(addrs)
+        ) as sp:
+            mask = self._replay(addrs, writes)
+            sp.set(hits=int(mask.sum()))
+            return mask
 
-    def _run_native(self, addrs, writes, want_mask):
-        """Try the compiled kernel; None means 'use the numpy engine'."""
-        w8 = np.ascontiguousarray(writes, dtype=np.uint8)
-        mask = np.empty(len(addrs), dtype=np.uint8) if want_mask else None
-        counters = _native.replay(
-            addrs, w8, self.line_words, self.n_sets, self.ways,
-            self._tags, self._dirty, mask,
-        )
-        if counters is None:
-            return None
-        self.hits += int(counters[0])
-        self.misses += int(counters[1])
-        self.writebacks += int(counters[2])
-        return mask.view(bool) if want_mask else int(counters[0])
-
-    def _run_numpy(self, addrs, writes, want_mask):
+    def _replay(self, addrs, writes) -> np.ndarray:
         """Batched LRU replay via the reuse-distance formulation.
 
         Access *i* (previous same-line occurrence *p*, positions in
@@ -266,7 +120,12 @@ class CacheBank:
         first-occurrences lower-bounds the count and settles most
         queries in two gathers; the remainder get exact chunked scans.
         """
+        addrs = np.ascontiguousarray(addrs, dtype=np.int64)
         n = len(addrs)
+        _perf.trace_accesses += n
+        if n == 0:
+            return np.zeros(0, dtype=bool)
+        writes = np.asarray(writes)
         W = self.ways
         nsets = self.n_sets
         lw = self.line_words
@@ -413,8 +272,6 @@ class CacheBank:
         self._tags[r_sets, cols] = r_lines
         self._dirty[r_sets, cols] = r_dirty
 
-        if not want_mask:
-            return nh
         out = np.empty(n, dtype=bool)
         if S:
             rl = np.nonzero(order >= S)[0]
@@ -452,68 +309,6 @@ def _exact_window_lt(f, s, e, W, n_total):
         idx = idx[~(over | under_now)]
         K = min(K * 4, 4096)
     return res
-
-
-class BankedCache:
-    """A group of banks behind one (shared) crossbar.
-
-    For hit-rate purposes a shared group behaves as one cache of the
-    aggregate capacity with word-level bank interleaving; we model it as a
-    single :class:`CacheBank` with ``n_banks`` times the sets, and track
-    bank conflicts statistically from the interleaved request stream.
-    """
-
-    def __init__(self, n_banks: int, params: HardwareParams):
-        if n_banks <= 0:
-            raise SimulationError("need at least one bank")
-        self.n_banks = n_banks
-        self.params = params
-        self._cache = CacheBank(params, sets_override=params.cache_sets_per_bank * n_banks)
-
-    # ------------------------------------------------------------------
-    @property
-    def capacity_words(self) -> int:
-        return self._cache.capacity_words
-
-    @property
-    def hits(self) -> int:
-        return self._cache.hits
-
-    @property
-    def misses(self) -> int:
-        return self._cache.misses
-
-    @property
-    def accesses(self) -> int:
-        return self._cache.accesses
-
-    @property
-    def hit_rate(self) -> float:
-        return self._cache.hit_rate
-
-    def access(self, word_addr: int, write: bool = False) -> bool:
-        """Single word lookup (True on hit)."""
-        return self._cache.access(word_addr, write)
-
-    @property
-    def writebacks(self) -> int:
-        return self._cache.writebacks
-
-    def run_trace(self, addrs: np.ndarray, writes: np.ndarray) -> np.ndarray:
-        """Replay a word-address trace; return a per-access hit mask.
-
-        The caller aggregates the mask per stream (``np.add.at``) and
-        forwards the missing addresses to the next memory level.
-        """
-        tracer = _obs_active()
-        if not tracer.enabled:
-            return self._cache.run_trace(addrs, writes)
-        with tracer.span(
-            "cache.run_trace", n_banks=self.n_banks, accesses=len(addrs)
-        ) as sp:
-            mask = self._cache.run_trace(addrs, writes)
-            sp.set(hits=int(mask.sum()))
-            return mask
 
 
 def interleave_round_robin(

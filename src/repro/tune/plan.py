@@ -12,8 +12,9 @@ regenerated bit-identically on load and the cached JSON stays small.
 
 Key properties:
 
-* content-addressed: touch the matrix, the grid, the schema or the
-  package version and the key — hence the cache file — changes;
+* content-addressed: touch the matrix, the grid, the hardware params,
+  the schema or the package version and the key — hence the cache
+  file — changes;
 * atomic: writes go through the shared
   :func:`repro.workloads.io.atomic_write` helper, so concurrent tuners
   race only on the final rename;
@@ -32,6 +33,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..formats import COOMatrix
+from ..hardware import DEFAULT_PARAMS, HardwareParams
 
 __all__ = [
     "TUNE_CACHE_SCHEMA",
@@ -184,12 +186,19 @@ class TuningPlan:
         return cls(**data)
 
 
-def plan_key(matrix: COOMatrix, geometry: str, grid: List[str]) -> str:
+def plan_key(
+    matrix: COOMatrix,
+    geometry: str,
+    grid: List[str],
+    params: HardwareParams = DEFAULT_PARAMS,
+) -> str:
     """Content-addressed plan-cache key.
 
     Hashes the matrix content (same digests the pricing cache uses),
-    the geometry and the candidate-grid labels, plus the tune schema
-    and package version — any change invalidates the plan.
+    the geometry, the candidate-grid labels and the hardware params,
+    plus the tune schema and package version — any change invalidates
+    the plan.  Default params add nothing to the hash, so default-params
+    keys, and the plans cached on disk under them, stay valid.
     """
     from .. import __version__
     from ..parallel.tasks import array_digest
@@ -206,6 +215,8 @@ def plan_key(matrix: COOMatrix, geometry: str, grid: List[str]) -> str:
         },
         "grid": list(grid),
     }
+    if params != DEFAULT_PARAMS:
+        parts["params"] = asdict(params)
     blob = json.dumps(parts, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 

@@ -11,9 +11,10 @@ kernels.
 ``cache_probe``
     Replays the vector-gather column stream of one full-frontier SpMV
     through a trace-mode :class:`~repro.hardware.cache.BankedCache`
-    sized like one tile's shared L1.  The stream order follows the
-    candidate's storage: ``coo``/``hybrid`` stream in stored (row-major)
-    order, ``blocked`` streams vblock-major (the
+    sized like one tile's shared L1 and built from the tuned
+    ``params``.  The stream order follows the candidate's storage:
+    ``coo``/``hybrid`` stream in stored (row-major) order, ``blocked``
+    streams vblock-major (the
     :class:`~repro.formats.blocked.BlockedCOO` schedule).  ``hybrid``
     additionally pins the first vblock's vector segment in the SPM:
     gathers of columns below the vblock width count as guaranteed hits
@@ -36,7 +37,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..hardware import DEFAULT_PARAMS, Geometry
+from ..hardware import DEFAULT_PARAMS, Geometry, HardwareParams
 from ..hardware.cache import BankedCache
 
 __all__ = ["cache_probe", "wall_probe", "stream_order"]
@@ -95,8 +96,9 @@ def _probe_arrays(payload: dict, arrays: Dict[str, np.ndarray]):
 def cache_probe(payload: dict, arrays: Dict[str, np.ndarray]) -> dict:
     """Modelled vector-gather hit rate for one candidate layout.
 
-    Payload: ``geometry`` (name), ``vblock_width``, ``storage``.
-    Arrays: the candidate-ordered COO triple.
+    Payload: ``geometry`` (name), ``vblock_width``, ``storage``,
+    optional ``params`` (HardwareParams fields; absent for
+    ``DEFAULT_PARAMS``).  Arrays: the candidate-ordered COO triple.
     Returns ``{"hit_rate", "accesses", "pinned_hits"}``.
     """
     _, cols, _, width, storage = _probe_arrays(payload, arrays)
@@ -108,7 +110,9 @@ def cache_probe(payload: dict, arrays: Dict[str, np.ndarray]) -> dict:
         hot = addrs < width
         pinned = int(np.count_nonzero(hot))
         addrs = addrs[~hot]
-    cache = BankedCache(geometry.pes_per_tile, DEFAULT_PARAMS)
+    spec = payload.get("params")
+    params = DEFAULT_PARAMS if spec is None else HardwareParams(**spec)
+    cache = BankedCache(geometry.pes_per_tile, params)
     if len(addrs):
         cache.run_trace(
             addrs.astype(np.int64), np.zeros(len(addrs), dtype=bool)

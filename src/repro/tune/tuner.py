@@ -109,7 +109,7 @@ def autotune(
     if isinstance(geometry, str):
         geometry = Geometry.parse(geometry)
     grid = candidate_grid(geometry, params, orderings, widths, storages)
-    key = plan_key(coo, geometry.name, grid_signature(grid))
+    key = plan_key(coo, geometry.name, grid_signature(grid), params)
     use_cache = (
         plan_cache_enabled() if use_plan_cache is None else bool(use_plan_cache)
     )
@@ -190,16 +190,15 @@ def _evaluate(
                 PricingTask("repro.parallel.work:price_config", payload, arrays)
             )
             slots.append((i, f"cycles_{mode}"))
+        cache_payload = {
+            "geometry": geometry.name,
+            "vblock_width": cand.vblock_width,
+            "storage": cand.storage,
+        }
+        if params_spec is not None:
+            cache_payload["params"] = params_spec
         tasks.append(
-            PricingTask(
-                "repro.tune.probe:cache_probe",
-                {
-                    "geometry": geometry.name,
-                    "vblock_width": cand.vblock_width,
-                    "storage": cand.storage,
-                },
-                arrays,
-            )
+            PricingTask("repro.tune.probe:cache_probe", cache_payload, arrays)
         )
         slots.append((i, "hit_rate"))
         wall_payload = {

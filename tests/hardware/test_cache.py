@@ -4,68 +4,78 @@ import numpy as np
 import pytest
 
 from repro.hardware import DEFAULT_PARAMS
-from repro.hardware.cache import BankedCache, CacheBank, interleave_round_robin
+from repro.hardware.cache import BankedCache, interleave_round_robin
+
+
+def access(cache, word_addr, write=False):
+    """Look up one word through a one-element batch; True on hit."""
+    mask = cache.run_trace(
+        np.array([word_addr], dtype=np.int64), np.array([write])
+    )
+    return bool(mask[0])
 
 
 class TestCacheBank:
+    """One 4 kB bank: ``BankedCache(1, params)``."""
+
     def test_cold_miss_then_hit(self):
-        c = CacheBank(DEFAULT_PARAMS)
-        assert not c.access(0)
-        assert c.access(0)
-        assert c.access(15)  # same 16-word line
-        assert not c.access(16)  # next line
+        c = BankedCache(1, DEFAULT_PARAMS)
+        assert not access(c, 0)
+        assert access(c, 0)
+        assert access(c, 15)  # same 16-word line
+        assert not access(c, 16)  # next line
 
     def test_capacity(self):
-        c = CacheBank(DEFAULT_PARAMS)
+        c = BankedCache(1, DEFAULT_PARAMS)
         assert c.capacity_words == 1024
 
     def test_lru_eviction_within_set(self):
-        c = CacheBank(DEFAULT_PARAMS)
+        c = BankedCache(1, DEFAULT_PARAMS)
         sets = c.n_sets
         line_words = DEFAULT_PARAMS.cache_line_words
         # 5 lines mapping to set 0; 4 ways -> first one evicted
         addrs = [i * sets * line_words for i in range(5)]
         for a in addrs:
-            c.access(a)
-        assert not c.access(addrs[0])  # evicted
-        assert c.access(addrs[4])  # most recent survives
+            access(c, a)
+        assert not access(c, addrs[0])  # evicted
+        assert access(c, addrs[4])  # most recent survives
 
     def test_lru_touch_refreshes(self):
-        c = CacheBank(DEFAULT_PARAMS)
+        c = BankedCache(1, DEFAULT_PARAMS)
         sets = c.n_sets
         lw = DEFAULT_PARAMS.cache_line_words
         addrs = [i * sets * lw for i in range(4)]
         for a in addrs:
-            c.access(a)
-        c.access(addrs[0])  # refresh line 0
-        c.access(4 * sets * lw)  # evicts line 1, not 0
-        assert c.access(addrs[0])
-        assert not c.access(addrs[1])
+            access(c, a)
+        access(c, addrs[0])  # refresh line 0
+        access(c, 4 * sets * lw)  # evicts line 1, not 0
+        assert access(c, addrs[0])
+        assert not access(c, addrs[1])
 
     def test_writeback_counting(self):
-        c = CacheBank(DEFAULT_PARAMS)
+        c = BankedCache(1, DEFAULT_PARAMS)
         sets = c.n_sets
         lw = DEFAULT_PARAMS.cache_line_words
-        c.access(0, write=True)
+        access(c, 0, write=True)
         for i in range(1, 5):
-            c.access(i * sets * lw)
+            access(c, i * sets * lw)
         assert c.writebacks == 1
 
     def test_hit_rate_idle_is_one(self):
-        assert CacheBank(DEFAULT_PARAMS).hit_rate == 1.0
+        assert BankedCache(1, DEFAULT_PARAMS).hit_rate == 1.0
 
     def test_reset_lines_keeps_counters(self):
-        c = CacheBank(DEFAULT_PARAMS)
-        c.access(0)
+        c = BankedCache(1, DEFAULT_PARAMS)
+        access(c, 0)
         c.reset_lines()
-        assert not c.access(0)  # cold again
+        assert not access(c, 0)  # cold again
         assert c.misses == 2
 
     def test_sequential_stream_miss_rate(self):
-        c = CacheBank(DEFAULT_PARAMS)
+        c = BankedCache(1, DEFAULT_PARAMS)
         n = 512
         for a in range(n):
-            c.access(a)
+            access(c, a)
         assert c.misses == n // DEFAULT_PARAMS.cache_line_words
 
 

@@ -1,35 +1,56 @@
-"""Differential tests: batched cache engines vs the reference simulator.
+"""Differential tests: the batched cache engine vs the reference simulator.
 
-The batched numpy engine (and, where a host toolchain exists, the native
-C kernel) must be *bit-identical* to :class:`ReferenceCacheBank` — same
-per-access hit masks, same hit/miss/writeback counters, same behaviour
-across ``reset_lines`` and scalar/batch mixing — on random traces with
-mixed reads/writes over several bank counts and footprints.
+:class:`BankedCache` must be *bit-identical* to :class:`ReferenceCacheBank`
+— same per-access hit masks, same hit/miss/writeback counters, same end
+state (lines oldest first per set, with their dirty flags) after every
+batch, across ``reset_lines`` and any split of a trace into batches — on
+random traces with mixed reads/writes over several bank counts and
+footprints.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.hardware import _native
-from repro.hardware.cache import BankedCache, CacheBank, ReferenceCacheBank
+from repro.hardware.cache import BankedCache
 from repro.hardware.params import DEFAULT_PARAMS
 
-ENGINES = ["numpy", "native"]
+from .reference_cache import ReferenceCacheBank
+
+SETS_PER_BANK = DEFAULT_PARAMS.cache_sets_per_bank
+LINE_WORDS = DEFAULT_PARAMS.cache_line_words
 
 
-@pytest.fixture(params=ENGINES)
-def engine(request, monkeypatch):
-    """Select which batched engine CacheBank.run_trace uses."""
-    if request.param == "native":
-        if not _native.available():
-            pytest.skip("no host C toolchain: native engine unavailable")
-    else:
-        monkeypatch.setenv("REPRO_NATIVE", "0")
-    return request.param
+def reference_for(n_banks):
+    sets = n_banks * SETS_PER_BANK
+    return ReferenceCacheBank(DEFAULT_PARAMS, sets_override=sets)
 
 
 def counters(cache):
     return (cache.hits, cache.misses, cache.writebacks)
+
+
+def assert_same_state(ref, vec):
+    """The reference's per-set ``OrderedDict`` (oldest first, values are
+    dirty flags) equals the engine's ``_tags``/``_dirty`` rows, whose
+    unused ways hold tag -1 and a clean flag."""
+    tags = np.full((ref.n_sets, ref.ways), -1, dtype=np.int64)
+    dirty = np.zeros((ref.n_sets, ref.ways), dtype=bool)
+    for s, lines in enumerate(ref._sets):
+        tags[s, : len(lines)] = list(lines)
+        dirty[s, : len(lines)] = list(lines.values())
+    np.testing.assert_array_equal(vec._tags, tags)
+    np.testing.assert_array_equal(vec._dirty.astype(bool), dirty)
+
+
+def replay_both(ref, vec, addrs, writes):
+    """One batch through both caches: masks, counters and state agree."""
+    m_vec = vec.run_trace(addrs, writes)
+    np.testing.assert_array_equal(ref.run_trace(addrs, writes), m_vec)
+    assert counters(ref) == counters(vec)
+    assert_same_state(ref, vec)
+    return m_vec
 
 
 def random_trace(rng, n, footprint, write_fraction=0.3):
@@ -41,119 +62,101 @@ def random_trace(rng, n, footprint, write_fraction=0.3):
 class TestDifferential:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize(
-        "sets_override,footprint",
+        "n_banks,footprint",
         [
-            (0, 8_000),        # single bank, moderate reuse
-            (0, 300),          # pathological same-set reuse
-            (16 * 64, 65_536), # 16-bank shared cache
+            (1, 8_000),        # single bank, moderate reuse
+            (1, 300),          # pathological same-set reuse
+            (64, 65_536),      # 64-bank shared cache (1024 sets)
         ],
     )
-    def test_masks_and_counters_identical(self, engine, seed, sets_override, footprint):
+    def test_masks_and_counters_identical(self, seed, n_banks, footprint):
         rng = np.random.default_rng(seed)
-        ref = ReferenceCacheBank(DEFAULT_PARAMS, sets_override=sets_override)
-        vec = CacheBank(DEFAULT_PARAMS, sets_override=sets_override)
+        ref = reference_for(n_banks)
+        vec = BankedCache(n_banks, DEFAULT_PARAMS)
         for _ in range(3):  # warm state carries across batches
-            addrs, writes = random_trace(rng, 1500, footprint)
-            m_ref = ref.run_trace(addrs, writes)
-            m_vec = vec.run_trace(addrs, writes)
-            np.testing.assert_array_equal(m_ref, m_vec)
-            assert counters(ref) == counters(vec)
+            replay_both(ref, vec, *random_trace(rng, 1500, footprint))
 
     @pytest.mark.parametrize("n_banks", [1, 2, 4, 16])
-    def test_banked_cache_all_bank_counts(self, engine, n_banks):
+    def test_banked_cache_all_bank_counts(self, n_banks):
         rng = np.random.default_rng(7)
-        sets = DEFAULT_PARAMS.cache_sets_per_bank * n_banks
-        ref = ReferenceCacheBank(DEFAULT_PARAMS, sets_override=sets)
+        ref = reference_for(n_banks)
         banked = BankedCache(n_banks, DEFAULT_PARAMS)
         addrs, writes = random_trace(rng, 4000, 4 * banked.capacity_words)
-        m_ref = ref.run_trace(addrs, writes)
-        m_vec = banked.run_trace(addrs, writes)
-        np.testing.assert_array_equal(m_ref, m_vec)
-        assert counters(ref) == counters(banked)
+        replay_both(ref, banked, addrs, writes)
 
-    def test_reset_lines_mid_stream(self, engine):
+    def test_reset_lines_mid_stream(self):
         rng = np.random.default_rng(3)
-        ref = ReferenceCacheBank(DEFAULT_PARAMS)
-        vec = CacheBank(DEFAULT_PARAMS)
-        a1, w1 = random_trace(rng, 1000, 3000)
-        ref.run_trace(a1, w1)
-        vec.run_trace(a1, w1)
+        ref = reference_for(1)
+        vec = BankedCache(1, DEFAULT_PARAMS)
+        replay_both(ref, vec, *random_trace(rng, 1000, 3000))
         ref.reset_lines()
         vec.reset_lines()
         assert counters(ref) == counters(vec)  # flush keeps counters
-        a2, w2 = random_trace(rng, 1000, 3000)
-        np.testing.assert_array_equal(ref.run_trace(a2, w2), vec.run_trace(a2, w2))
-        assert counters(ref) == counters(vec)
+        assert_same_state(ref, vec)
+        replay_both(ref, vec, *random_trace(rng, 1000, 3000))
 
-    def test_scalar_and_batch_paths_interchangeable(self, engine):
-        rng = np.random.default_rng(11)
-        ref = ReferenceCacheBank(DEFAULT_PARAMS, sets_override=16)
-        vec = CacheBank(DEFAULT_PARAMS, sets_override=16)
-        for round_ in range(3):
-            addrs, writes = random_trace(rng, 600, 2000)
-            np.testing.assert_array_equal(
-                ref.run_trace(addrs, writes), vec.run_trace(addrs, writes)
-            )
-            for a in rng.integers(0, 2000, 40):
-                w = bool(rng.random() < 0.5)
-                assert ref.access(int(a), w) == vec.access(int(a), w)
-            assert counters(ref) == counters(vec)
-
-    def test_trace_engine_style_addresses(self, engine):
+    def test_trace_engine_style_addresses(self):
         """Region-relocated addresses (offsets + k * 2^40) — the address
         shape the TraceEngine feeds through the shared caches."""
         rng = np.random.default_rng(5)
-        ref = ReferenceCacheBank(DEFAULT_PARAMS, sets_override=4 * 64)
-        vec = CacheBank(DEFAULT_PARAMS, sets_override=4 * 64)
+        ref = reference_for(16)
+        vec = BankedCache(16, DEFAULT_PARAMS)
         region = rng.integers(0, 4, 3000).astype(np.int64)
         addrs = region * (1 << 40) + rng.integers(0, 20_000, 3000)
         writes = rng.random(3000) < 0.4
-        np.testing.assert_array_equal(
-            ref.run_trace(addrs, writes), vec.run_trace(addrs, writes)
-        )
-        assert counters(ref) == counters(vec)
+        replay_both(ref, vec, addrs, writes)
 
-    def test_write_only_and_read_only_extremes(self, engine):
+    def test_write_only_and_read_only_extremes(self):
         rng = np.random.default_rng(13)
         for wf in (0.0, 1.0):
-            ref = ReferenceCacheBank(DEFAULT_PARAMS, sets_override=32)
-            vec = CacheBank(DEFAULT_PARAMS, sets_override=32)
+            ref = reference_for(2)
+            vec = BankedCache(2, DEFAULT_PARAMS)
             addrs, writes = random_trace(rng, 2000, 6000, write_fraction=wf)
-            np.testing.assert_array_equal(
-                ref.run_trace(addrs, writes), vec.run_trace(addrs, writes)
-            )
-            assert counters(ref) == counters(vec)
+            replay_both(ref, vec, addrs, writes)
             if wf == 0.0:
                 assert vec.writebacks == 0  # clean lines never write back
 
-    def test_want_mask_false_returns_hit_count(self, engine):
-        rng = np.random.default_rng(17)
-        a = CacheBank(DEFAULT_PARAMS, sets_override=32)
-        b = CacheBank(DEFAULT_PARAMS, sets_override=32)
-        addrs, writes = random_trace(rng, 2000, 6000)
-        mask = a.run_trace(addrs, writes)
-        nh = b.run_trace(addrs, writes, want_mask=False)
-        assert nh == int(mask.sum())
-        assert counters(a) == counters(b)
-        np.testing.assert_array_equal(a._tags, b._tags)
+
+@st.composite
+def split_traces(draw):
+    """A bank count, a trace, its batch cuts and where a flush falls.
+
+    Half the addresses crowd eight lines into each of three sets, so
+    evictions and writebacks happen at every bank count; the rest spread
+    over eight times the capacity.  Repeated cuts make empty batches.
+    """
+    n_banks = draw(st.sampled_from([1, 2, 4, 16]))
+    n_sets = n_banks * SETS_PER_BANK
+    crowded = st.builds(
+        lambda tag, s, word: (tag * n_sets + s) * LINE_WORDS + word,
+        st.integers(0, 7),
+        st.integers(0, 2),
+        st.integers(0, LINE_WORDS - 1),
+    )
+    capacity = n_sets * DEFAULT_PARAMS.cache_ways * LINE_WORDS
+    spread = st.integers(0, 8 * capacity)
+    access = st.tuples(st.one_of(crowded, spread), st.booleans())
+    trace = draw(st.lists(access, max_size=300))
+    cuts = sorted(draw(st.lists(st.integers(0, len(trace)), max_size=12)))
+    flush_before = draw(st.none() | st.integers(0, len(cuts)))
+    return n_banks, trace, cuts, flush_before
 
 
-class TestEnginesAgreeWithEachOther:
-    def test_numpy_vs_native_state(self, monkeypatch):
-        """Both batched paths must leave identical tag/dirty matrices."""
-        if not _native.available():
-            pytest.skip("no host C toolchain: native engine unavailable")
-        rng = np.random.default_rng(23)
-        addrs, writes = random_trace(rng, 5000, 50_000)
-        monkeypatch.setenv("REPRO_NATIVE", "0")
-        vec = CacheBank(DEFAULT_PARAMS, sets_override=256)
-        m_numpy = vec.run_trace(addrs, writes)
-        monkeypatch.setenv("REPRO_NATIVE", "1")
-        nat = CacheBank(DEFAULT_PARAMS, sets_override=256)
-        m_native = nat.run_trace(addrs, writes)
-        np.testing.assert_array_equal(m_numpy, m_native)
-        assert counters(vec) == counters(nat)
-        np.testing.assert_array_equal(vec._tags, nat._tags)
-        np.testing.assert_array_equal(
-            vec._dirty.astype(bool), nat._dirty.astype(bool)
-        )
+class TestBatchSplits:
+    @given(split_traces())
+    @settings(max_examples=150, deadline=None)
+    def test_any_split_matches_reference(self, case):
+        n_banks, trace, cuts, flush_before = case
+        addrs = np.array([a for a, _ in trace], dtype=np.int64)
+        writes = np.array([w for _, w in trace], dtype=bool)
+        ref = reference_for(n_banks)
+        vec = BankedCache(n_banks, DEFAULT_PARAMS)
+        bounds = [0, *cuts, len(trace)]
+        for batch, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            if batch == flush_before:
+                ref.reset_lines()
+                vec.reset_lines()
+            mask = replay_both(ref, vec, addrs[lo:hi], writes[lo:hi])
+            assert mask.dtype == bool and len(mask) == hi - lo
+        assert vec.hits + vec.misses == len(trace)
+        assert 0.0 <= vec.hit_rate <= 1.0

@@ -1,4 +1,4 @@
-"""Property-based tests of the LRU cache simulator and the flux solver."""
+"""Property-based tests of the analytic cache model's flux solver."""
 
 import numpy as np
 import pytest
@@ -7,60 +7,7 @@ from hypothesis import strategies as st
 
 from repro.hardware import DEFAULT_PARAMS
 from repro.hardware.analytic import _solve_misses
-from repro.hardware.cache import BankedCache, CacheBank
 from repro.hardware.profile import Pattern
-
-
-class _ReferenceLRU:
-    """Brain-dead fully-correct LRU reference (list of lines, per set)."""
-
-    def __init__(self, n_sets, ways, line_words):
-        self.n_sets, self.ways, self.line_words = n_sets, ways, line_words
-        self.sets = [[] for _ in range(n_sets)]
-
-    def access(self, addr):
-        line = addr // self.line_words
-        s = self.sets[line % self.n_sets]
-        if line in s:
-            s.remove(line)
-            s.append(line)
-            return True
-        if len(s) >= self.ways:
-            s.pop(0)
-        s.append(line)
-        return False
-
-
-class TestLRUAgainstReference:
-    @given(st.lists(st.integers(0, 4000), min_size=1, max_size=400))
-    @settings(max_examples=80, deadline=None)
-    def test_hit_sequence_matches(self, addrs):
-        ours = CacheBank(DEFAULT_PARAMS)
-        ref = _ReferenceLRU(
-            ours.n_sets, ours.ways, DEFAULT_PARAMS.cache_line_words
-        )
-        for a in addrs:
-            assert ours.access(a) == ref.access(a)
-
-    @given(st.lists(st.integers(0, 100_000), min_size=1, max_size=300))
-    @settings(max_examples=50, deadline=None)
-    def test_counters_consistent(self, addrs):
-        c = CacheBank(DEFAULT_PARAMS)
-        for a in addrs:
-            c.access(a)
-        assert c.hits + c.misses == len(addrs)
-        assert 0.0 <= c.hit_rate <= 1.0
-
-    @given(st.lists(st.integers(0, 2000), min_size=1, max_size=200))
-    @settings(max_examples=40, deadline=None)
-    def test_banked_trace_equals_loop(self, addrs):
-        a = BankedCache(2, DEFAULT_PARAMS)
-        b = BankedCache(2, DEFAULT_PARAMS)
-        arr = np.asarray(addrs, dtype=np.int64)
-        writes = np.zeros(len(arr), dtype=bool)
-        mask = a.run_trace(arr, writes)
-        loop = [b.access(int(x)) for x in arr]
-        assert list(mask) == loop
 
 
 class TestFluxSolver:

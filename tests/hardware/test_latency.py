@@ -3,7 +3,11 @@
 import pytest
 
 from repro.hardware import DEFAULT_PARAMS
-from repro.hardware.latency import compose_latency, hide_fraction
+from repro.hardware.latency import (
+    compose_latency,
+    hide_fraction,
+    shared_conflict_cycles,
+)
 from repro.hardware.profile import Pattern
 
 
@@ -43,3 +47,24 @@ class TestCompose:
         seq = compose_latency(1.0, 0.0, 0.0, Pattern.SEQUENTIAL, DEFAULT_PARAMS)
         dep = compose_latency(1.0, 0.0, 0.0, Pattern.DEPENDENT, DEFAULT_PARAMS)
         assert seq < dep / 3
+
+
+class TestSharedConflicts:
+    def test_shared_includes_arbitration(self):
+        extra = shared_conflict_cycles(8, 8, DEFAULT_PARAMS)
+        assert extra >= DEFAULT_PARAMS.xbar_arbitration
+
+    def test_more_requesters_more_conflicts(self):
+        few = shared_conflict_cycles(4, 8, DEFAULT_PARAMS)
+        many = shared_conflict_cycles(32, 8, DEFAULT_PARAMS)
+        assert many > few
+
+    def test_more_banks_fewer_conflicts(self):
+        narrow = shared_conflict_cycles(16, 4, DEFAULT_PARAMS)
+        wide = shared_conflict_cycles(16, 32, DEFAULT_PARAMS)
+        assert wide < narrow
+
+    def test_single_requester_no_serialisation(self):
+        assert shared_conflict_cycles(1, 8, DEFAULT_PARAMS) == pytest.approx(
+            DEFAULT_PARAMS.xbar_arbitration
+        )

@@ -6,6 +6,7 @@ import pytest
 from repro.core import CoSparseRuntime
 from repro.errors import ConfigurationError
 from repro.hardware import DEFAULT_PARAMS, Geometry
+from repro.hardware.cache import BankedCache
 from repro.perf import counters
 from repro.tune import (
     ORDERINGS,
@@ -225,6 +226,26 @@ class TestAutotune:
         autotune(matrix, "4x4", jobs=1, passes=1, **_SMALL)
         assert counters.tuning_plan_cache_hits == 0
         assert counters.tuning_plan_cache_misses == 1
+
+    def test_params_reach_plan_key_and_cache_probe(self, matrix, tune_cache):
+        """A re-tune under other cache params misses the plan cache and
+        replays the probe through a cache built from those params."""
+        custom = DEFAULT_PARAMS.with_overrides(
+            cache_line_words=4, l1_shared_latency=6.0
+        )
+        default = autotune(matrix, "2x4", jobs=1, passes=1, **_SMALL)
+        counters.reset()
+        plan = autotune(
+            matrix, "2x4", params=custom, jobs=1, passes=1, **_SMALL
+        )
+        assert counters.tuning_plan_cache_hits == 0
+        assert counters.tuning_plan_cache_misses == 1
+
+        cols = matrix.cols.astype(np.int64)  # identity order, coo stream
+        cache = BankedCache(Geometry.parse("2x4").pes_per_tile, custom)
+        cache.run_trace(cols, np.zeros(len(cols), dtype=bool))
+        assert plan.baseline["hit_rate"] == cache.hits / len(cols)
+        assert plan.baseline["hit_rate"] != default.baseline["hit_rate"]
 
 
 class TestRuntimeWiring:
