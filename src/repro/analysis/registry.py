@@ -246,10 +246,11 @@ R8_MUTATING_CONTAINER_METHODS = frozenset(
 
 #: Module-level memo dicts task functions may legitimately fill: pure
 #: caches of deterministically reconstructible values (worker-side
-#: semiring/system/partition memos, the shm attachment cache).
+#: semiring/system/partition memos, the shm attachment cache, the
+#: workload cache's prepared operands).
 R8_MEMO_GLOBALS = frozenset(
     {"_semirings", "_systems", "_partitions", "_attached",
-     "_shard_runtimes"}
+     "_shard_runtimes", "_prepared"}
 )
 
 #: Dotted module prefixes whose state is observability/metering, not

@@ -12,9 +12,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..core.calibration import SweepPoint, find_crossover_density
-from ..formats import CSCMatrix
 from ..hardware import HWMode
-from ..workloads import FIG4_DENSITIES
+from ..workloads import FIG4_DENSITIES, cached_csc
 from .common import fig4_matrix, price_task, sweep_tasks
 from .report import ExperimentResult
 
@@ -56,7 +55,7 @@ def run_fig4(
     tasks, meta = [], []
     for mi in matrices:
         coo = fig4_matrix(mi, scale=scale)
-        csc = CSCMatrix.from_coo(coo)
+        csc = cached_csc(coo)
         for geom_name in geometries:
             for i, d in enumerate(densities):
                 spec = {"n": coo.n_cols, "density": d, "seed": seed + 13 * i}

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..formats import CSCMatrix
 from ..hardware import Geometry, HWMode
-from ..workloads import FIG4_DENSITIES
+from ..workloads import FIG4_DENSITIES, cached_csc
 from .common import fig4_matrix, price_task, sweep_tasks
 from .report import ExperimentResult
 
@@ -47,7 +46,7 @@ def run_fig6(
     tasks, meta = [], []
     for mi in matrices:
         coo = fig4_matrix(mi, scale=scale)
-        csc = CSCMatrix.from_coo(coo)
+        csc = cached_csc(coo)
         for geom_name in geometries:
             geometry = Geometry.parse(geom_name)
             for i, d in enumerate(densities):

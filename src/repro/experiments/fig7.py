@@ -15,10 +15,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..formats import CSCMatrix
 from ..hardware import HWMode
-from ..workloads import uniform_random
-from ..workloads.io import cached_matrix
+from ..workloads import cached_csc, cached_matrix, uniform_random
 from .common import (
     FIG7_DIMENSIONS,
     cache_dir,
@@ -88,7 +86,7 @@ def run_fig7(
                                balanced=balanced)
                 )
                 meta.append((pl.n_cols, mode.label, balanced))
-        pl_csc, uni_csc = CSCMatrix.from_coo(pl), CSCMatrix.from_coo(uni)
+        pl_csc, uni_csc = cached_csc(pl), cached_csc(uni)
         for mode in (HWMode.PC, HWMode.PS):
             for balanced in (False, True):
                 tasks.append(

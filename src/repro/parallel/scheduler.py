@@ -46,6 +46,7 @@ import numpy as np
 
 from ..obs.tracer import active as _obs_active
 from ..perf import counters as _perf
+from ..workloads.io import prepared_digest
 from .cache import PricingCache, pricing_cache_enabled
 from .tasks import PricingTask, array_digest, task_key
 from .work import execute
@@ -455,7 +456,12 @@ class _DigestMemo:
     Matrices are shared (by reference) across hundreds of tasks in one
     sweep; hashing each buffer once caps the cache-key cost at one pass
     over each distinct array.  Array references are retained so a
-    recycled ``id()`` can never alias a stale digest.
+    recycled ``id()`` can never alias a stale digest.  A read-only
+    workload matrix (or CSC copy) the workload cache holds brings the
+    digest stored with it, hashed once per process
+    (:func:`~repro.workloads.io.prepared_digest`); every other array is
+    hashed again on each :meth:`SweepScheduler.map` call, so an array
+    written between calls never reuses a stale digest.
     """
 
     def __init__(self):
@@ -466,7 +472,7 @@ class _DigestMemo:
         for name, arr in task.arrays.items():
             entry = self._by_id.get(id(arr))
             if entry is None:
-                entry = (arr, array_digest(arr))
+                entry = (arr, prepared_digest(arr) or array_digest(arr))
                 self._by_id[id(arr)] = entry
             out[name] = entry[1]
         return out

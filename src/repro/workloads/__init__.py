@@ -4,6 +4,7 @@ power-law suite)."""
 
 from .io import (
     atomic_write,
+    cached_csc,
     cached_matrix,
     load_snap_edgelist,
     load_matrix_market,
@@ -35,6 +36,7 @@ from .vectors import FIG4_DENSITIES, FIG8_DENSITIES, density_sweep, random_front
 
 __all__ = [
     "atomic_write",
+    "cached_csc",
     "cached_matrix",
     "load_snap_edgelist",
     "load_matrix_market",

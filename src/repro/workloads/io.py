@@ -3,18 +3,43 @@
 Two formats: MatrixMarket coordinate text (interchange with every sparse
 tool chain) and a fast ``.npz`` cache used by the experiment drivers so
 multi-minute generation of the full-scale suites happens once.
+
+Prepared operands
+-----------------
+:func:`cached_matrix` also keeps each cache entry it hands out in a
+per-process memo, so a figure driver called again neither decompresses
+the entry again nor converts or hashes it again:
+
+* the memo is keyed by the entry's absolute path, and every call checks
+  the file's ``os.stat`` signature ``(st_dev, st_ino, st_size,
+  st_mtime_ns)``: an unchanged file returns the very same
+  :class:`COOMatrix`, a removed, replaced or rewritten one misses and
+  is loaded (or built) again;
+* the matrix is shared by every caller, so its arrays and their ndarray
+  bases are read-only: a write raises ``ValueError`` instead of
+  corrupting other callers and the stored digests;
+* the entry also holds the matrix's CSC copy (:func:`cached_csc`, built
+  on first request, read-only too) and the content digest of each array
+  it owns (:func:`prepared_digest`, hashed on first request), the
+  pricing-cache key material;
+* entries beyond :data:`PREPARED_BUDGET_BYTES` are evicted least
+  recently used first; a lock guards only the dict operations.
 """
 
 from __future__ import annotations
 
 import os
+import threading
+import zipfile
+import zlib
+from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Callable
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import FormatError
-from ..formats import COOMatrix
+from ..errors import FormatError, WorkloadError
+from ..formats import COOMatrix, CSCMatrix
 
 __all__ = [
     "atomic_write",
@@ -23,6 +48,9 @@ __all__ = [
     "save_npz",
     "load_npz",
     "cached_matrix",
+    "cached_csc",
+    "prepared_digest",
+    "PREPARED_BUDGET_BYTES",
     "load_snap_edgelist",
 ]
 
@@ -32,8 +60,9 @@ def atomic_write(path: str, suffix: str = ""):
     """Write ``path`` atomically: yield a private tmp name, then rename.
 
     Concurrent writers — parallel pricing workers warming one cache
-    entry, two tuning runs racing on the same plan — each write their
-    own pid-tagged tmp file and race only on the final ``os.replace``,
+    entry, two tuning runs racing on the same plan, two threads building
+    one workload — each write their own tmp file, tagged with process
+    and thread id, and race only on the final ``os.replace``,
     so readers never observe a half-written file.  The caller writes to
     the yielded tmp path; on a clean exit it is renamed over ``path``
     (last writer wins), on an exception it is removed.
@@ -43,7 +72,7 @@ def atomic_write(path: str, suffix: str = ""):
     the tmp name must already end in ``.npz`` for the rename to find
     the file the writer produced).
     """
-    tmp = f"{path}.{os.getpid()}.tmp{suffix}"
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp{suffix}"
     try:
         yield tmp
         os.replace(tmp, path)
@@ -111,11 +140,15 @@ def save_npz(path: str, matrix: COOMatrix) -> None:
 
 def load_npz(path: str) -> COOMatrix:
     """Load a matrix written by :func:`save_npz` (no re-validation)."""
-    z = np.load(path)
-    n_rows, n_cols = (int(x) for x in z["shape"])
-    return COOMatrix(
-        n_rows, n_cols, z["rows"], z["cols"], z["vals"], sort=False, check=False
-    )
+    # The handle is opened here: ``np.load(path)`` leaves its own open
+    # when the file starts like a zip but its directory is unreadable.
+    with open(path, "rb") as f:
+        z = np.load(f)
+        n_rows, n_cols = (int(x) for x in z["shape"])
+        return COOMatrix(
+            n_rows, n_cols, z["rows"], z["cols"], z["vals"],
+            sort=False, check=False,
+        )
 
 
 def load_snap_edgelist(
@@ -165,27 +198,215 @@ def load_snap_edgelist(
     return COOMatrix(n, n, src[first], dst[first], w[first])
 
 
+#: Byte budget of the per-process memo of prepared operands (COO arrays
+#: plus CSC copies).  Four scale-16 Fig. 4 matrices with their CSC
+#: copies take about 41 MB; one full-scale (4M nnz) matrix about 170 MB.
+PREPARED_BUDGET_BYTES = 256 << 20
+
+#: The read errors of a corrupt or truncated ``.npz`` entry.
+_CORRUPT_ENTRY_ERRORS = (
+    zipfile.BadZipFile, zlib.error, EOFError, ValueError, KeyError,
+)
+
+
+class _Prepared:
+    """One memo entry: a read-only matrix, its CSC copy and digests."""
+
+    __slots__ = ("signature", "coo", "csc", "digests")
+
+    def __init__(self, signature: Tuple[int, ...], coo: COOMatrix):
+        self.signature = signature
+        self.coo = coo
+        self.csc: Optional[CSCMatrix] = None
+        #: Position in :meth:`arrays` -> that array's digest.
+        self.digests: Dict[int, str] = {}
+
+    def arrays(self) -> List[np.ndarray]:
+        out = [self.coo.rows, self.coo.cols, self.coo.vals]
+        if self.csc is not None:
+            out += [self.csc.indptr, self.csc.indices, self.csc.vals]
+        return out
+
+    @property
+    def nbytes(self) -> int:
+        return sum(arr.nbytes for arr in self.arrays())
+
+
+#: Absolute ``.npz`` path -> entry, least recently used first.
+_prepared: "OrderedDict[str, _Prepared]" = OrderedDict()
+_prepared_lock = threading.Lock()
+
+
+def _renew_lock() -> None:
+    # A child forked while another thread held the lock would inherit
+    # it locked forever.
+    global _prepared_lock
+    _prepared_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_renew_lock)
+
+
+def _freeze(*arrays: np.ndarray) -> None:
+    """Make each array, and every ndarray it is a view of, read-only."""
+    for arr in arrays:
+        while isinstance(arr, np.ndarray):
+            arr.flags.writeable = False
+            arr = arr.base
+
+
+def _signature(path: str) -> Optional[Tuple[int, ...]]:
+    """The file's ``os.stat`` signature, or None when it does not exist."""
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        return None
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+
+
+def _load_entry(path: str) -> Optional[COOMatrix]:
+    """Load one cache entry; None when it is missing or corrupt.
+
+    A corrupt entry (an interrupted write, a truncated copy) is removed
+    so the caller rebuilds it; another process may have removed or
+    replaced it already.  Any other ``OSError`` (out of file
+    descriptors, an I/O error) says nothing about the entry, which may
+    have taken minutes to generate: it stays on disk and the read fails
+    with :class:`~repro.errors.WorkloadError`.
+    """
+    try:
+        return load_npz(path)
+    except FileNotFoundError:
+        return None
+    except _CORRUPT_ENTRY_ERRORS:
+        try:
+            os.remove(path)
+        except OSError:
+            pass
+        return None
+    except OSError as exc:
+        raise WorkloadError(
+            f"cannot read workload cache entry {path}: {exc}"
+        ) from exc
+
+
+def _memo_get(path: str, signature: Tuple[int, ...]) -> Optional[COOMatrix]:
+    with _prepared_lock:
+        entry = _prepared.get(path)
+        if entry is None:
+            return None
+        if entry.signature != signature:
+            del _prepared[path]
+            return None
+        _prepared.move_to_end(path)
+        return entry.coo
+
+
+def _memo_put(
+    path: str, signature: Optional[Tuple[int, ...]], coo: COOMatrix
+) -> COOMatrix:
+    """Freeze ``coo`` and memoise it; returns the matrix callers share."""
+    _freeze(coo.rows, coo.cols, coo.vals)
+    if signature is None:  # removed again since it was written
+        return coo
+    with _prepared_lock:
+        entry = _prepared.get(path)
+        if entry is not None and entry.signature == signature:
+            # Another thread loaded the same file first: share its copy.
+            _prepared.move_to_end(path)
+            return entry.coo
+        _prepared[path] = _Prepared(signature, coo)
+        _prepared.move_to_end(path)
+        _evict()
+    return coo
+
+
+def _evict() -> None:
+    """Drop least recently used entries beyond the budget (lock held)."""
+    total = sum(entry.nbytes for entry in _prepared.values())
+    while total > PREPARED_BUDGET_BYTES:
+        _path, entry = _prepared.popitem(last=False)
+        total -= entry.nbytes
+
+
 def cached_matrix(
     cache_dir: str, key: str, builder: Callable[[], COOMatrix]
 ) -> COOMatrix:
-    """Build-or-load a matrix under ``cache_dir/key.npz``.
+    """Build-or-load a matrix under ``cache_dir/key.npz``, once per process.
 
     The experiment drivers use this so the 4M-nnz suites are generated
-    once per machine.
+    once per machine and loaded once per process.  The matrix returned
+    is shared and read-only (see the module docstring); a caller that
+    needs to write copies its arrays first.
     """
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, f"{key}.npz")
-    if os.path.exists(path):
-        try:
-            return load_npz(path)
-        except Exception:
-            # Corrupt/truncated cache entry (e.g. an interrupted write):
-            # fall through and regenerate it.  Another process may have
-            # removed or replaced it already.
-            try:
-                os.remove(path)
-            except OSError:
-                pass
-    matrix = builder()
-    save_npz(path, matrix)
-    return matrix
+    path = os.path.abspath(os.path.join(cache_dir, f"{key}.npz"))
+    signature = _signature(path)
+    matrix = None if signature is None else _memo_get(path, signature)
+    if matrix is not None:
+        return matrix
+    if signature is not None:
+        matrix = _load_entry(path)
+    if matrix is None:
+        os.makedirs(cache_dir, exist_ok=True)
+        matrix = builder()
+        save_npz(path, matrix)
+        signature = _signature(path)
+    return _memo_put(path, signature, matrix)
+
+
+def cached_csc(coo: COOMatrix) -> CSCMatrix:
+    """The CSC copy of ``coo``.
+
+    For a matrix :func:`cached_matrix` handed out (and still holds),
+    the copy is built on first request, stored read-only with it and
+    shared from then on; any other matrix gets a fresh
+    ``CSCMatrix.from_coo(coo)``.
+    """
+    with _prepared_lock:
+        path, entry = next(
+            ((p, e) for p, e in _prepared.items() if e.coo is coo),
+            (None, None),
+        )
+        if entry is not None:
+            _prepared.move_to_end(path)
+            if entry.csc is not None:
+                return entry.csc
+    csc = CSCMatrix.from_coo(coo)
+    if entry is not None:
+        _freeze(csc.indptr, csc.indices, csc.vals)
+        with _prepared_lock:
+            if entry.csc is None:
+                entry.csc = csc
+                _evict()
+            csc = entry.csc
+    return csc
+
+
+def prepared_digest(arr: np.ndarray) -> Optional[str]:
+    """The stored content digest of an array the memo holds, else None.
+
+    The digest is :func:`repro.parallel.tasks.array_digest`, computed on
+    first request and kept with the entry; the array is read-only, so
+    it stays true.  Ownership is checked by identity.
+    """
+    with _prepared_lock:
+        entry, slot = next(
+            (
+                (e, i)
+                for e in _prepared.values()
+                for i, own in enumerate(e.arrays())
+                if own is arr
+            ),
+            (None, None),
+        )
+        if entry is None:
+            return None
+        digest = entry.digests.get(slot)
+    if digest is None:
+        # Late import: the parallel package imports this one.
+        from ..parallel.tasks import array_digest
+
+        digest = array_digest(arr)
+        with _prepared_lock:
+            entry.digests[slot] = digest
+    return digest

@@ -12,9 +12,15 @@ from collections import Counter
 import pytest
 
 from repro.experiments import run_fig4
+from repro.experiments.common import fig4_matrix, price_task
+from repro.hardware import HWMode
 from repro.obs import Tracer, override
-from repro.parallel import PricingTask, SweepScheduler, resolve_jobs
+from repro.parallel import PricingCache, PricingTask, SweepScheduler, resolve_jobs
+from repro.parallel.scheduler import _DigestMemo
+from repro.parallel.tasks import task_key
 from repro.perf import counters
+from repro.workloads import cached_csc, uniform_random
+from repro.workloads.io import prepared_digest
 
 #: The small Fig. 4 slice every scheduler-integration test prices.
 _GRID = dict(scale=64, geometries=("4x8",), matrices=(0,))
@@ -289,3 +295,52 @@ class TestSpanIntegration:
         digest = snap["observations"]["parallel.worker_utilization"]
         assert digest["count"] == 3
         assert digest["max"] <= 1.0
+
+
+class TestPreparedOperands:
+    """Pricing-cache keys stay true to content with the workload memo."""
+
+    def test_writeable_matrix_rehashed_each_call(self, tmp_path):
+        coo = uniform_random(256, nnz=2000, seed=3)
+        spec = {"n": coo.n_cols, "density": 0.05, "seed": 1}
+        tasks = [price_task("ip", HWMode.SC, "4x8", coo, spec)]
+        sched = SweepScheduler(jobs=1, use_cache=True, label="rehash")
+        sched.cache = PricingCache(root=str(tmp_path))
+        sched.map(tasks)
+        assert sched.last_stats["dispatched"] == 1
+        sched.map(tasks)
+        assert sched.last_stats["cache_hits"] == 1
+        coo.vals[0] += 1.0  # same array object, new content
+        sched.map(tasks)
+        assert sched.last_stats["dispatched"] == 1
+        assert sched.last_stats["cache_hits"] == 0
+
+    def test_prepared_keys_equal_keys_of_copies(self, warm_cache):
+        coo = fig4_matrix(0, scale=64)
+        csc = cached_csc(coo)
+        spec = {"n": coo.n_cols, "density": 0.01, "seed": 7}
+        tasks = [
+            price_task("ip", HWMode.SC, "4x8", coo, spec),
+            price_task("op", HWMode.PC, "4x8", csc, spec),
+        ]
+        for task in tasks:
+            assert all(
+                prepared_digest(arr) is not None
+                for arr in task.arrays.values()
+            )
+            copy = PricingTask(
+                task.fn,
+                task.payload,
+                {name: arr.copy() for name, arr in task.arrays.items()},
+            )
+            assert task_key(task, _DigestMemo().for_task(task)) == task_key(
+                copy
+            )
+
+    def test_repeated_and_pooled_fig4_rows_equal(self, cold_cache):
+        assert fig4_matrix(0, scale=64) is fig4_matrix(0, scale=64)
+        first = run_fig4(jobs=1, **_GRID)
+        second = run_fig4(jobs=1, **_GRID)
+        pooled = run_fig4(jobs=2, **_GRID)
+        assert second.rows == first.rows
+        assert pooled.rows == first.rows
