@@ -40,10 +40,12 @@ test-O:
 	PYTHONPATH=src $(PYTHON) -O -m pytest tests/ -q -m "not slow"
 
 # The runtime sanitizer (REPRO_SANITIZE=1) cross-checks partition
-# histograms, batch provenance and counter accounting on every kernel
-# the spmv/core tests drive.
+# histograms, distinct-count bounds, batch provenance and counter
+# accounting on every kernel the tests of the kernels and of their
+# callers drive: the graph drivers, the sharded runtime and the query
+# service feed partially active and sharded columns.
 test-sanitize:
-	REPRO_SANITIZE=1 PYTHONPATH=src $(PYTHON) -m pytest tests/spmv tests/core -q -m "not slow"
+	REPRO_SANITIZE=1 PYTHONPATH=src $(PYTHON) -m pytest tests/spmv tests/core tests/graphs tests/cluster tests/serve -q -m "not slow"
 
 test-all:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/

@@ -9,6 +9,10 @@ kernels cross-check:
 * **partition conservation** — per-PE nnz/work histograms sum to the
   partition total (a lost or double-counted entry corrupts both the
   functional result and the pricing);
+* **distinct-count bounds** — a per-PE or per-tile count of distinct
+  items (column heads, output rows, first touches) never exceeds the
+  entries it was drawn from, and the kernel's distinct output rows
+  number exactly the rows its scatter touched;
 * **batch provenance** — a batched superstep emits exactly one
   :class:`IterationRecord` per column, carrying the right
   ``(batch_id, batch_column)`` tags in input-column order;
@@ -113,6 +117,22 @@ class Sanitizer:
         if len(per_pe) and int(per_pe.min()) < 0:
             _fail(label, "per-PE histogram contains negative counts")
 
+    def check_at_most(self, label: str, counts, limits) -> None:
+        """Each count must not exceed its limit, position by position."""
+        (over,) = (counts > limits).nonzero()
+        if len(over):
+            k = int(over[0])
+            _fail(
+                label,
+                f"{len(over)} count(s) exceed their limit, first at index "
+                f"{k}: {counts[k]} > {limits[k]}",
+            )
+
+    def check_marked(self, label: str, per_pe, mask) -> None:
+        """A histogram must sum to the number of set entries of ``mask``
+        (counted here, so the null sanitizer never counts it)."""
+        self.check_histogram(label, per_pe, mask.sum())
+
     def check_report(self, label: str, report) -> None:
         """Cycle/energy/memory accounting must be finite, non-negative
         and internally consistent."""
@@ -196,6 +216,12 @@ class _NullSanitizer(Sanitizer):
         pass
 
     def check_histogram(self, label, per_pe, expected_total):  # noqa: D102
+        pass
+
+    def check_at_most(self, label, counts, limits):  # noqa: D102
+        pass
+
+    def check_marked(self, label, per_pe, mask):  # noqa: D102
         pass
 
     def check_report(self, label, report):  # noqa: D102

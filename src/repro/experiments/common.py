@@ -31,7 +31,9 @@ from ..workloads import (
 __all__ = [
     "cache_dir",
     "full_runs_enabled",
+    "fig4_key",
     "fig4_matrix",
+    "fig7_key",
     "fig7_matrix",
     "table3_graph",
     "price_task",
@@ -127,15 +129,33 @@ def full_runs_enabled() -> bool:
     return os.environ.get("REPRO_FULL", "0") not in ("0", "", "false")
 
 
+def fig4_key(index: int, scale: int = 1, seed: int = 1) -> str:
+    """The workload-cache name of :func:`fig4_matrix`'s matrix.
+
+    It names the matrix's content, so the sweep tasks key their
+    partition memo (``token``) by it too.
+    """
+    n, nnz = FIG4_DIMENSIONS[index]
+    return f"fig4_u_{n // scale}_{nnz // scale}_{seed}"
+
+
 def fig4_matrix(index: int, scale: int = 1, seed: int = 1) -> COOMatrix:
     """Cached uniform matrix ``index`` of the Figs. 4-6 suite."""
     n, nnz = FIG4_DIMENSIONS[index]
     n, nnz = n // scale, nnz // scale
     return cached_matrix(
         cache_dir(),
-        f"fig4_u_{n}_{nnz}_{seed}",
+        fig4_key(index, scale, seed),
         lambda: uniform_random(n, nnz=nnz, seed=seed + index),
     )
+
+
+def fig7_key(index: int, scale: int = 1, seed: int = 2, kind: str = "pl") -> str:
+    """The workload-cache name of a Fig. 7 matrix: the power-law one
+    (``kind="pl"``) or its uniform twin (``"u"``); see :func:`fig4_key`."""
+    n, r = FIG7_DIMENSIONS[index]
+    e = int(r * n * n)
+    return f"fig7_{kind}_{n // scale}_{e // scale}_{seed}"
 
 
 def fig7_matrix(index: int, scale: int = 1, seed: int = 2) -> COOMatrix:
@@ -145,7 +165,7 @@ def fig7_matrix(index: int, scale: int = 1, seed: int = 2) -> COOMatrix:
     n, e = n // scale, e // scale
     return cached_matrix(
         cache_dir(),
-        f"fig7_pl_{n}_{e}_{seed}",
+        fig7_key(index, scale, seed),
         lambda: chung_lu(n, e, exponent=2.1, seed=seed + index),
     )
 

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 from ..core.calibration import SweepPoint, find_crossover_density
 from ..hardware import HWMode
 from ..workloads import FIG4_DENSITIES, cached_csc
-from .common import fig4_matrix, price_task, sweep_tasks
+from .common import fig4_key, fig4_matrix, price_task, sweep_tasks
 from .report import ExperimentResult
 
 __all__ = ["run_fig4", "crossover_table", "FULL_GEOMETRIES", "QUICK_GEOMETRIES"]
@@ -55,12 +55,17 @@ def run_fig4(
     tasks, meta = [], []
     for mi in matrices:
         coo = fig4_matrix(mi, scale=scale)
+        memo = {"use_partition": True, "token": fig4_key(mi, scale)}
         csc = cached_csc(coo)
         for geom_name in geometries:
             for i, d in enumerate(densities):
                 spec = {"n": coo.n_cols, "density": d, "seed": seed + 13 * i}
-                tasks.append(price_task("ip", HWMode.SC, geom_name, coo, spec))
-                tasks.append(price_task("op", HWMode.PC, geom_name, csc, spec))
+                tasks.append(
+                    price_task("ip", HWMode.SC, geom_name, coo, spec, **memo)
+                )
+                tasks.append(
+                    price_task("op", HWMode.PC, geom_name, csc, spec, **memo)
+                )
                 meta.append((coo.n_cols, coo.density, geom_name, d))
     reports = sweep_tasks(tasks, "fig4", jobs)
     for (n, m_density, geom_name, d), ip, op in zip(

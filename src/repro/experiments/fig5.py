@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from ..core.decision import DecisionTree, MatrixInfo
 from ..hardware import Geometry, HWMode
-from .common import fig4_matrix, price_task, sweep_tasks
+from .common import fig4_key, fig4_matrix, price_task, sweep_tasks
 from .report import ExperimentResult
 
 __all__ = ["run_fig5", "FIG5_GEOMETRIES", "FIG5_DENSITIES"]
@@ -52,13 +52,18 @@ def run_fig5(
     tasks, meta = [], []
     for mi in matrices:
         coo = fig4_matrix(mi, scale=scale)
+        memo = {"use_partition": True, "token": fig4_key(mi, scale)}
         info = MatrixInfo.of(coo)
         for geom_name in geometries:
             nreuse = DecisionTree(Geometry.parse(geom_name)).nreuse(info)
             for i, d in enumerate(densities):
                 spec = {"n": coo.n_cols, "density": d, "seed": seed + 17 * i}
-                tasks.append(price_task("ip", HWMode.SC, geom_name, coo, spec))
-                tasks.append(price_task("ip", HWMode.SCS, geom_name, coo, spec))
+                tasks.append(
+                    price_task("ip", HWMode.SC, geom_name, coo, spec, **memo)
+                )
+                tasks.append(
+                    price_task("ip", HWMode.SCS, geom_name, coo, spec, **memo)
+                )
                 meta.append((coo.n_cols, nreuse, geom_name, d))
     reports = sweep_tasks(tasks, "fig5", jobs)
     for (n, nreuse, geom_name, d), sc, scs in zip(

@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 from ..hardware import Geometry, HWMode
 from ..workloads import FIG4_DENSITIES, cached_csc
-from .common import fig4_matrix, price_task, sweep_tasks
+from .common import fig4_key, fig4_matrix, price_task, sweep_tasks
 from .report import ExperimentResult
 
 __all__ = ["run_fig6", "FIG6_GEOMETRIES"]
@@ -46,13 +46,18 @@ def run_fig6(
     tasks, meta = [], []
     for mi in matrices:
         coo = fig4_matrix(mi, scale=scale)
+        memo = {"use_partition": True, "token": fig4_key(mi, scale)}
         csc = cached_csc(coo)
         for geom_name in geometries:
             geometry = Geometry.parse(geom_name)
             for i, d in enumerate(densities):
                 spec = {"n": coo.n_cols, "density": d, "seed": seed + 19 * i}
-                tasks.append(price_task("op", HWMode.PC, geom_name, csc, spec))
-                tasks.append(price_task("op", HWMode.PS, geom_name, csc, spec))
+                tasks.append(
+                    price_task("op", HWMode.PC, geom_name, csc, spec, **memo)
+                )
+                tasks.append(
+                    price_task("op", HWMode.PS, geom_name, csc, spec, **memo)
+                )
                 heap_words = 2.0 * coo.n_cols * d / geometry.pes_per_tile
                 meta.append((coo.n_cols, geom_name, d, heap_words))
     reports = sweep_tasks(tasks, "fig6", jobs)

@@ -20,6 +20,7 @@ from ..workloads import cached_csc, cached_matrix, uniform_random
 from .common import (
     FIG7_DIMENSIONS,
     cache_dir,
+    fig7_key,
     fig7_matrix,
     price_task,
     sweep_tasks,
@@ -32,14 +33,18 @@ _IP_DENSITY = 1.0
 _OP_DENSITY = 0.1
 
 
-def _uniform_twin(index: int, scale: int, seed: int = 3):
+#: Seed of the uniform twins (the power-law matrices use fig7_matrix's).
+_TWIN_SEED = 3
+
+
+def _uniform_twin(index: int, scale: int, seed: int = _TWIN_SEED):
     """Uniform matrix matching the power-law one's shape and density."""
     n, r = FIG7_DIMENSIONS[index]
     e = int(r * n * n)
     n_s, e_s = n // scale, e // scale
     return cached_matrix(
         cache_dir(),
-        f"fig7_u_{n_s}_{e_s}_{seed}",
+        fig7_key(index, scale, seed, kind="u"),
         lambda: uniform_random(n_s, nnz=e_s, seed=seed + index),
     )
 
@@ -73,17 +78,22 @@ def run_fig7(
     for mi in matrices:
         pl = fig7_matrix(mi, scale=scale)
         uni = _uniform_twin(mi, scale=scale)
+        pl_memo = {"use_partition": True, "token": fig7_key(mi, scale)}
+        uni_memo = {
+            "use_partition": True,
+            "token": fig7_key(mi, scale, _TWIN_SEED, kind="u"),
+        }
         ip_spec = {"n": pl.n_cols, "density": _IP_DENSITY, "seed": seed}
         op_spec = {"n": pl.n_cols, "density": _OP_DENSITY, "seed": seed + 1}
         for mode in (HWMode.SC, HWMode.SCS):
             for balanced in (False, True):
                 tasks.append(
                     price_task("ip", mode, geometry_name, pl, ip_spec,
-                               balanced=balanced)
+                               balanced=balanced, **pl_memo)
                 )
                 tasks.append(
                     price_task("ip", mode, geometry_name, uni, ip_spec,
-                               balanced=balanced)
+                               balanced=balanced, **uni_memo)
                 )
                 meta.append((pl.n_cols, mode.label, balanced))
         pl_csc, uni_csc = cached_csc(pl), cached_csc(uni)
@@ -91,11 +101,11 @@ def run_fig7(
             for balanced in (False, True):
                 tasks.append(
                     price_task("op", mode, geometry_name, pl_csc, op_spec,
-                               balanced=balanced)
+                               balanced=balanced, **pl_memo)
                 )
                 tasks.append(
                     price_task("op", mode, geometry_name, uni_csc, op_spec,
-                               balanced=balanced)
+                               balanced=balanced, **uni_memo)
                 )
                 meta.append((pl.n_cols, mode.label, balanced))
     reports = sweep_tasks(tasks, "fig7", jobs)

@@ -74,7 +74,7 @@ def run_fig8(
             else:
                 tasks.append(
                     price_task("op", decision.hw_mode, geometry_name, csc,
-                               spec)
+                               spec, use_partition=True, token=token)
                 )
             dense = frontier.to_dense()
             cpu = cpu_spmv(csr, dense, compute=False)

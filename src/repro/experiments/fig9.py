@@ -59,9 +59,10 @@ def _iteration_tasks(operand, frontier, dist, geometry_name, token):
             "frontier": {"n": frontier.n},
             "semiring": "sssp",
             "profile_only": True,
+            "use_partition": True,
+            "token": token,
         }
         if algorithm == "ip":
-            payload.update(use_partition=True, token=token)
             arrays = {**coo_arrays(coo), **f_arrays}
         else:
             arrays = {**csc_arrays(operand.csc), **f_arrays}

@@ -133,6 +133,14 @@ class CSCMatrix:
         lo, hi = self.indptr[j], self.indptr[j + 1]
         return self.indices[lo:hi], self.vals[lo:hi]
 
+    def row_extents(self) -> np.ndarray:
+        """CSR-like row offsets: row ``i`` holds ``ptr[i+1] - ptr[i]``
+        entries; the same array as the COO copy's
+        :meth:`~repro.formats.coo.COOMatrix.row_extents`."""
+        ptr = np.zeros(self.n_rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.indices, minlength=self.n_rows), out=ptr[1:])
+        return ptr
+
     def column_lengths(self, js=None) -> np.ndarray:
         """Non-zeros per column; restricted to ``js`` when given."""
         lengths = np.diff(self.indptr)

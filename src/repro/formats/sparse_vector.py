@@ -38,11 +38,14 @@ class SparseVector:
                 )
             if len(indices) and (indices.min() < 0 or indices.max() >= n):
                 raise FormatError("index out of range")
-            if len(np.unique(indices)) != len(indices):
-                raise FormatError("duplicate indices in sparse vector")
         if sort and len(indices):
             order = np.argsort(indices, kind="stable")
             indices, values = indices[order], values[order]
+        if check:
+            # Duplicates sit side by side once sorted.
+            ordered = indices if sort else np.sort(indices)
+            if np.any(ordered[1:] == ordered[:-1]):
+                raise FormatError("duplicate indices in sparse vector")
         self.n = int(n)
         self.indices = indices
         self.values = values

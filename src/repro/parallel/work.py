@@ -15,8 +15,8 @@ hot path, so the expensive invariants are cached per process:
   algebra (the old ``run_config`` built one per innermost loop call);
 * :func:`system_for` — one :class:`~repro.hardware.TransmuterSystem`
   per ``(geometry, params)``;
-* :func:`partition_for` — one equal-nnz IP partition per
-  ``(matrix token, geometry, balanced)``.
+* :func:`partition_for` — one static partition per
+  ``(matrix token, geometry, balanced)``, read by IP and OP tasks alike.
 
 The memos live at module scope: pool workers are forked with the module
 already imported, and the ``REPRO_JOBS=1`` serial path shares the very
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import importlib
 import os
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -189,14 +189,21 @@ def system_for(
 
 
 def partition_for(
-    token: str, geometry: Geometry, coo: COOMatrix, balanced: bool = True
+    token: str,
+    geometry: Geometry,
+    matrix: Union[COOMatrix, CSCMatrix],
+    balanced: bool = True,
 ):
-    """One equal-nnz IP partition per (matrix token, geometry)."""
+    """One static partition per (matrix token, geometry, balanced).
+
+    ``token`` names the matrix's content; the matrix may be its COO
+    (IP) or CSC (OP) copy, which have the same row extents.
+    """
     key = (token, geometry.tiles, geometry.pes_per_tile, balanced)
     part = _partitions.get(key)
     if part is None:
         part = _partitions[key] = build_ip_partitions(
-            coo.row_extents(),
+            matrix.row_extents(),
             geometry.tiles,
             geometry.pes_per_tile,
             balanced=balanced,
@@ -280,7 +287,8 @@ def price_config(payload: dict, arrays: Dict[str, np.ndarray]) -> dict:
     ``geometry`` ("AxB"), ``shape`` ([n_rows, n_cols]), ``frontier``
     (seeded spec or explicit-array marker), optional ``semiring``
     ("spmv"/"sssp"), ``balanced``, ``profile_only``, ``use_partition``
-    + ``token`` (equal-nnz IP partition memo key), ``params``
+    + ``token`` (the partition memo key, naming the matrix's content;
+    IP reads both partition levels, OP its tile level), ``params``
     (HardwareParams overrides), ``vblock_width`` (IP blocking override,
     the autotuner's candidate widths).  Arrays: the matrix in the format the
     algorithm streams (COO for IP, CSC for OP), optional
@@ -296,11 +304,12 @@ def price_config(payload: dict, arrays: Dict[str, np.ndarray]) -> dict:
     balanced = bool(payload.get("balanced", True))
     profile_only = bool(payload.get("profile_only", False))
     kw = {} if params is None else {"params": params}
-    if payload["algorithm"] == "ip":
-        coo = _coo_from(payload, arrays)
-        partition = None
-        if payload.get("use_partition"):
-            partition = partition_for(payload["token"], geometry, coo)
+    ip = payload["algorithm"] == "ip"
+    matrix = _coo_from(payload, arrays) if ip else _csc_from(payload, arrays)
+    partition = None
+    if payload.get("use_partition"):
+        partition = partition_for(payload["token"], geometry, matrix, balanced)
+    if ip:
         if semiring.absent == 0.0:
             dense = frontier.to_dense()
         else:
@@ -308,7 +317,7 @@ def price_config(payload: dict, arrays: Dict[str, np.ndarray]) -> dict:
             dense[frontier.indices] = frontier.values
         vb = payload.get("vblock_width")
         kern = inner_product(
-            coo,
+            matrix,
             dense,
             semiring,
             geometry,
@@ -321,14 +330,14 @@ def price_config(payload: dict, arrays: Dict[str, np.ndarray]) -> dict:
             **kw,
         )
     else:
-        csc = _csc_from(payload, arrays)
         kern = outer_product(
-            csc,
+            matrix,
             frontier,
             semiring,
             geometry,
             mode,
             current=current,
+            partition=partition,
             balanced=balanced,
             profile_only=profile_only,
             **kw,

@@ -34,7 +34,13 @@ from ..hardware import (
 from ..hardware.params import DEFAULT_PARAMS, HardwareParams
 from ..obs.tracer import traced
 from ..perf import counters as _perf
-from .partition import IPPartition, build_ip_partitions, vblock_width
+from .partition import (
+    IPPartition,
+    build_ip_partitions,
+    run_starts,
+    sorted_distinct,
+    vblock_width,
+)
 from .result import SpMVResult
 from .semiring import Semiring
 
@@ -201,23 +207,25 @@ def _ip_column(
 
     The functional result is vectorised over the active entries; it is
     identical to the per-PE schedule because row partitions are disjoint
-    and the reduce is commutative.  The accounting costs O(active
-    entries) plus O(P log nnz).
+    and the reduce is commutative.  A partially active frontier is
+    compacted by one index of its active entries, which every array
+    takes; a fully active one streams the stored arrays and builds no
+    index.  Beyond the activity test over all entries, the accounting
+    costs O(active entries) plus O(P log nnz).
     """
     rows, cols, vals = matrix.to_arrays()
     active = v[cols] != semiring.absent if v.ndim == 1 else None
     n_active = matrix.nnz if active is None else int(np.count_nonzero(active))
-    # Compact once; a fully active frontier streams the arrays as stored.
-    compact = n_active < matrix.nnz
-    a_rows = rows[active] if compact else rows
-    a_cols = cols[active] if compact else cols
+    idx = np.flatnonzero(active) if n_active < matrix.nnz else None
+    a_rows = rows if idx is None else rows.take(idx)
+    a_cols = cols if idx is None else cols.take(idx)
     if profile_only:
         _perf.kernel_profile_only += 1
         out = None
         touched = None
     else:
         _perf.kernel_executions += 1
-        a_vals = vals[active] if compact else vals
+        a_vals = vals if idx is None else vals.take(idx)
         out = semiring.init_output(matrix.n_rows, current)
         v_dst = None
         if semiring.needs_dst:
@@ -237,8 +245,10 @@ def _ip_column(
 
     active_edges = np.searchsorted(a_rows, schedule.pe_rows)
     act_pe = np.diff(active_edges)
-    sanitize.active().check_histogram(label, act_pe, n_active)
+    _san = sanitize.active()
+    _san.check_histogram(label, act_pe, n_active)
     out_pe = _ip_first_touches(a_rows, a_cols, active_edges, schedule)
+    _san.check_at_most(f"{label}/first_touches", out_pe, act_pe)
     trace_builder = None
     if with_trace:
         e, width = schedule.pe_entries, schedule.width
@@ -269,7 +279,7 @@ def _ip_first_touches(
     where the key changes, and a binary search of those starts at each
     PE's active-entry edges counts them.  A tuned operand keeps its
     original within-row entry order, whose keys can step back; those
-    fall back to ``np.unique``.
+    are sorted first (:func:`~repro.spmv.partition.sorted_distinct`).
     """
     n_vblocks = schedule.n_vblocks
     keys = (
@@ -277,14 +287,11 @@ def _ip_first_touches(
         if n_vblocks == 1
         else a_rows * np.int64(n_vblocks) + a_cols // schedule.width
     )
-    head, tail = keys[:-1], keys[1:]
-    if np.any(tail < head):
-        distinct_rows = np.unique(keys) // n_vblocks
+    if np.any(keys[1:] < keys[:-1]):
+        distinct_rows = sorted_distinct(keys) // n_vblocks
         return np.diff(np.searchsorted(distinct_rows, schedule.pe_rows))
-    first = np.empty(len(keys), dtype=bool)
-    first[:1] = True
-    np.not_equal(tail, head, out=first[1:])
-    return np.diff(np.searchsorted(np.flatnonzero(first), active_edges))
+    starts = np.flatnonzero(run_starts(keys))
+    return np.diff(np.searchsorted(starts, active_edges))
 
 
 def _ip_layout(

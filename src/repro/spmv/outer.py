@@ -48,7 +48,7 @@ from ..hardware.spm import Scratchpad
 from ..obs.tracer import traced
 from ..perf import counters as _perf
 from .heap import MergeHeap
-from .partition import IPPartition, split_rows
+from .partition import IPPartition, sorted_distinct, split_rows
 from .result import SpMVResult
 from .semiring import Semiring
 
@@ -144,11 +144,7 @@ def _op_schedule(
         # SC" column), so the kernel accepts SC for evaluation.
         raise ConfigurationError(f"OP runs under PC, PS or SC, not {hw_mode}")
     if partition is None:
-        row_ptr = np.zeros(matrix.n_rows + 1, dtype=np.int64)
-        np.cumsum(
-            np.bincount(matrix.indices, minlength=matrix.n_rows), out=row_ptr[1:]
-        )
-        tile_bounds = split_rows(row_ptr, geometry.tiles, balanced)
+        tile_bounds = split_rows(matrix.row_extents(), geometry.tiles, balanced)
     else:
         partition.check_fits(matrix.n_rows, geometry)
         tile_bounds = partition.tile_bounds
@@ -216,11 +212,18 @@ def _op_column(
     elems, heads, pe_out, tile_out, cols_pe = _op_stats(
         matrix, schedule, rows_g, col_of, pos_of, chunks
     )
+    geometry = schedule.geometry
+    lcp_in = pe_out.reshape(geometry.tiles, geometry.pes_per_tile).sum(axis=1)
     _san = sanitize.active()
     _san.check_histogram(f"{label}/elements", elems, len(rows_g))
     _san.check_histogram(f"{label}/frontier", cols_pe, frontier.nnz)
+    _san.check_at_most(f"{label}/heads", heads, elems)
+    _san.check_at_most(f"{label}/lcp_inputs", pe_out, elems)
+    _san.check_at_most(f"{label}/lcp_outputs", tile_out, lcp_in)
+    if touched is not None:
+        _san.check_marked(f"{label}/outputs", tile_out, touched)
     profile = _build_op_profile(
-        matrix, frontier, semiring, schedule, elems, heads, pe_out, tile_out,
+        matrix, frontier, semiring, schedule, elems, heads, lcp_in, tile_out,
         cols_pe, len(rows_g), merge_stats, traces, exact,
     )
     return SpMVResult(values=out, touched=touched, profile=profile, semiring=semiring)
@@ -236,8 +239,10 @@ def _op_stats(
 ):
     """Per-(tile, PE) merge workload counts, vectorised over all touched
     entries: entry ``e`` belongs to the tile owning its row and the PE
-    whose frontier chunk holds its column."""
+    whose frontier chunk holds its column.  Each distinct count sorts
+    its pair keys, so it needs no ordering of the CSC or the frontier."""
     T, P = schedule.geometry.tiles, schedule.geometry.pes_per_tile
+    n_rows, n_cols = matrix.n_rows, matrix.n_cols
     tile_of = np.clip(
         np.searchsorted(schedule.tile_bounds, rows_g, side="right") - 1, 0, T - 1
     )
@@ -247,23 +252,18 @@ def _op_stats(
         np.searchsorted(chunk_starts, pos_of, side="right") - 1, 0, P - 1
     )
     cell_of = tile_of * P + pe_of
-    elems = np.bincount(cell_of, minlength=T * P).astype(np.int64)
-    # Non-empty columns per (tile, pe): distinct (cell, column) pairs.
-    cell_col = cell_of * matrix.n_cols + col_of
-    uniq_cc = np.unique(cell_col)
+    elems = np.bincount(cell_of, minlength=T * P)
+    # Column heads: distinct (cell, column); LCP inputs: distinct (cell,
+    # row); LCP outputs: distinct (tile, row).
     heads = np.bincount(
-        (uniq_cc // matrix.n_cols).astype(np.int64), minlength=T * P
-    ).astype(np.int64)
-    # LCP inputs: distinct (cell, row); LCP outputs: distinct (tile, row).
-    cell_row = cell_of * matrix.n_rows + rows_g
-    uniq_cr = np.unique(cell_row)
+        sorted_distinct(cell_of * n_cols + col_of) // n_cols, minlength=T * P
+    )
     pe_out = np.bincount(
-        (uniq_cr // matrix.n_rows).astype(np.int64), minlength=T * P
-    ).astype(np.int64)
-    tile_row = tile_of * matrix.n_rows + rows_g
+        sorted_distinct(cell_of * n_rows + rows_g) // n_rows, minlength=T * P
+    )
     tile_out = np.bincount(
-        (np.unique(tile_row) // matrix.n_rows).astype(np.int64), minlength=T
-    ).astype(np.int64)
+        sorted_distinct(tile_of * n_rows + rows_g) // n_rows, minlength=T
+    )
     return elems, heads, pe_out, tile_out, cols_pe
 
 
@@ -274,7 +274,7 @@ def _build_op_profile(
     schedule: _OPSchedule,
     elems: np.ndarray,
     heads: np.ndarray,
-    pe_out: np.ndarray,
+    lcp_in: np.ndarray,
     tile_out: np.ndarray,
     cols_pe: np.ndarray,
     touched_entries: int,
@@ -282,7 +282,8 @@ def _build_op_profile(
     traces=None,
     exact: bool = False,
 ) -> KernelProfile:
-    """Assemble the OP :class:`KernelProfile` from per-cell counts.
+    """Assemble the OP :class:`KernelProfile` from per-cell counts and
+    the per-tile LCP input and output counts.
 
     Every PE issues five streams: its frontier chunk, the column-pointer
     lookups, the column entries, and the two heap streams of
@@ -344,7 +345,7 @@ def _build_op_profile(
             + compares
             + n_cols * _OPS_PER_COLUMN
         ),
-        lcp_serial_elements=pe_out.reshape(T, P).sum(axis=1),
+        lcp_serial_elements=lcp_in,
         lcp_output_words=2.0 * tile_out,
         lcp_compute_ops=2.0 * float(cols_pe.sum()) / T,
         fixed_overhead_cycles=_FIXED_OVERHEAD,

@@ -32,6 +32,8 @@ __all__ = [
     "commvol_row_bounds",
     "cut_columns",
     "nnz_per_partition",
+    "run_starts",
+    "sorted_distinct",
     "vblock_width",
     "IPPartition",
     "build_ip_partitions",
@@ -178,6 +180,21 @@ def nnz_per_partition(row_ptr: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """Non-zeros inside each partition delimited by ``bounds``."""
     at = row_ptr[bounds]
     return np.diff(at)
+
+
+def run_starts(keys: np.ndarray) -> np.ndarray:
+    """Mask of the entries of sorted ``keys`` that start a run of equal keys."""
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return first
+
+
+def sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """``np.unique(keys)`` by one sort and each run's first key (numpy 2.x
+    hashes in ``np.unique``: 15-20 times a sort at kernel sizes)."""
+    keys = np.sort(keys)
+    return keys[run_starts(keys)]
 
 
 def vblock_width(spm_words: int, value_words: int = 1) -> int:

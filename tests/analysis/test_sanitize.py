@@ -10,7 +10,9 @@ import pytest
 from repro.analysis import sanitize
 from repro.core import CoSparseRuntime, SpMVOperand
 from repro.errors import SimulationError
-from repro.spmv import bfs_semiring, spmv_semiring
+from repro.formats import COOMatrix, CSCMatrix, SparseVector
+from repro.hardware import Geometry, HWMode
+from repro.spmv import bfs_semiring, inner_product, outer_product, spmv_semiring
 from repro.workloads import random_frontier
 
 
@@ -61,6 +63,8 @@ class TestEnablement:
             # the null twin swallows violations outright
             live.check_histogram("x", np.array([1]), 99)
             live.check_report("x", _report(cycles=-1.0))
+            live.check_at_most("x", np.array([5]), np.array([1]))
+            live.check_marked("x", np.array([5]), np.array([True]))
 
 
 class TestChecks:
@@ -71,6 +75,18 @@ class TestChecks:
             san.check_histogram("h", np.array([3, 4]), 8)
         with pytest.raises(SimulationError, match="negative"):
             san.check_histogram("h", np.array([9, -2]), 7)
+
+    def test_counts_at_most_their_limits(self):
+        san = sanitize.Sanitizer()
+        san.check_at_most("ok", np.array([0, 2, 3]), np.array([0, 2, 5]))
+        with pytest.raises(SimulationError, match=r"\[sanitizer\] d:.*index 1: 3 > 2"):
+            san.check_at_most("d", np.array([0, 3, 3]), np.array([0, 2, 5]))
+
+    def test_histogram_counts_a_mask(self):
+        san = sanitize.Sanitizer()
+        san.check_marked("ok", np.array([1, 2]), np.array([True, False, True, True]))
+        with pytest.raises(SimulationError, match=r"\[sanitizer\] m:.*lost"):
+            san.check_marked("m", np.array([1, 2]), np.array([True, False]))
 
     def test_report_counters(self):
         san = sanitize.Sanitizer()
@@ -199,3 +215,92 @@ class TestEndToEnd:
             ):
                 runtime.spmv_batch(cols, spmv_semiring())
         assert len(dropped) == 1
+
+
+# ----------------------------------------------------------------------
+# Distinct counts: a helper that over-counts must trip the kernels'
+# bounds, and only with the sanitizer live.
+# ----------------------------------------------------------------------
+def _over_counting(monkeypatch, module):
+    """Make ``module``'s distinct-key helper report every key twice."""
+    real = module.sorted_distinct
+    monkeypatch.setattr(
+        module, "sorted_distinct", lambda keys: np.repeat(real(keys), 2)
+    )
+
+
+class TestDistinctCounts:
+    def test_seeded_op_over_count_is_caught(self, monkeypatch):
+        import repro.spmv.outer as outer
+
+        csc = CSCMatrix.from_coo(COOMatrix.from_dense(np.eye(8)))
+        frontier = SparseVector(8, np.arange(8), np.ones(8))
+        args = (csc, frontier, spmv_semiring(), Geometry(2, 2), HWMode.PC)
+        with sanitize.override(True):
+            outer_product(*args)
+            _over_counting(monkeypatch, outer)
+            with pytest.raises(
+                SimulationError, match=r"\[sanitizer\] outer_product/heads"
+            ):
+                outer_product(*args)
+        with sanitize.override(False):
+            outer_product(*args)
+
+    @pytest.mark.parametrize(
+        "shared_row, label", [(False, "lcp_outputs"), (True, "outputs")]
+    )
+    def test_seeded_op_output_over_count_is_caught(
+        self, monkeypatch, shared_row, label
+    ):
+        """Over-count only the (tile, row) keys, the third sort per call.
+        Rows each PE reaches alone leave a tile's outputs above its LCP
+        inputs; one row both PEs reach hides it there, and only the
+        executed path's touched-rows check sees it."""
+        import repro.spmv.outer as outer
+
+        dense = np.eye(8)
+        if shared_row:
+            dense = np.zeros((8, 8))
+            dense[3] = 1.0
+        csc = CSCMatrix.from_coo(COOMatrix.from_dense(dense))
+        frontier = SparseVector(8, np.arange(8), np.ones(8))
+        args = (csc, frontier, spmv_semiring(), Geometry(2, 2), HWMode.PC)
+        real = outer.sorted_distinct
+        calls = []
+
+        def miscount(keys):
+            calls.append(1)
+            out = real(keys)
+            return np.repeat(out, 2) if len(calls) % 3 == 0 else out
+
+        monkeypatch.setattr(outer, "sorted_distinct", miscount)
+        with sanitize.override(True):
+            with pytest.raises(
+                SimulationError, match=rf"\[sanitizer\] outer_product/{label}:"
+            ):
+                outer_product(*args)
+            if shared_row:
+                # Profile-only calls touch no rows and skip that check.
+                outer_product(*args, profile_only=True)
+
+    def test_seeded_ip_first_touch_over_count_is_caught(self, monkeypatch):
+        import repro.spmv.inner as inner
+
+        # A tuned operand: rows sorted, within-row order not, so the
+        # (row, vblock) keys step back and are sorted before counting.
+        coo = COOMatrix(
+            6, 6, [0, 0, 1, 1, 2, 2], [5, 1, 4, 0, 3, 2], np.ones(6),
+            sort=False,
+        )
+        v = np.ones(6)
+        args = (coo, v, spmv_semiring(), Geometry(1, 2), HWMode.SC)
+        with sanitize.override(True):
+            inner_product(*args, vblock_width=2)
+            _over_counting(monkeypatch, inner)
+            with pytest.raises(
+                SimulationError,
+                match=r"\[sanitizer\] inner_product/active/first_touches",
+            ):
+                inner_product(*args, vblock_width=2)
+        with sanitize.override(False):
+            inner_product(*args, vblock_width=2)
