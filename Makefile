@@ -65,9 +65,9 @@ bench:
 bench-parallel:
 	$(PYTHON) -m pytest benchmarks/test_bench_parallel.py --benchmark-only -s
 
-# Locality autotuner: tuned-vs-identity hit rate and functional
-# speedup on the big-vector suite matrices, warm plan-cache path, and
-# tuned-driver bit-identity (artifacts/ablation-tune.{csv,json}).
+# Locality autotuner: tuned-vs-identity modelled probe cycles on the
+# big-vector suite matrices, warm plan-cache path, and tuned-driver
+# bit-identity (artifacts/ablation-tune.{csv,json}).
 bench-tune:
 	$(PYTHON) -m pytest benchmarks/test_bench_tune.py --benchmark-only -s
 

@@ -83,10 +83,6 @@ R4_WALLCLOCK_ALLOWED_PREFIXES = (
     "repro/parallel/",
     # The linter itself times its own analysis passes for --stats.
     "repro/analysis/",
-    # The autotuner's functional wall-clock probe times host SpMV
-    # gathers; its measurements score candidate layouts and never feed
-    # the cycle model.
-    "repro/tune/",
     # The query service measures *service latency* (per-query response
     # times, coalescing windows, burst pacing); none of it touches the
     # modelled cycle counts, which stay bit-identical to direct calls.
@@ -272,7 +268,6 @@ R9_KEYED_DATACLASSES = {
             {
                 "ordering",
                 "vblock_width",
-                "storage",
                 "matrix_key",
                 "metrics",
                 "baseline",

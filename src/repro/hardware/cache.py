@@ -15,9 +15,8 @@ reuse-distance problem (access *i* with previous same-line occurrence
 resolved with two packed integer sorts, a cumulative first-occurrence
 counter, and short chunked scans for the few undecided windows.
 
-Two callers replay traces: the trace fidelity mode
-(:class:`~repro.hardware.trace.TraceEngine`) and the autotuner's cache
-probe (:func:`repro.tune.probe.cache_probe`).  The per-word
+The trace fidelity mode (:class:`~repro.hardware.trace.TraceEngine`)
+is the one caller that replays traces.  The per-word
 ``OrderedDict`` simulator in ``tests/hardware/reference_cache.py`` is
 the oracle: ``tests/hardware/test_cache_differential.py`` holds hit
 masks, counters and end state bit-identical to it for any split of a

@@ -23,6 +23,13 @@ Event kinds
     A batched superstep priced candidates for a column and the batch
     kernel ran the winner without reusing its profile-only probe, as
     sequential ``spmv`` would without a trace (docs/model.md §6b).
+``tuning``
+    One autotune outcome, cold or from the plan cache: the winning
+    ordering and vblock width with its modelled probe cycles and the
+    identity baseline's.  The kind once carried a storage variant, hit
+    rates and host wall clocks; :func:`validate_record` checks only the
+    required keys, so logs exported with those fields still validate
+    under schema v1.
 ``sanitizer_violation``
     The runtime sanitizer found a broken invariant (the event is
     emitted just before the ``SimulationError`` is raised).
@@ -124,17 +131,13 @@ class TuningEvent:
     geometry: str
     ordering: str
     vblock_width: int
-    storage: str
-    #: Candidates evaluated (0 on a plan-cache hit).
+    #: Candidates the plan was picked from.
     candidates: int = 0
     #: Whether the plan came straight from the persistent plan cache.
     plan_cache_hit: bool = False
-    #: Winner's modelled cache hit rate / functional wall clock, and the
-    #: identity baseline's, for the speedup audit.
-    hit_rate: Optional[float] = None
-    baseline_hit_rate: Optional[float] = None
-    wall_s: Optional[float] = None
-    baseline_wall_s: Optional[float] = None
+    #: Winner's and identity baseline's modelled probe cycles.
+    cycles: Optional[float] = None
+    baseline_cycles: Optional[float] = None
 
     kind = "tuning"
 
@@ -267,7 +270,6 @@ _EVENT_KEYS = {
         "geometry",
         "ordering",
         "vblock_width",
-        "storage",
         "candidates",
         "plan_cache_hit",
     ),

@@ -1,13 +1,13 @@
 """Per-matrix locality autotuning (the OSKI move, CoSPARSE-flavoured).
 
 Given a matrix and a hardware geometry, :func:`~repro.tune.tuner.autotune`
-prices a small candidate grid — vertex ordering × vertical-block width ×
-storage variant — through the parallel sweep engine and returns the
-:class:`~repro.tune.plan.TuningPlan` that dominates the identity
-baseline on modelled cache hit rate and functional SpMV wall clock.
-Plans persist in a content-addressed cache (``REPRO_CACHE_DIR/tune/``),
-and every probe is itself a cacheable pricing task, so re-tuning an
-unchanged matrix is free.
+prices a small candidate grid — vertex ordering × vertical-block width —
+through the parallel sweep engine and returns the
+:class:`~repro.tune.plan.TuningPlan` with the fewest modelled cycles,
+the identity baseline winning every tie.  Plans persist in a
+content-addressed cache (``REPRO_CACHE_DIR/tune/``), and every probe is
+itself a cacheable pricing task, so re-tuning an unchanged matrix is
+free.
 
 The runtime consumes plans directly: ``CoSparseRuntime(...,
 auto_tune=True)`` (or an explicit ``plan=``) permutes its operand into
@@ -19,7 +19,6 @@ untuned runs in original vertex ids.
 from .candidates import (
     Candidate,
     ORDERINGS,
-    STORAGES,
     candidate_grid,
     default_widths,
     ordering_permutation,
@@ -36,7 +35,6 @@ from .tuner import DEFAULT_TUNE_GEOMETRY, TUNE_FRONTIER_SEED, autotune
 __all__ = [
     "Candidate",
     "ORDERINGS",
-    "STORAGES",
     "candidate_grid",
     "default_widths",
     "ordering_permutation",

@@ -1,11 +1,11 @@
 """The autotuner's candidate grid.
 
 A candidate is one point in the locality-configuration space the tuner
-prices: ``ordering × vblock width × storage``.  The grid is small by
-design (OSKI's lesson: a handful of well-chosen candidates beats an
-exhaustive sweep) and the first candidate is *always* the identity
-baseline — untouched order, SPM-fit vblock width, plain COO stream —
-so selection can demand that a winner dominates it.
+prices: ``ordering × vblock width``, the two knobs a tuned runtime
+applies.  The grid is small by design (OSKI's lesson: a handful of
+well-chosen candidates beats an exhaustive sweep) and the first
+candidate is *always* the identity baseline — untouched order, SPM-fit
+vblock width — so it wins every tie and no plan prices worse than it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from ..workloads.reorder import (
 __all__ = [
     "Candidate",
     "ORDERINGS",
-    "STORAGES",
     "default_widths",
     "candidate_grid",
     "grid_signature",
@@ -41,11 +40,6 @@ __all__ = [
 #: module exports.
 ORDERINGS: Tuple[str, ...] = ("identity",) + ORDERING_METHODS
 
-#: Storage variants: row-major COO stream, vblock-major BlockedCOO
-#: schedule, and the hybrid stream with the first vblock's vector
-#: segment pinned in the SPM.
-STORAGES: Tuple[str, ...] = ("coo", "blocked", "hybrid")
-
 #: Narrow-width divisor: the second default candidate width is the SPM
 #: fit divided by this, probing whether tighter vector windows pay off.
 NARROW_WIDTH_DIVISOR = 4
@@ -53,15 +47,14 @@ NARROW_WIDTH_DIVISOR = 4
 
 @dataclass(frozen=True)
 class Candidate:
-    """One ``(ordering, vblock width, storage)`` configuration."""
+    """One ``(ordering, vblock width)`` configuration."""
 
     ordering: str
     vblock_width: int
-    storage: str
 
     @property
     def label(self) -> str:
-        return f"{self.ordering}/w{self.vblock_width}/{self.storage}"
+        return f"{self.ordering}/w{self.vblock_width}"
 
     @property
     def is_identity(self) -> bool:
@@ -84,26 +77,19 @@ def candidate_grid(
     params: HardwareParams = DEFAULT_PARAMS,
     orderings: Optional[Sequence[str]] = None,
     widths: Optional[Sequence[int]] = None,
-    storages: Optional[Sequence[str]] = None,
 ) -> List[Candidate]:
     """Enumerate the candidate grid, identity baseline first.
 
-    The baseline (identity order, SPM-fit width, COO stream) is always
-    index 0 even when the caller's ``orderings``/``storages`` exclude
-    it, so scoring always has its reference point.
+    The baseline (identity order, SPM-fit width) is always index 0 even
+    when the caller's ``orderings``/``widths`` exclude it, so scoring
+    always has its reference point.
     """
     all_orderings = tuple(orderings) if orderings else ORDERINGS
     all_widths = tuple(widths) if widths else default_widths(geometry, params)
-    all_storages = tuple(storages) if storages else STORAGES
     for ordering in all_orderings:
         if ordering not in ORDERINGS:
             raise ConfigurationError(
                 f"unknown ordering {ordering!r}; expected one of {ORDERINGS}"
-            )
-    for storage in all_storages:
-        if storage not in STORAGES:
-            raise ConfigurationError(
-                f"unknown storage {storage!r}; expected one of {STORAGES}"
             )
     for width in all_widths:
         if int(width) <= 0:
@@ -111,16 +97,13 @@ def candidate_grid(
                 f"vblock width must be positive, got {width}"
             )
 
-    baseline = Candidate(
-        "identity", int(default_widths(geometry, params)[0]), "coo"
-    )
+    baseline = Candidate("identity", int(default_widths(geometry, params)[0]))
     grid = [baseline]
     for ordering in all_orderings:
         for width in all_widths:
-            for storage in all_storages:
-                cand = Candidate(ordering, int(width), storage)
-                if cand != baseline:
-                    grid.append(cand)
+            cand = Candidate(ordering, int(width))
+            if cand != baseline:
+                grid.append(cand)
     return grid
 
 

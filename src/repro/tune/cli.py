@@ -9,10 +9,11 @@ Subcommands::
     python -m repro.tune smoke                          # hermetic self-check
 
 ``show``/``clear`` operate on the plan cache under
-``REPRO_CACHE_DIR/tune/``.  ``smoke`` runs a cold tune plus a warm
-re-tune of a small synthetic graph inside a temporary cache directory
-and verifies the warm pass executes zero probe kernels — the fast
-end-to-end check wired into ``make test``.
+``REPRO_CACHE_DIR/tune/``.  ``smoke`` tunes a small synthetic graph
+three times inside a temporary cache directory: cold, warm (which must
+hit the plan cache and execute zero probe kernels), and with the plan
+and pricing caches off (which must recompute every probe and return
+the cold plan) — the fast end-to-end check wired into ``make test``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.tune",
         description="Tune per-matrix locality plans (ordering, vblock "
-        "width, storage) and manage the plan cache.",
+        "width) and manage the plan cache.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -85,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("clear", help="delete every cached tuning plan")
     sub.add_parser(
         "smoke",
-        help="hermetic cold+warm tuning self-check (temporary cache)",
+        help="hermetic cold/warm/uncached tuning self-check (temporary cache)",
     )
     return parser
 
@@ -105,17 +106,10 @@ def _resolve_matrix(args):
 
 def _print_plan(label: str, plan) -> None:
     print(f"{label}: plan {plan.label} (geometry {plan.geometry})")
-    speedup = plan.wall_speedup
-    gain = plan.hit_rate_gain
-    base_hr = plan.baseline.get("hit_rate")
-    hr = plan.metrics.get("hit_rate")
-    if hr is not None and base_hr is not None:
-        print(
-            f"  modelled hit rate {hr:.1%} vs baseline {base_hr:.1%} "
-            f"({gain:+.1%})"
-        )
-    if speedup is not None:
-        print(f"  functional SpMV speedup {speedup:.2f}x")
+    print(
+        f"  modelled probe cycles {plan.metrics['cycles']:.1f} "
+        f"vs identity {plan.baseline['cycles']:.1f}"
+    )
     print(f"  candidates evaluated: {plan.candidates}")
 
 
@@ -144,9 +138,7 @@ def _cmd_show() -> int:
         return 0
     print(f"{len(rows)} plan(s) under {cache.dir}:")
     for key, plan in rows:
-        speedup = plan.wall_speedup
-        extra = f" {speedup:.2f}x" if speedup is not None else ""
-        print(f"  {key[:16]}  {plan.geometry:>6}  {plan.label}{extra}")
+        print(f"  {key[:16]}  {plan.geometry:>6}  {plan.label}")
     return 0
 
 
@@ -160,15 +152,16 @@ def _cmd_clear() -> int:
 
 
 def _cmd_smoke() -> int:
-    """Cold tune + warm re-tune in a throwaway cache; check the counters."""
+    """Cold, warm and uncached tunes in a throwaway cache; check the
+    counters and that all three agree on the plan."""
     from ..perf import counters as perf
     from ..workloads.synthetic import chung_lu
-    from .tuner import autotune
+    from .tuner import PROBE_MODES, autotune
 
     matrix = chung_lu(SMOKE_VERTICES, SMOKE_EDGES, seed=SMOKE_SEED)
     saved = {
         name: os.environ.get(name)
-        for name in ("REPRO_CACHE_DIR", "REPRO_JOBS")
+        for name in ("REPRO_CACHE_DIR", "REPRO_JOBS", "REPRO_PRICING_CACHE")
     }
     failures = []
     with tempfile.TemporaryDirectory(prefix="repro-tune-smoke-") as tmp:
@@ -189,6 +182,14 @@ def _cmd_smoke() -> int:
                 failures.append("warm tune executed probe work")
             if warm.to_dict() != cold.to_dict():
                 failures.append("warm plan differs from cold plan")
+            os.environ["REPRO_PRICING_CACHE"] = "0"
+            perf.reset()
+            fresh = autotune(matrix, use_plan_cache=False)
+            probes = len(PROBE_MODES) * cold.candidates
+            if perf.kernel_profile_only != probes or perf.pricing_cache_hits:
+                failures.append("uncached tune did not recompute every probe")
+            if fresh.to_dict() != cold.to_dict():
+                failures.append("uncached plan differs from cold plan")
         finally:
             for name, value in saved.items():
                 if value is None:
@@ -200,8 +201,8 @@ def _cmd_smoke() -> int:
             print(f"tune smoke FAILED: {failure}", file=sys.stderr)
         return 1
     print(
-        f"tune smoke ok: plan {cold.label} "
-        f"({cold.candidates} candidates, warm re-tune hit the plan cache)"
+        f"tune smoke ok: plan {cold.label} ({cold.candidates} candidates; "
+        "warm re-tune hit the plan cache, uncached re-tune agreed)"
     )
     return 0
 

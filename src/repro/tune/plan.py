@@ -2,7 +2,7 @@
 
 OSKI's contract — *tune once per matrix, reuse forever* — needs a
 durable artifact: the :class:`TuningPlan` records the winning
-``(ordering, vblock width, storage)`` triple plus the measurements that
+``(ordering, vblock width)`` pair plus the modelled cycles that
 justified it, and the :class:`PlanCache` persists plans under
 ``REPRO_CACHE_DIR/tune/`` keyed by the content hash of the matrix, the
 geometry and the candidate grid.  A plan deliberately stores the
@@ -45,7 +45,7 @@ __all__ = [
 
 #: Bump when plan semantics change: the schema feeds every plan key, so
 #: stale entries die with the old schema.
-TUNE_CACHE_SCHEMA = 1
+TUNE_CACHE_SCHEMA = 2
 
 _ENV_SWITCH = "REPRO_TUNE_CACHE"
 _FALSEY = ("0", "", "false", "off", "no")
@@ -68,26 +68,19 @@ class TuningPlan:
     vblock_width:
         Chosen vertical-block width (never wider than the SPM fit; the
         kernels clamp defensively).
-    storage:
-        ``"coo"`` (row-major stream), ``"blocked"`` (vblock-major
-        :class:`~repro.formats.blocked.BlockedCOO` schedule) or
-        ``"hybrid"`` (row-major stream with the hot first vblock's
-        vector segment pinned in the SPM).
     geometry:
         Hardware shape the plan was tuned for (``"AxB"``).
     matrix_key:
         The content-addressed plan key (also the cache file name).
     metrics / baseline:
-        Winner's and the identity-order baseline's measurements:
-        ``hit_rate`` (modelled, trace-mode BankedCache), ``wall_s``
-        (functional host probe) and ``cycles`` (analytic pricing).
+        Winner's and the identity baseline's ``cycles``: the better of
+        the SC and SCS analytic prices of a full-frontier IP SpMV.
     candidates:
         Grid size evaluated when the plan was minted.
     """
 
     ordering: str
     vblock_width: int
-    storage: str
     geometry: str
     matrix_key: str = ""
     metrics: Dict[str, float] = field(default_factory=dict)
@@ -104,26 +97,8 @@ class TuningPlan:
 
     @property
     def label(self) -> str:
-        """Compact ``ordering/width/storage`` tag for reports."""
-        return f"{self.ordering}/w{self.vblock_width}/{self.storage}"
-
-    @property
-    def wall_speedup(self) -> Optional[float]:
-        """Functional-probe speedup over the identity baseline."""
-        base = self.baseline.get("wall_s")
-        mine = self.metrics.get("wall_s")
-        if not base or not mine:
-            return None
-        return base / mine
-
-    @property
-    def hit_rate_gain(self) -> Optional[float]:
-        """Modelled cache hit-rate delta over the identity baseline."""
-        base = self.baseline.get("hit_rate")
-        mine = self.metrics.get("hit_rate")
-        if base is None or mine is None:
-            return None
-        return mine - base
+        """Compact ``ordering/wWIDTH`` tag for reports."""
+        return f"{self.ordering}/w{self.vblock_width}"
 
     # ------------------------------------------------------------------
     def permutation(self, matrix: COOMatrix) -> Optional[np.ndarray]:
@@ -159,10 +134,13 @@ class TuningPlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TuningPlan":
+        if not isinstance(data, dict):
+            raise ConfigurationError(
+                f"TuningPlan needs a JSON object, got {type(data).__name__}"
+            )
         fields = {
             "ordering",
             "vblock_width",
-            "storage",
             "geometry",
             "matrix_key",
             "metrics",
@@ -176,9 +154,7 @@ class TuningPlan:
             raise ConfigurationError(
                 f"unknown TuningPlan fields {sorted(unknown)}"
             )
-        missing = {"ordering", "vblock_width", "storage", "geometry"} - set(
-            data
-        )
+        missing = {"ordering", "vblock_width", "geometry"} - set(data)
         if missing:
             raise ConfigurationError(
                 f"TuningPlan is missing fields {sorted(missing)}"
@@ -235,16 +211,21 @@ class PlanCache:
         return os.path.join(self.dir, f"{key}.json")
 
     def get(self, key: str) -> Optional[TuningPlan]:
-        """The stored plan for ``key``, or ``None`` on a miss."""
+        """The stored plan for ``key``, or ``None`` on a miss.
+
+        A corrupt entry (bad JSON, not a plan, an older schema's fields)
+        is deleted so the caller re-tunes over it.  A read that fails
+        for any other reason (``EMFILE``, a permission error) is a miss
+        that keeps the file: the plan in it may well be good.
+        """
         path = self._path(key)
         try:
             with open(path) as f:
                 data = json.load(f)
             return TuningPlan.from_dict(data)
-        except FileNotFoundError:
+        except OSError:
             return None
-        except (OSError, ValueError, ConfigurationError):
-            # Corrupt entry: drop and re-tune.
+        except (ValueError, ConfigurationError):
             try:
                 os.remove(path)
             except OSError:

@@ -100,14 +100,20 @@ def _discovery_order(
     visited = np.zeros(n, dtype=bool)
     out = np.empty(n, dtype=np.int64)
     count = 0
+    # Reseed candidates in preference order, sorted once: visited only
+    # grows, so a cursor that skips visited vertices finds each reseed.
+    if degrees is None:
+        reseeds = np.arange(n)
+    else:
+        reseeds = np.argsort(degrees, kind="stable")
+    cursor = 0
     frontier = np.asarray([source], dtype=np.int64)
     visited[source] = True
     while count < n:
         if len(frontier) == 0:
-            rest = np.nonzero(~visited)[0]
-            if degrees is not None:
-                rest = rest[np.argsort(degrees[rest], kind="stable")]
-            frontier = rest[:1]
+            while visited[reseeds[cursor]]:
+                cursor += 1
+            frontier = reseeds[cursor : cursor + 1]
             visited[frontier] = True
         out[count : count + len(frontier)] = frontier
         count += len(frontier)

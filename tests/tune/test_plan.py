@@ -30,11 +30,10 @@ def plan():
     return TuningPlan(
         ordering="degree",
         vblock_width=512,
-        storage="blocked",
         geometry="2x4",
         matrix_key="abc123",
-        metrics={"hit_rate": 0.9, "wall_s": 1.0, "cycles": 100.0},
-        baseline={"hit_rate": 0.8, "wall_s": 2.0, "cycles": 110.0},
+        metrics={"cycles": 100.0},
+        baseline={"cycles": 110.0},
         candidates=30,
         version="1.0.0",
     )
@@ -49,15 +48,13 @@ class TestTuningPlan:
         assert TuningPlan.from_dict(json.loads(blob)) == plan
 
     def test_derived_metrics(self, plan):
-        assert plan.wall_speedup == pytest.approx(2.0)
-        assert plan.hit_rate_gain == pytest.approx(0.1)
         assert not plan.is_identity
-        assert plan.label == "degree/w512/blocked"
+        assert plan.label == "degree/w512"
 
     def test_identity_plan(self):
-        p = TuningPlan("identity", 512, "coo", "2x4")
+        p = TuningPlan("identity", 512, "2x4")
         assert p.is_identity
-        assert p.wall_speedup is None
+        assert p.label == "identity/w512"
 
     def test_from_dict_rejects_unknown_fields(self, plan):
         data = plan.to_dict()
@@ -69,13 +66,18 @@ class TestTuningPlan:
         with pytest.raises(ConfigurationError):
             TuningPlan.from_dict({"ordering": "degree"})
 
+    @pytest.mark.parametrize("data", [None, 5, "plan", [1, 2]])
+    def test_from_dict_rejects_non_object(self, data):
+        with pytest.raises(ConfigurationError):
+            TuningPlan.from_dict(data)
+
     def test_apply_identity_returns_input(self, matrix):
-        p = TuningPlan("identity", 512, "coo", "2x4")
+        p = TuningPlan("identity", 512, "2x4")
         out, perm = p.apply(matrix)
         assert out is matrix and perm is None
 
     def test_apply_regenerates_exact_permutation(self, matrix):
-        p = TuningPlan("rcm", 512, "coo", "2x4")
+        p = TuningPlan("rcm", 512, "2x4")
         out, perm = p.apply(matrix)
         np.testing.assert_array_equal(
             perm, ordering_permutation(matrix, "rcm")
@@ -124,6 +126,26 @@ class TestPlanCache:
         with open(cache._path("k1"), "w") as f:
             f.write("{not json")
         assert cache.get("k1") is None
+        assert not os.path.exists(cache._path("k1"))
+
+    @pytest.mark.parametrize("body", ["null", "5", '"plan"', "[1, 2]"])
+    def test_scalar_entry_dropped(self, tmp_path, plan, body):
+        cache = PlanCache(root=str(tmp_path))
+        cache.put("k1", plan)
+        with open(cache._path("k1"), "w") as f:
+            f.write(body)
+        assert cache.get("k1") is None
+        assert not os.path.exists(cache._path("k1"))
+
+    def test_older_schema_entry_dropped(self, tmp_path, plan):
+        """A schema-1 plan, which carries a ``storage`` field, fails
+        ``from_dict`` and is dropped when ``show`` lists the cache."""
+        cache = PlanCache(root=str(tmp_path))
+        cache.put("k1", plan)
+        old = dict(plan.to_dict(), storage="blocked", schema=1)
+        with open(cache._path("k1"), "w") as f:
+            json.dump(old, f)
+        assert list(cache.entries()) == []
         assert not os.path.exists(cache._path("k1"))
 
     def test_atomic_write_leaves_no_tmp(self, tmp_path, plan):

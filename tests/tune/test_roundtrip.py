@@ -35,7 +35,7 @@ def graph():
     scope="module", params=["degree", "bfs", "rcm", "block"]
 )
 def plan(request):
-    return TuningPlan(request.param, 256, "coo", GEO)
+    return TuningPlan(request.param, 256, GEO)
 
 
 def identical(a, b):

@@ -1,4 +1,7 @@
-"""Autotuner tests: grid, probes, selection, caching, runtime wiring."""
+"""Autotuner tests: grid, selection, caching, telemetry, runtime wiring."""
+
+import errno
+import os
 
 import numpy as np
 import pytest
@@ -6,22 +9,20 @@ import pytest
 from repro.core import CoSparseRuntime
 from repro.errors import ConfigurationError
 from repro.hardware import DEFAULT_PARAMS, Geometry
-from repro.hardware.cache import BankedCache
+from repro.obs.events import validate_record
+from repro.obs.tracer import Tracer, override
+from repro.parallel.scheduler import SweepScheduler
 from repro.perf import counters
 from repro.tune import (
     ORDERINGS,
-    STORAGES,
+    PlanCache,
     TuningPlan,
     autotune,
     candidate_grid,
     default_widths,
 )
-from repro.tune.probe import (
-    WALL_PROBE_SEED,
-    cache_probe,
-    stream_order,
-    wall_probe,
-)
+from repro.tune import plan as plan_module
+from repro.tune.tuner import PROBE_MODES
 from repro.workloads import chung_lu
 from repro.workloads.reorder import ORDERING_METHODS
 
@@ -43,9 +44,28 @@ def tune_cache(tmp_path, monkeypatch):
     counters.reset()
 
 
+@pytest.fixture
+def uncached(tune_cache, monkeypatch):
+    """Plan and pricing caches off: every tune prices every probe."""
+    monkeypatch.setenv("REPRO_PRICING_CACHE", "0")
+    monkeypatch.setenv("REPRO_TUNE_CACHE", "0")
+    return tune_cache
+
+
 #: Restricted grid keeping autotune tests inside the fast subset:
-#: baseline + degree ordering x one width x two storages.
-_SMALL = dict(orderings=("degree",), widths=(256,), storages=("coo", "blocked"))
+#: the identity baseline (SPM-fit width) + identity and degree orderings
+#: at one narrower width.
+_SMALL = dict(orderings=("identity", "degree"), widths=(256,))
+
+
+def _fake_cycles(cycles_of):
+    """A ``SweepScheduler.map`` stand-in pricing probe ``i`` at
+    ``cycles_of(i)`` without running a kernel."""
+
+    def fake_map(self, tasks):
+        return [{"cycles": float(cycles_of(i))} for i in range(len(tasks))]
+
+    return fake_map
 
 
 class TestCandidateGrid:
@@ -54,14 +74,13 @@ class TestCandidateGrid:
         grid = candidate_grid(geo)
         first = grid[0]
         assert first.is_identity
-        assert first.storage == "coo"
         assert first.vblock_width == default_widths(geo, DEFAULT_PARAMS)[0]
 
     def test_full_grid_size(self):
         geo = Geometry(2, 4)
         widths = default_widths(geo, DEFAULT_PARAMS)
-        # baseline + orderings x widths x storages minus the baseline dup
-        expected = len(ORDERINGS) * len(widths) * len(STORAGES)
+        # baseline + orderings x widths minus the baseline dup
+        expected = len(ORDERINGS) * len(widths)
         assert len(candidate_grid(geo)) == expected
 
     def test_orderings_cover_identity_plus_methods(self):
@@ -73,8 +92,6 @@ class TestCandidateGrid:
             candidate_grid(geo, orderings=("hilbert",))
         with pytest.raises(ConfigurationError):
             candidate_grid(geo, widths=(0,))
-        with pytest.raises(ConfigurationError):
-            candidate_grid(geo, storages=("csr",))
 
     def test_labels_unique(self):
         grid = candidate_grid(Geometry(2, 4))
@@ -82,93 +99,20 @@ class TestCandidateGrid:
         assert len(labels) == len(set(labels))
 
 
-class TestProbes:
-    def test_stream_order_coo_hybrid_stored(self):
-        cols = np.array([5, 1, 9, 0])
-        assert stream_order(cols, "coo", 4) is None
-        assert stream_order(cols, "hybrid", 4) is None
-
-    def test_stream_order_blocked_vblock_major(self):
-        cols = np.array([5, 1, 9, 0, 4])
-        order = stream_order(cols, "blocked", 4)
-        blocks = (cols[order] // 4).tolist()
-        assert blocks == sorted(blocks)
-        # stable: within a block, original relative order survives
-        assert cols[order].tolist() == [1, 0, 5, 4, 9]
-
-    def test_stream_order_rejects_unknown(self):
-        with pytest.raises(ConfigurationError):
-            stream_order(np.array([0]), "csr", 4)
-
-    def test_cache_probe_perfect_locality(self):
-        """A stream that reuses one tiny segment hits after warmup."""
-        cols = np.zeros(1000, dtype=np.int64)
-        arrays = {
-            "coo_rows": np.zeros(1000, dtype=np.int64),
-            "coo_cols": cols,
-            "coo_vals": np.ones(1000),
-        }
-        res = cache_probe(
-            {"geometry": "2x4", "vblock_width": 64, "storage": "coo"},
-            arrays,
-        )
-        assert res["accesses"] == 1000
-        assert res["hit_rate"] > 0.99
-
-    def test_cache_probe_hybrid_pins_first_vblock(self):
-        """Gathers below the vblock width never touch the cache."""
-        cols = np.arange(100, dtype=np.int64)
-        arrays = {
-            "coo_rows": np.zeros(100, dtype=np.int64),
-            "coo_cols": cols,
-            "coo_vals": np.ones(100),
-        }
-        res = cache_probe(
-            {"geometry": "2x4", "vblock_width": 40, "storage": "hybrid"},
-            arrays,
-        )
-        assert res["pinned_hits"] == 40
-
-    def test_wall_probe_times_and_reports_passes(self, matrix):
-        arrays = {
-            "coo_rows": matrix.rows,
-            "coo_cols": matrix.cols,
-            "coo_vals": matrix.vals,
-        }
-        res = wall_probe(
-            {
-                "vblock_width": 128,
-                "storage": "blocked",
-                "shape": [matrix.n_rows, matrix.n_cols],
-                "passes": 2,
-            },
-            arrays,
-        )
-        assert res["wall_s"] > 0.0
-        assert res["passes"] == 2
-
-    def test_wall_probe_seed_is_fixed(self):
-        assert WALL_PROBE_SEED == 20210607
-
-
 class TestAutotune:
     def test_returns_valid_plan(self, matrix, tune_cache):
-        plan = autotune(matrix, "2x4", jobs=1, passes=1, **_SMALL)
+        plan = autotune(matrix, "2x4", jobs=1, **_SMALL)
         assert plan.ordering in ORDERINGS
-        assert plan.storage in STORAGES
         assert plan.vblock_width > 0
         assert plan.geometry == "2x4"
-        assert plan.candidates == 3  # baseline + degree x 256 x 2 storages
-        assert set(plan.baseline) == {"hit_rate", "wall_s", "cycles"}
-        assert set(plan.metrics) == {"hit_rate", "wall_s", "cycles"}
+        assert plan.candidates == 3  # baseline + {identity, degree} x 256
+        assert set(plan.baseline) == {"cycles"}
+        assert set(plan.metrics) == {"cycles"}
 
     def test_never_loses_to_baseline(self, matrix, tune_cache):
-        """Selection is dominance-gated: the winner's modelled hit rate
-        and wall clock are never worse than identity's."""
-        plan = autotune(matrix, "2x4", jobs=1, passes=1, **_SMALL)
-        if not plan.is_identity:
-            assert plan.metrics["hit_rate"] >= plan.baseline["hit_rate"] - 1e-9
-            assert plan.metrics["wall_s"] <= plan.baseline["wall_s"]
+        """The winner's modelled probe cycles never exceed identity's."""
+        plan = autotune(matrix, "2x4", jobs=1, **_SMALL)
+        assert plan.metrics["cycles"] <= plan.baseline["cycles"]
 
     def test_accepts_graph_and_operand(self, matrix, tune_cache):
         """Graph / operand / raw COO of the same matrix unwrap to the
@@ -176,9 +120,9 @@ class TestAutotune:
         from repro.graphs import Graph
 
         g = Graph(matrix)
-        a = autotune(g, "2x4", jobs=1, passes=1, **_SMALL)
-        b = autotune(g.operand, "2x4", jobs=1, passes=1, **_SMALL)
-        c = autotune(g.operand.coo, "2x4", jobs=1, passes=1, **_SMALL)
+        a = autotune(g, "2x4", jobs=1, **_SMALL)
+        b = autotune(g.operand, "2x4", jobs=1, **_SMALL)
+        c = autotune(g.operand.coo, "2x4", jobs=1, **_SMALL)
         assert a.to_dict() == b.to_dict() == c.to_dict()
         assert counters.tuning_plan_cache_hits == 2
 
@@ -189,14 +133,14 @@ class TestAutotune:
     def test_warm_retune_hits_plan_cache(self, matrix, tune_cache):
         """Acceptance: a warm second tuning run executes ZERO pricing
         kernels — the plan cache short-circuits the whole evaluation."""
-        cold = autotune(matrix, "2x4", jobs=1, passes=1, **_SMALL)
+        cold = autotune(matrix, "2x4", jobs=1, **_SMALL)
         assert counters.tuning_plan_cache_hits == 0
         assert counters.tuning_plan_cache_misses == 1
         assert counters.tuning_candidates == 3
         assert counters.pricing_tasks > 0
 
         counters.reset()
-        warm = autotune(matrix, "2x4", jobs=1, passes=1, **_SMALL)
+        warm = autotune(matrix, "2x4", jobs=1, **_SMALL)
         assert counters.tuning_plan_cache_hits == 1
         assert counters.tuning_candidates == 0
         assert counters.pricing_tasks == 0
@@ -209,11 +153,11 @@ class TestAutotune:
         """Without the plan cache, the warm run re-evaluates but every
         probe is a pricing-cache hit: still zero kernel executions."""
         autotune(
-            matrix, "2x4", jobs=1, passes=1, use_plan_cache=False, **_SMALL
+            matrix, "2x4", jobs=1, use_plan_cache=False, **_SMALL
         )
         counters.reset()
         autotune(
-            matrix, "2x4", jobs=1, passes=1, use_plan_cache=False, **_SMALL
+            matrix, "2x4", jobs=1, use_plan_cache=False, **_SMALL
         )
         assert counters.tuning_plan_cache_hits == 0
         assert counters.pricing_tasks > 0
@@ -221,36 +165,133 @@ class TestAutotune:
         assert counters.kernel_executions == 0
 
     def test_geometry_changes_plan_key(self, matrix, tune_cache):
-        autotune(matrix, "2x4", jobs=1, passes=1, **_SMALL)
+        autotune(matrix, "2x4", jobs=1, **_SMALL)
         counters.reset()
-        autotune(matrix, "4x4", jobs=1, passes=1, **_SMALL)
+        autotune(matrix, "4x4", jobs=1, **_SMALL)
         assert counters.tuning_plan_cache_hits == 0
         assert counters.tuning_plan_cache_misses == 1
 
     def test_params_reach_plan_key_and_cache_probe(self, matrix, tune_cache):
-        """A re-tune under other cache params misses the plan cache and
-        replays the probe through a cache built from those params."""
+        """A re-tune under other cache params misses the plan cache,
+        misses the probes' pricing-cache entries, and prices its probes
+        through a model built from those params."""
         custom = DEFAULT_PARAMS.with_overrides(
             cache_line_words=4, l1_shared_latency=6.0
         )
-        default = autotune(matrix, "2x4", jobs=1, passes=1, **_SMALL)
+        default = autotune(matrix, "2x4", jobs=1, **_SMALL)
         counters.reset()
-        plan = autotune(
-            matrix, "2x4", params=custom, jobs=1, passes=1, **_SMALL
-        )
+        plan = autotune(matrix, "2x4", params=custom, jobs=1, **_SMALL)
         assert counters.tuning_plan_cache_hits == 0
         assert counters.tuning_plan_cache_misses == 1
+        assert counters.pricing_cache_hits == 0
+        assert plan.baseline["cycles"] != default.baseline["cycles"]
 
-        cols = matrix.cols.astype(np.int64)  # identity order, coo stream
-        cache = BankedCache(Geometry.parse("2x4").pes_per_tile, custom)
-        cache.run_trace(cols, np.zeros(len(cols), dtype=bool))
-        assert plan.baseline["hit_rate"] == cache.hits / len(cols)
-        assert plan.baseline["hit_rate"] != default.baseline["hit_rate"]
+    def test_scalar_plan_entry_is_dropped_and_retuned(
+        self, matrix, tune_cache
+    ):
+        """A plan file holding a JSON scalar is a corrupt entry: the
+        tune re-tunes over it instead of raising."""
+        cold = autotune(matrix, "2x4", jobs=1, **_SMALL)
+        path = PlanCache()._path(cold.matrix_key)
+        for body in ("null", "5", '"plan"', "[1, 2]"):
+            with open(path, "w") as f:
+                f.write(body)
+            counters.reset()
+            again = autotune(matrix, "2x4", jobs=1, **_SMALL)
+            assert counters.tuning_plan_cache_misses == 1
+            assert again.to_dict() == cold.to_dict()
+            assert PlanCache().get(cold.matrix_key) == cold
+
+    def test_transient_read_error_keeps_plan(
+        self, matrix, tune_cache, monkeypatch
+    ):
+        """An ``EMFILE`` opening a good plan is a miss: the file stays
+        and the tune completes."""
+        cold = autotune(matrix, "2x4", jobs=1, **_SMALL)
+        path = PlanCache()._path(cold.matrix_key)
+        with open(path) as f:
+            before = f.read()
+
+        def emfile_on_plan(name, *args, **kwargs):
+            if name == path:
+                raise OSError(errno.EMFILE, "Too many open files")
+            return open(name, *args, **kwargs)
+
+        monkeypatch.setattr(plan_module, "open", emfile_on_plan, raising=False)
+        assert PlanCache().get(cold.matrix_key) is None
+        with open(path) as f:
+            assert f.read() == before
+        counters.reset()
+        again = autotune(matrix, "2x4", jobs=1, **_SMALL)
+        assert counters.tuning_plan_cache_misses == 1
+        assert again.to_dict() == cold.to_dict()
+        assert os.path.exists(path)
+
+
+class TestSelection:
+    """The pick: fewest modelled probe cycles, identity on every tie."""
+
+    def test_cold_plan_is_deterministic_across_jobs(self, matrix, uncached):
+        a = autotune(matrix, "2x4", jobs=1)
+        b = autotune(matrix, "2x4", jobs=2)
+        assert a.to_dict() == b.to_dict()
+        assert a.metrics["cycles"] <= a.baseline["cycles"]
+
+    def test_uncached_tune_prices_every_probe(self, matrix, uncached):
+        plan = autotune(matrix, "2x4", jobs=1, **_SMALL)
+        probes = len(PROBE_MODES) * plan.candidates
+        assert counters.pricing_tasks == probes
+        assert counters.kernel_profile_only == probes
+        assert counters.pricing_cache_hits == 0
+        assert counters.trace_accesses == 0
+
+    def test_winner_is_argmin_of_probe_cycles(
+        self, matrix, uncached, monkeypatch
+    ):
+        """Each candidate costs its better mode; the cheapest wins."""
+        grid = candidate_grid(Geometry.parse("2x4"), **_SMALL)
+        modes = len(PROBE_MODES)
+        # Probe i prices candidate i // modes.  Every candidate costs
+        # 100 in its first mode; the last one costs 40 in its second.
+        cheap = len(grid) * modes - 1
+        monkeypatch.setattr(
+            SweepScheduler,
+            "map",
+            _fake_cycles(lambda i: 40.0 if i == cheap else 100.0),
+        )
+        plan = autotune(matrix, "2x4", jobs=1, **_SMALL)
+        assert plan.label == grid[-1].label
+        assert plan.metrics == {"cycles": 40.0}
+        assert plan.baseline == {"cycles": 100.0}
+
+    def test_identity_wins_ties(self, matrix, uncached, monkeypatch):
+        monkeypatch.setattr(SweepScheduler, "map", _fake_cycles(lambda i: 7.0))
+        plan = autotune(matrix, "2x4", jobs=1)
+        grid = candidate_grid(Geometry.parse("2x4"))
+        assert plan.label == grid[0].label
+        assert plan.is_identity
+        assert plan.metrics == plan.baseline == {"cycles": 7.0}
+
+
+class TestTuningEvent:
+    def test_cold_and_warm_tunes_emit_valid_events(self, matrix, tune_cache):
+        tracer = Tracer()
+        with override(tracer):
+            cold = autotune(matrix, "2x4", jobs=1, **_SMALL)
+            autotune(matrix, "2x4", jobs=1, **_SMALL)
+        events = tracer.event_records("tuning")
+        assert [e["plan_cache_hit"] for e in events] == [False, True]
+        for event in events:
+            assert validate_record(event) == []
+            assert event["cycles"] == cold.metrics["cycles"]
+            assert event["baseline_cycles"] == cold.baseline["cycles"]
+            assert event["ordering"] == cold.ordering
+            assert event["vblock_width"] == cold.vblock_width
 
 
 class TestRuntimeWiring:
     def test_identity_plan_leaves_runtime_unpermuted(self, matrix):
-        plan = TuningPlan("identity", 512, "coo", "2x4")
+        plan = TuningPlan("identity", 512, "2x4")
         rt = CoSparseRuntime(matrix, geometry="2x4", plan=plan)
         assert rt.plan is plan
         assert rt.vertex_perm is None
@@ -258,7 +299,7 @@ class TestRuntimeWiring:
 
     def test_plan_permutes_operand(self, matrix):
         counters.reset()
-        plan = TuningPlan("degree", 512, "coo", "2x4")
+        plan = TuningPlan("degree", 512, "2x4")
         rt = CoSparseRuntime(matrix, geometry="2x4", plan=plan)
         assert counters.tuning_plans_applied == 1
         perm, inv = rt.vertex_perm, rt.vertex_inverse
@@ -277,7 +318,7 @@ class TestRuntimeWiring:
         assert counters.tuning_plans_applied == 1
 
     def test_explicit_plan_skips_autotune(self, matrix, tune_cache):
-        plan = TuningPlan("identity", 512, "coo", "2x4")
+        plan = TuningPlan("identity", 512, "2x4")
         CoSparseRuntime(matrix, geometry="2x4", plan=plan, auto_tune=True)
         assert counters.tuning_runs == 0
 
@@ -302,7 +343,7 @@ class TestVertexMap:
     def test_round_trip(self, matrix):
         from repro.graphs.common import VertexMap
 
-        plan = TuningPlan("rcm", 512, "coo", "2x4")
+        plan = TuningPlan("rcm", 512, "2x4")
         rt = CoSparseRuntime(matrix, geometry="2x4", plan=plan)
         vm = VertexMap(rt)
         assert not vm.identity
