@@ -243,10 +243,11 @@ R8_MUTATING_CONTAINER_METHODS = frozenset(
 #: Module-level memo dicts task functions may legitimately fill: pure
 #: caches of deterministically reconstructible values (worker-side
 #: semiring/system/partition memos, the shm attachment cache, the
-#: workload cache's prepared operands).
+#: workload cache's prepared operands, the seeded pricing frontiers —
+#: ``random_frontier`` is a pure function of ``(n, density, seed)``).
 R8_MEMO_GLOBALS = frozenset(
     {"_semirings", "_systems", "_partitions", "_attached",
-     "_shard_runtimes", "_prepared"}
+     "_shard_runtimes", "_prepared", "_frontiers"}
 )
 
 #: Dotted module prefixes whose state is observability/metering, not

@@ -287,6 +287,8 @@ class ShardedRuntime:
         self._iteration = 0
         self._announced = None
         self._token = f"shard-run-{next(_token_counter)}"
+        #: A fully active frontier's traffic matrix (see :meth:`_exchange`).
+        self._full_traffic: Optional[np.ndarray] = None
         self._runtimes: Optional[List[CoSparseRuntime]] = None
         self._scheduler: Optional[SweepScheduler] = None
         if self.jobs > 1 and nodes > 1:
@@ -499,13 +501,30 @@ class ShardedRuntime:
     def _exchange(self, frontier, semiring: Semiring) -> ExchangeReport:
         """Price this frontier's owner-to-consumer traffic.
 
+        A fully active frontier (every vertex active, as PageRank's
+        always is) moves the same entries every time, so its traffic
+        matrix is counted once per runtime and reused.  The topology
+        still prices, and charges its per-link counters, on every call.
+        """
+        idx = self._active_indices(frontier, semiring)
+        if idx.size < self.n:
+            traffic = self._traffic(idx)
+        else:
+            # Active indices are distinct, so this many are all of them.
+            if self._full_traffic is None:
+                self._full_traffic = self._traffic(idx)
+            traffic = self._full_traffic
+        return self.topology.exchange(traffic * ENTRY_BYTES)
+
+    def _traffic(self, idx: np.ndarray) -> np.ndarray:
+        """Entries each shard sends each other shard for active ``idx``.
+
         Every active vertex lives on the shard owning its row; each
         consumer shard ``q`` needs exactly the active vertices its
         column mask references.  ``traffic[p, q]`` counts shard-``p``
         -owned active vertices shard ``q`` consumes; the diagonal
         (node-local data) never touches the wire.
         """
-        idx = self._active_indices(frontier, semiring)
         traffic = np.zeros((self.nodes, self.nodes), dtype=np.int64)
         if idx.size:
             for q, shard in enumerate(self.shards):
@@ -515,7 +534,7 @@ class ShardedRuntime:
                 owner = np.searchsorted(self.bounds, need, side="right") - 1
                 traffic[:, q] += np.bincount(owner, minlength=self.nodes)
         np.fill_diagonal(traffic, 0)
-        return self.topology.exchange(traffic * ENTRY_BYTES)
+        return traffic
 
     # ------------------------------------------------------------------
     # Shard execution: serial and pooled

@@ -72,7 +72,9 @@ class SpMVOperand:
     "Two copies of the input compressed sparse matrix (in COO and CSC
     formats, respectively) are stored in main memory to avoid matrix
     conversion overhead" — the operand is built once and reused across
-    every iteration of a graph algorithm.
+    every iteration of a graph algorithm.  So is what a fully active IP
+    column costs beyond its arithmetic: :attr:`ip_memo` holds its per-PE
+    counts, touched mask and profile per schedule (docs/model.md §6k).
     """
 
     def __init__(self, coo: COOMatrix, csc: Optional[CSCMatrix] = None):
@@ -82,6 +84,10 @@ class SpMVOperand:
         self.csc = CSCMatrix.from_coo(coo) if csc is None else csc
         self.info = MatrixInfo.of(coo)
         self._partitions = {}
+        #: The IP kernel's fully-active-column memo: one entry per
+        #: (cached partition, mode, vblock width, balance, value words,
+        #: combine flops).
+        self.ip_memo: dict = {}
 
     @classmethod
     def from_any(cls, matrix) -> "SpMVOperand":
@@ -309,7 +315,8 @@ class CoSparseRuntime:
             vec, cost = self._convert("dense", frontier, semiring)
             result = inner_product(
                 self.operand.coo, vec, semiring, self.geometry,
-                vblock_width=self._vblock_width, **kw,
+                vblock_width=self._vblock_width, memo=self.operand.ip_memo,
+                **kw,
             )
         else:
             sv, cost = self._convert("sparse", frontier, semiring)

@@ -24,7 +24,6 @@ from ..workloads import (
     TABLE3_GRAPHS,
     cached_matrix,
     chung_lu,
-    load_graph,
     uniform_random,
 )
 
@@ -176,7 +175,7 @@ def table3_graph(name: str, scale: int = 16, seed: int = 42) -> Graph:
     n = max(spec.vertices // scale, 64)
 
     def build() -> COOMatrix:
-        return load_graph(name, scale=scale, seed=seed).adjacency
+        return spec.adjacency(scale=scale, seed=seed)
 
     coo = cached_matrix(cache_dir(), f"t3_{name}_{n}_{seed}", build)
     label = name if scale == 1 else f"{name}@1/{scale}"

@@ -56,6 +56,7 @@ def pagerank_norm_semiring(
         combine_flops=base.combine_flops,
         spec={"kind": "pagerank_norm", "alpha": float(alpha), "n": int(n)},
         spec_arrays={"degrees": np.asarray(degrees, dtype=np.float64)},
+        prescale=base.prescale,
     )
 
 

@@ -231,6 +231,24 @@ class KernelProfile:
         )
 
     # ------------------------------------------------------------------
+    def freeze(self) -> "KernelProfile":
+        """Make every column read-only and return the profile.
+
+        A frozen profile is shared by every call that would build the
+        same one (a fully active IP column, docs/model.md §6k), so no
+        caller may write to it; its price cannot change either, which
+        lets :class:`~repro.hardware.system.TransmuterSystem` reuse it.
+        """
+        for _axes, columns in _COLUMNS:
+            for name in columns:
+                getattr(self, name).flags.writeable = False
+        return self
+
+    @property
+    def frozen(self) -> bool:
+        """Whether :meth:`freeze` has made the columns read-only."""
+        return not self.count.flags.writeable
+
     @property
     def n_tiles(self) -> int:
         return self.count.shape[0]

@@ -9,7 +9,8 @@ and dispatches profiles to the right fidelity backend.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from dataclasses import replace
+from typing import Dict, Optional, Tuple, Union
 
 from ..errors import ConfigurationError, SimulationError
 from .analytic import AnalyticModel
@@ -63,6 +64,9 @@ class TransmuterSystem:
         self.current_mode: Optional[HWMode] = None
         self.reconfigurations = 0
         self.reconfiguration_cycles = 0.0
+        #: id(frozen profile) -> (that profile, its analytic report before
+        #: reconfiguration and energy).  Holding the profile pins its id.
+        self._priced: Dict[int, Tuple[KernelProfile, RunReport]] = {}
 
     # ------------------------------------------------------------------
     def configure(self, mode: HWMode) -> float:
@@ -81,6 +85,33 @@ class TransmuterSystem:
         return self.params.reconfig_cycles
 
     # ------------------------------------------------------------------
+    def _evaluate_analytic(self, profile: KernelProfile) -> RunReport:
+        """The analytic report of ``profile``, priced once per frozen profile.
+
+        A frozen profile (:meth:`KernelProfile.freeze`) cannot change, so
+        pricing it again would reproduce the stored report: each call
+        gets a field-by-field copy of it instead, which the caller may
+        then charge reconfiguration and energy on.  Any other profile,
+        and any profile under ``auto`` fidelity, is priced afresh.
+        """
+        if not (profile.frozen and self.fidelity == "analytic"):
+            return self._analytic.evaluate(profile)
+        hit = self._priced.get(id(profile))
+        if hit is None:
+            hit = self._priced[id(profile)] = (
+                profile, self._analytic.evaluate(profile)
+            )
+        report = hit[1]
+        return replace(
+            report,
+            counters=replace(report.counters),
+            tile_reports=[
+                replace(t, pe_cycles=list(t.pe_cycles))
+                for t in report.tile_reports
+            ],
+            detail=dict(report.detail),
+        )
+
     def run(self, profile: KernelProfile, with_energy: bool = True) -> RunReport:
         """Price one kernel invocation, reconfiguring first if needed."""
         reconfig = self.configure(profile.mode)
@@ -89,7 +120,7 @@ class TransmuterSystem:
         elif self.fidelity == "auto" and profile.has_traces():
             report = self._trace.evaluate(profile)
         else:
-            report = self._analytic.evaluate(profile)
+            report = self._evaluate_analytic(profile)
         report.cycles += reconfig
         report.reconfig_cycles = reconfig
         if with_energy:
@@ -107,7 +138,7 @@ class TransmuterSystem:
         ):
             report = self._trace.evaluate(profile)
         else:
-            report = self._analytic.evaluate(profile)
+            report = self._evaluate_analytic(profile)
         self.energy_model.attach(report)
         return report
 

@@ -16,7 +16,10 @@ hot path, so the expensive invariants are cached per process:
 * :func:`system_for` — one :class:`~repro.hardware.TransmuterSystem`
   per ``(geometry, params)``;
 * :func:`partition_for` — one static partition per
-  ``(matrix token, geometry, balanced)``, read by IP and OP tasks alike.
+  ``(matrix token, geometry, balanced)``, read by IP and OP tasks alike;
+* :func:`seeded_frontier` — one read-only seeded frontier per
+  ``(n, density, seed)``: a grid point's IP and OP tasks share one
+  spec, and so do the points of every geometry a matrix is priced on.
 
 The memos live at module scope: pool workers are forked with the module
 already imported, and the ``REPRO_JOBS=1`` serial path shares the very
@@ -57,6 +60,7 @@ __all__ = [
     "semiring_for",
     "system_for",
     "partition_for",
+    "seeded_frontier",
     "coo_arrays",
     "csc_arrays",
     "price_config",
@@ -152,6 +156,12 @@ _systems: Dict[Tuple, TransmuterSystem] = {}
 #: token-keyed partition memo: (token, tiles, pes, balanced) -> partition
 _partitions: Dict[Tuple, object] = {}
 
+#: (n, density, seed) -> read-only seeded frontier, oldest first.
+_frontiers: Dict[Tuple[int, float, int], SparseVector] = {}
+#: Stored frontier entries the memo keeps at most (16 bytes each, so
+#: 16 MiB) beyond its newest frontier.
+_FRONTIER_MEMO_ENTRIES = 1 << 20
+
 _SEMIRING_BUILDERS = {"spmv": spmv_semiring, "sssp": sssp_semiring}
 
 
@@ -211,6 +221,32 @@ def partition_for(
     return part
 
 
+def seeded_frontier(n: int, density: float, seed: int) -> SparseVector:
+    """``random_frontier(n, density, seed=seed)``, built once per process.
+
+    The frontier is shared by every task that names the same spec, so
+    its arrays are read-only.  The memo drops its oldest frontiers once
+    they hold more than :data:`_FRONTIER_MEMO_ENTRIES` entries.  Every
+    step is one dict operation: threads racing on one spec build equal
+    frontiers twice, and racing evictions drop an entry at most early.
+    """
+    key = (n, density, seed)
+    frontier = _frontiers.get(key)
+    if frontier is None:
+        frontier = random_frontier(n, density, seed=seed)
+        frontier.indices.flags.writeable = False
+        frontier.values.flags.writeable = False
+        _frontiers[key] = frontier
+        held = list(_frontiers.items())
+        excess = sum(f.nnz for _k, f in held) - frontier.nnz
+        for old_key, old in held[:-1]:
+            if excess <= _FRONTIER_MEMO_ENTRIES:
+                break
+            _frontiers.pop(old_key, None)
+            excess -= old.nnz
+    return frontier
+
+
 # ----------------------------------------------------------------------
 # Array (de)construction helpers shared with the drivers
 # ----------------------------------------------------------------------
@@ -264,8 +300,8 @@ def _frontier_from(
     """
     spec = payload["frontier"]
     if "seed" in spec:
-        return random_frontier(
-            int(spec["n"]), float(spec["density"]), seed=int(spec["seed"])
+        return seeded_frontier(
+            int(spec["n"]), float(spec["density"]), int(spec["seed"])
         )
     return SparseVector(
         int(spec["n"]), arrays["frontier_idx"], arrays["frontier_vals"]

@@ -69,6 +69,7 @@ def inner_product(
     with_trace: bool = False,
     profile_only: bool = False,
     vblock_width: Optional[int] = None,
+    memo: Optional[dict] = None,
 ) -> SpMVResult:
     """Run one IP SpMV: ``out = reduce(combine(A[i,j], v[j]))`` over rows.
 
@@ -107,6 +108,13 @@ def inner_product(
         blocking choice).  Clamped to the SPM-fit width so SCS pinning
         stays feasible; affects only the modelled profile, never the
         functional values.
+    memo:
+        The matrix's fully-active-column memo (``SpMVOperand.ip_memo``),
+        used together with a caller-held ``partition``: a frontier with
+        no ``absent`` entry then reuses the per-PE counts, ``touched``
+        mask and frozen profile built on the first such call
+        (docs/model.md §6k).  Without a memo, without a partition or
+        with ``with_trace`` every call computes them.
     """
     vw = semiring.value_words
     schedule = _ip_schedule(
@@ -127,9 +135,13 @@ def inner_product(
         )
     if with_trace and vw != 1:
         raise ConfigurationError("trace generation supports scalar semirings only")
+    if with_trace or partition is None:
+        # Traces need the per-entry mask; a partition built per call
+        # would key a new entry on every call.
+        memo = None
     return _ip_column(
         matrix, schedule, v, semiring, current, profile_only, with_trace,
-        "inner_product/active",
+        "inner_product/active", memo,
     )
 
 
@@ -202,6 +214,7 @@ def _ip_column(
     profile_only: bool,
     with_trace: bool,
     label: str,
+    memo: Optional[dict] = None,
 ) -> SpMVResult:
     """Run one validated dense frontier column through ``schedule``.
 
@@ -211,10 +224,16 @@ def _ip_column(
     compacted by one index of its active entries, which every array
     takes; a fully active one streams the stored arrays and builds no
     index.  Beyond the activity test over all entries, the accounting
-    costs O(active entries) plus O(P log nnz).
+    costs O(active entries) plus O(P log nnz).  Given a ``memo``, a
+    frontier with no ``absent`` entry (an O(n) test) skips the activity
+    test and the accounting: :func:`_full_column` holds both.
     """
     rows, cols, vals = matrix.to_arrays()
-    active = v[cols] != semiring.absent if v.ndim == 1 else None
+    full = None
+    if memo is not None and (v.ndim != 1 or not (v == semiring.absent).any()):
+        full = _full_column(matrix, schedule, semiring, memo, label)
+    scalar = v.ndim == 1 and full is None
+    active = v[cols] != semiring.absent if scalar else None
     n_active = matrix.nnz if active is None else int(np.count_nonzero(active))
     idx = np.flatnonzero(active) if n_active < matrix.nnz else None
     a_rows = rows if idx is None else rows.take(idx)
@@ -232,16 +251,26 @@ def _ip_column(
             if current is None:
                 raise ShapeError(f"semiring {semiring.name} needs current dst values")
             v_dst = np.asarray(current, dtype=np.float64)[a_rows]
-        contrib = semiring.combine(a_vals, v[a_cols], v_dst, a_cols, a_rows)
+        if full is not None and semiring.prescale is not None:
+            contrib = semiring.prescale(v)[a_cols]
+        else:
+            contrib = semiring.combine(a_vals, v[a_cols], v_dst, a_cols, a_rows)
         semiring.scatter(out, a_rows, contrib)
-        touched = np.zeros(matrix.n_rows, dtype=bool)
-        touched[a_rows] = True
+        if full is not None:
+            touched = full.touched
+        else:
+            touched = np.zeros(matrix.n_rows, dtype=bool)
+            touched[a_rows] = True
         prev = (
             np.asarray(current, dtype=np.float64)
             if current is not None
             else semiring.init_output(matrix.n_rows, None)
         )
         out = semiring.apply_vector_op(out, prev)
+    if full is not None:
+        return SpMVResult(
+            values=out, touched=touched, profile=full.profile, semiring=semiring
+        )
 
     active_edges = np.searchsorted(a_rows, schedule.pe_rows)
     act_pe = np.diff(active_edges)
@@ -262,6 +291,65 @@ def _ip_column(
         matrix, semiring, schedule, act_pe, out_pe, n_active, trace_builder
     )
     return SpMVResult(values=out, touched=touched, profile=profile, semiring=semiring)
+
+
+class _FullColumn(NamedTuple):
+    """The frontier-independent half of a fully active IP column.
+
+    Every entry is active, so the per-PE active and first-touch counts,
+    the rows touched and the profile depend only on the operand and the
+    schedule.  All arrays are read-only: each call shares them.
+    """
+
+    #: The schedule's partition, pinning the ``id`` in the memo key.
+    partition: IPPartition
+    act_pe: np.ndarray
+    out_pe: np.ndarray
+    #: Rows with at least one entry.
+    touched: np.ndarray
+    profile: KernelProfile
+
+
+def _full_column(
+    matrix: COOMatrix,
+    schedule: _IPSchedule,
+    semiring: Semiring,
+    memo: dict,
+    label: str,
+) -> _FullColumn:
+    """Look up, or build once, the fully active accounting in ``memo``.
+
+    The key covers everything :func:`_build_ip_profile` reads beyond
+    the operand: the partition (by identity: the operand caches it),
+    the HW mode, the vblock width, the balance flag, ``value_words``
+    and ``combine_flops``.  The entry is what :func:`_ip_column`
+    computes when every entry is active, so results are bit-identical.
+    The sanitizer checks the entry when it is built and, when active,
+    re-checks its per-PE arrays (O(P)) on every hit.
+    """
+    key = (
+        id(schedule.partition), schedule.hw_mode, schedule.width,
+        schedule.balanced, semiring.value_words, semiring.combine_flops,
+    )
+    entry = memo.get(key)
+    if entry is None or entry.partition is not schedule.partition:
+        rows, cols = matrix.rows, matrix.cols
+        act_pe = np.diff(schedule.pe_entries)
+        out_pe = _ip_first_touches(rows, cols, schedule.pe_entries, schedule)
+        touched = np.zeros(matrix.n_rows, dtype=bool)
+        touched[rows] = True
+        profile = _build_ip_profile(
+            matrix, semiring, schedule, act_pe, out_pe, matrix.nnz
+        ).freeze()
+        for arr in (act_pe, out_pe, touched):
+            arr.flags.writeable = False
+        entry = memo[key] = _FullColumn(
+            schedule.partition, act_pe, out_pe, touched, profile
+        )
+    san = sanitize.active()
+    san.check_histogram(label, entry.act_pe, matrix.nnz)
+    san.check_at_most(f"{label}/first_touches", entry.out_pe, entry.act_pe)
+    return entry
 
 
 def _ip_first_touches(

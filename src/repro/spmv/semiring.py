@@ -40,6 +40,8 @@ __all__ = [
 CombineFn = Callable[..., np.ndarray]
 #: Signature: vector_op(updated_values, previous_values) -> new values
 VectorOpFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
+#: Signature: prescale(frontier) -> one contribution per source vertex
+PrescaleFn = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -86,6 +88,15 @@ class Semiring:
     spec_arrays:
         Arrays the recipe closes over (e.g. PageRank's per-source
         out-degrees), shipped inline with every shard task.
+    prescale:
+        Optional per-vertex form of ``combine``, for semirings whose
+        contribution depends on the source vertex alone (not on the
+        edge value or the destination): ``prescale(v)[src]`` must equal
+        ``combine(a, v[src], None, src, dst)`` bit for bit.  PageRank's
+        ``V[src] / deg(src)`` divides once per vertex this way, where
+        ``combine`` divides once per edge.  The IP kernel uses it on
+        fully active frontiers (docs/model.md §6k); every other path
+        calls ``combine``.
     """
 
     name: str
@@ -100,6 +111,7 @@ class Semiring:
     absent: float = 0.0
     spec: Optional[dict] = None
     spec_arrays: Optional[dict] = None
+    prescale: Optional[PrescaleFn] = None
 
     # ------------------------------------------------------------------
     def init_output(self, n_rows: int, current: Optional[np.ndarray]) -> np.ndarray:
@@ -197,6 +209,11 @@ def pagerank_semiring(degrees: np.ndarray, alpha: float = 0.15) -> Semiring:
     def combine(a, v_src, v_dst, src_idx, dst_idx):
         return v_src / safe[src_idx]
 
+    def prescale(v):
+        # The same IEEE division on the same operands as combine's,
+        # once per vertex instead of once per edge.
+        return v / safe
+
     def vector_op(updated, previous):
         return alpha + (1.0 - alpha) * updated
 
@@ -204,6 +221,7 @@ def pagerank_semiring(degrees: np.ndarray, alpha: float = 0.15) -> Semiring:
         "PR", combine, np.add, 0.0, vector_op=vector_op, combine_flops=3,
         spec={"kind": "pagerank", "alpha": float(alpha)},
         spec_arrays={"degrees": degrees},
+        prescale=prescale,
     )
 
 

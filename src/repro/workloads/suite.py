@@ -54,8 +54,12 @@ class GraphSpec:
         """Edges per vertex — preserved under scaling."""
         return self.edges / self.vertices
 
-    def generate(self, scale: int = 16, seed: int = 42) -> Graph:
-        """Synthesise the stand-in graph at ``1/scale`` size."""
+    def adjacency(self, scale: int = 16, seed: int = 42) -> COOMatrix:
+        """The stand-in graph's adjacency at ``1/scale`` size.
+
+        :meth:`generate` wraps it in a :class:`Graph`; the workload
+        cache stores it as is, so a cold cache builds no graph.
+        """
         if scale < 1:
             raise WorkloadError("scale must be >= 1")
         n = max(self.vertices // scale, 64)
@@ -77,6 +81,11 @@ class GraphSpec:
             dst = np.concatenate([coo.cols, coo.rows])
             vals = np.concatenate([coo.vals, coo.vals])
             coo = COOMatrix(n, n, src, dst, vals).sum_duplicates()
+        return coo
+
+    def generate(self, scale: int = 16, seed: int = 42) -> Graph:
+        """Synthesise the stand-in graph at ``1/scale`` size."""
+        coo = self.adjacency(scale, seed)
         label = self.name if scale == 1 else f"{self.name}@1/{scale}"
         return Graph(coo, name=label)
 

@@ -23,13 +23,19 @@ __all__ = ["uniform_random", "chung_lu", "rmat", "power_law_degrees"]
 
 def _finalize(n_rows, n_cols, rows, cols, vals, remove_self_loops):
     """Drop self-loops and duplicate coordinates (keeping one value each
-    — a doubly sampled edge exists once, its weight is not doubled)."""
+    — a doubly sampled edge exists once, its weight is not doubled).
+
+    ``np.unique`` returns the ``row * n_cols + col`` keys ascending, which
+    is row-major order already, so the matrix skips its own sort.
+    """
     if remove_self_loops and n_rows == n_cols:
         keep = rows != cols
         rows, cols, vals = rows[keep], cols[keep], vals[keep]
     keys = rows.astype(np.int64) * n_cols + cols
     _uniq, first = np.unique(keys, return_index=True)
-    return COOMatrix(n_rows, n_cols, rows[first], cols[first], vals[first])
+    return COOMatrix(
+        n_rows, n_cols, rows[first], cols[first], vals[first], sort=False
+    )
 
 
 def _values(rng, count, weighted):

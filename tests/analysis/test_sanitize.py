@@ -12,8 +12,18 @@ from repro.core import CoSparseRuntime, SpMVOperand
 from repro.errors import SimulationError
 from repro.formats import COOMatrix, CSCMatrix, SparseVector
 from repro.hardware import Geometry, HWMode
+from repro.obs.flight import read_dump
 from repro.spmv import bfs_semiring, inner_product, outer_product, spmv_semiring
 from repro.workloads import random_frontier
+
+
+@pytest.fixture(autouse=True)
+def cache_dir(monkeypatch, tmp_path):
+    """Every provoked violation dumps the flight ring under
+    ``REPRO_CACHE_DIR/flight``: keep those dumps in the test's own
+    directory, out of the developer's cache."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    return tmp_path
 
 
 def _counters(**over):
@@ -65,6 +75,16 @@ class TestEnablement:
             live.check_report("x", _report(cycles=-1.0))
             live.check_at_most("x", np.array([5]), np.array([1]))
             live.check_marked("x", np.array([5]), np.array([True]))
+
+
+class TestFlightDump:
+    def test_violation_dump_lands_in_the_test_cache(self, cache_dir):
+        with pytest.raises(SimulationError):
+            sanitize.Sanitizer().check("unit/dump", False, "boom")
+        (dump,) = (cache_dir / "flight").iterdir()
+        header = read_dump(str(dump))[0]
+        assert header["type"] == "flight_header"
+        assert header["reason"] == "sanitizer:unit/dump"
 
 
 class TestChecks:

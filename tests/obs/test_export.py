@@ -182,7 +182,9 @@ class TestBatchAudit:
 
 
 class TestSanitizerEvents:
-    def test_violation_emits_event_before_raise(self):
+    def test_violation_emits_event_before_raise(self, monkeypatch, tmp_path):
+        # The violation also dumps the flight ring: into tmp_path.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         tracer = Tracer()
         with override(tracer):
             with pytest.raises(SimulationError, match=r"\[sanitizer\]"):

@@ -1,5 +1,7 @@
 """Table III suite and figure-matrix suite tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,46 @@ class TestGeneration:
     def test_extreme_scale_capped(self):
         g = load_graph("vsp", scale=1024, seed=5)
         assert g.n_edges <= g.n_vertices**2
+
+
+#: SHA-256 (first 32 hex digits) of each stand-in's rows, cols and vals
+#: (dtype name, then bytes, per array) at seed 42, recorded before
+#: ``GraphSpec.adjacency`` and the sort-free ``_finalize`` existed.
+_ADJACENCY_DIGESTS = {
+    ("livejournal", 256): "6a42d85e99c66e9f176cbb28e86cc118",
+    ("pokec", 256): "7ff88ffb8ed5dbae520bff3ddc9e8404",
+    ("youtube", 256): "b75a3574c858b1cfe55b78f9fbfae2dc",
+    ("twitter", 256): "2e7dd9d387c42c97ca53db0c7f121999",
+    ("vsp", 256): "2e599e0dfb57e099b27ebbe36a67e62c",
+    ("livejournal", 1024): "9c89d295eeabb22425fa8fe9224dd2dc",
+    ("pokec", 1024): "8fa3b1392bc7bcf19648e161c5463db8",
+    ("youtube", 1024): "6ce8109abae83fa641967d8ffc20be7f",
+    ("twitter", 1024): "f772bceb256a905d4f68e1446265d032",
+    ("vsp", 1024): "b52ca68cb34ab0136c07163ccbf87ee8",
+}
+
+
+class TestAdjacency:
+    @pytest.mark.parametrize("name,scale", sorted(_ADJACENCY_DIGESTS))
+    def test_matches_the_recorded_arrays(self, name, scale):
+        adj = TABLE3_GRAPHS[name].adjacency(scale=scale)
+        h = hashlib.sha256()
+        for arr in adj.to_arrays():
+            h.update(str(arr.dtype).encode())
+            h.update(arr.tobytes())
+        assert h.hexdigest()[:32] == _ADJACENCY_DIGESTS[name, scale]
+
+    def test_generate_wraps_it(self):
+        spec = TABLE3_GRAPHS["twitter"]
+        adj = spec.adjacency(scale=256, seed=3)
+        g = spec.generate(scale=256, seed=3)
+        assert g.name == "twitter@1/256"
+        for a, b in zip(g.adjacency.to_arrays(), adj.to_arrays()):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_bad_scale_rejected(self):
+        with pytest.raises(WorkloadError):
+            TABLE3_GRAPHS["pokec"].adjacency(scale=0)
 
 
 class TestFigureSuites:

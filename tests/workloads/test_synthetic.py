@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import WorkloadError
+from repro.formats import COOMatrix
 from repro.workloads import chung_lu, power_law_degrees, rmat, uniform_random
+from repro.workloads.synthetic import _finalize
 
 
 class TestUniform:
@@ -125,3 +127,26 @@ class TestRMAT:
 
     def test_reproducible(self):
         assert rmat(6, seed=11).allclose(rmat(6, seed=11))
+
+
+class TestFinalize:
+    @given(
+        st.integers(1, 40),
+        st.integers(1, 40),
+        st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=200),
+        st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_skipped_sort_equals_the_sorted_build(
+        self, n_rows, n_cols, coords, remove_self_loops
+    ):
+        # Duplicates and self-loops included; values mark each draw so a
+        # wrong survivor among duplicates shows.
+        rows = np.array([r % n_rows for r, _ in coords], dtype=np.int64)
+        cols = np.array([c % n_cols for _, c in coords], dtype=np.int64)
+        vals = np.arange(len(coords), dtype=np.float64)
+        got = _finalize(n_rows, n_cols, rows, cols, vals, remove_self_loops)
+        want = COOMatrix(n_rows, n_cols, got.rows, got.cols, got.vals)
+        for a, b in zip(got.to_arrays(), want.to_arrays()):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
