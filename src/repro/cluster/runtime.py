@@ -251,8 +251,9 @@ class ShardedRuntime:
                 "mutates thresholds online and would drift from the "
                 "single-node trajectory)"
             )
+        csc = None
         if isinstance(matrix, SpMVOperand):
-            coo = matrix.coo
+            coo, csc = matrix.coo, matrix.csc
         elif isinstance(matrix, COOMatrix):
             coo = matrix
         else:
@@ -280,7 +281,7 @@ class ShardedRuntime:
         self.partition = partition
         self.n = coo.n_rows
         self.bounds = shard_bounds(coo, nodes, partition)
-        self.shards = build_shards(coo, self.bounds)
+        self.shards = build_shards(coo, self.bounds, csc)
         self.topology = topology_for(topology, nodes, link)
         self.log = ClusterLog(clock_hz=params.clock_hz)
         self.jobs = resolve_jobs(jobs)

@@ -79,8 +79,8 @@ class SpMVOperand:
 
     def __init__(self, coo: COOMatrix, csc: Optional[CSCMatrix] = None):
         self.coo = coo
-        # Shard builders (repro.cluster) pass a pre-built CSC so K shard
-        # operands don't re-sort what the coordinator already converted.
+        # Graphs and shard builders (repro.cluster) pass a CSC derived
+        # from arrays already in order, so nothing is sorted again.
         self.csc = CSCMatrix.from_coo(coo) if csc is None else csc
         self.info = MatrixInfo.of(coo)
         self._partitions = {}

@@ -170,13 +170,18 @@ def fig7_matrix(index: int, scale: int = 1, seed: int = 2) -> COOMatrix:
 
 
 def table3_graph(name: str, scale: int = 16, seed: int = 42) -> Graph:
-    """Cached Table III stand-in graph."""
+    """Cached Table III stand-in graph.
+
+    The cache key names the generator's inputs, ``(name, vertices,
+    edges, seed)``: scales whose vertex counts floor alike differ in
+    edges.
+    """
     spec = TABLE3_GRAPHS[name]
-    n = max(spec.vertices // scale, 64)
+    n, e = spec.size(scale)
 
     def build() -> COOMatrix:
         return spec.adjacency(scale=scale, seed=seed)
 
-    coo = cached_matrix(cache_dir(), f"t3_{name}_{n}_{seed}", build)
+    coo = cached_matrix(cache_dir(), f"t3_{name}_{n}_{e}_{seed}", build)
     label = name if scale == 1 else f"{name}@1/{scale}"
     return Graph(coo, name=label)

@@ -21,6 +21,7 @@ from typing import Iterator, Tuple
 import numpy as np
 
 from ..errors import FormatError, ShapeError
+from .order import lex_groups, lex_order
 
 __all__ = ["COOMatrix"]
 
@@ -72,7 +73,7 @@ class COOMatrix:
             if len(cols) and (cols.min() < 0 or cols.max() >= n_cols):
                 raise FormatError("column index out of range")
         if sort and len(rows):
-            order = np.lexsort((cols, rows))
+            order = lex_order((cols, rows))
             rows, cols, vals = rows[order], cols[order], vals[order]
         self.n_rows = int(n_rows)
         self.n_cols = int(n_cols)
@@ -152,13 +153,16 @@ class COOMatrix:
         """Fold duplicate coordinates additively into a canonical matrix."""
         if not self.nnz:
             return self
-        keys = self.rows * self.n_cols + self.cols
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        vals = np.zeros(len(uniq))
+        order, starts = lex_groups((self.cols, self.rows))
+        inverse = np.empty(self.nnz, dtype=np.int64)
+        inverse[order] = np.cumsum(starts) - 1
+        first = order[starts]
+        vals = np.zeros(len(first))
         np.add.at(vals, inverse, self.vals)
-        rows = uniq // self.n_cols
-        cols = uniq % self.n_cols
-        return COOMatrix(self.n_rows, self.n_cols, rows, cols, vals, sort=False)
+        return COOMatrix(
+            self.n_rows, self.n_cols, self.rows[first], self.cols[first], vals,
+            sort=False,
+        )
 
     def transpose(self) -> "COOMatrix":
         """Return the transposed matrix (re-sorted into row-major order).

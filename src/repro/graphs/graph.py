@@ -5,7 +5,8 @@ stored transposed — rows are destinations, columns are sources — so the
 inner product pulls over destination rows while the outer product pushes
 the sparse frontier's source columns.  Both kernel formats of ``G.T`` are
 built once (:class:`~repro.core.runtime.SpMVOperand`) and shared by every
-iteration and every algorithm.
+iteration and every algorithm: the COO by one stable ordering, the CSC
+read off the adjacency's own row-major arrays when they are in order.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from ..core.runtime import SpMVOperand
 from ..errors import AlgorithmError
-from ..formats import COOMatrix
+from ..formats import COOMatrix, CSCMatrix
 
 __all__ = ["Graph"]
 
@@ -40,7 +41,9 @@ class Graph:
         self.adjacency = adjacency
         self.name = name or "graph"
         #: ``G.T`` in both kernel formats (rows = dst, cols = src).
-        self.operand = SpMVOperand(adjacency.transpose())
+        self.operand = SpMVOperand(
+            adjacency.transpose(), CSCMatrix.of_transpose(adjacency)
+        )
         self._out_degrees: Optional[np.ndarray] = None
         self._in_degrees: Optional[np.ndarray] = None
 

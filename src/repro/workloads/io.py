@@ -7,8 +7,8 @@ multi-minute generation of the full-scale suites happens once.
 Prepared operands
 -----------------
 :func:`cached_matrix` also keeps each cache entry it hands out in a
-per-process memo, so a figure driver called again neither decompresses
-the entry again nor converts or hashes it again:
+per-process memo, so a figure driver called again neither reads the
+entry again nor converts or hashes it again:
 
 * the memo is keyed by the entry's absolute path, and every call checks
   the file's ``os.stat`` signature ``(st_dev, st_ino, st_size,
@@ -68,7 +68,7 @@ def atomic_write(path: str, suffix: str = ""):
     (last writer wins), on an exception it is removed.
 
     ``suffix`` forces the tmp name's extension when the writer appends
-    one itself (``np.savez_compressed`` adds ``.npz`` to bare names, so
+    one itself (``np.savez`` adds ``.npz`` to bare names, so
     the tmp name must already end in ``.npz`` for the rename to find
     the file the writer produced).
     """
@@ -124,31 +124,79 @@ def load_matrix_market(path: str) -> COOMatrix:
 def save_npz(path: str, matrix: COOMatrix) -> None:
     """Binary cache of a COO matrix (atomic: tmp file + rename).
 
+    The entry stores, uncompressed (``np.savez``; the zip CRC still
+    catches a truncated or altered file):
+
+    * ``shape``;
+    * ``indptr``: the row extents (int64), which replace the row of
+      every entry: a :class:`COOMatrix` keeps its rows non-decreasing;
+    * ``cols``: int32 when every column id fits, else int64;
+    * ``vals``: float32 when every value round-trips bit for bit
+      (``-0.0`` and NaN payloads included), else float64.
+
     Concurrent writers — e.g. parallel pricing workers warming the same
     workload — each write a private tmp file and race on the final
     ``os.replace``, so readers only ever see complete files.
     """
+    rows, cols, vals = matrix.rows, matrix.cols, matrix.vals
+    if len(rows) > 1 and (rows[1:] < rows[:-1]).any():
+        raise FormatError("a stored matrix needs non-decreasing rows")
+    if matrix.n_cols <= 2**31:
+        cols = cols.astype(np.int32)
+    with np.errstate(over="ignore"):
+        narrow = vals.astype(np.float32)
+    if np.array_equal(narrow.astype(np.float64).view(np.int64), vals.view(np.int64)):
+        vals = narrow
     with atomic_write(path, suffix=".npz") as tmp:
-        np.savez_compressed(
+        np.savez(
             tmp,
             shape=np.asarray(matrix.shape, dtype=np.int64),
-            rows=matrix.rows,
-            cols=matrix.cols,
-            vals=matrix.vals,
+            indptr=matrix.row_extents(),
+            cols=cols,
+            vals=vals,
         )
+
+
+#: Serialises :func:`load_npz`'s reads.  numpy parses each member's
+#: header with ``ast.literal_eval``, and on CPython 3.11 two threads
+#: building ASTs at once can fail with ``SystemError: AST constructor
+#: recursion depth mismatch`` when the garbage collector runs a
+#: finalizer in the middle of one.
+_read_lock = threading.Lock()
 
 
 def load_npz(path: str) -> COOMatrix:
-    """Load a matrix written by :func:`save_npz` (no re-validation)."""
+    """Load a matrix written by :func:`save_npz`.
+
+    The matrix comes back with int64 indices and float64 values.  An
+    entry whose row extents do not start at 0, decrease, or do not end
+    at its entry count raises ``ValueError``.  Entries written before
+    the row-extent layout (``rows`` in place of ``indptr``, deflated)
+    still load.
+    """
     # The handle is opened here: ``np.load(path)`` leaves its own open
     # when the file starts like a zip but its directory is unreadable.
-    with open(path, "rb") as f:
+    with _read_lock, open(path, "rb") as f:
         z = np.load(f)
         n_rows, n_cols = (int(x) for x in z["shape"])
-        return COOMatrix(
-            n_rows, n_cols, z["rows"], z["cols"], z["vals"],
-            sort=False, check=False,
-        )
+        cols, vals = z["cols"], z["vals"]
+        if "indptr" not in z.files:  # written before the row-extent layout
+            return COOMatrix(
+                n_rows, n_cols, z["rows"], cols, vals, sort=False, check=False
+            )
+        indptr = z["indptr"]
+    counts = np.diff(indptr)
+    if (
+        n_rows < 0
+        or len(indptr) != n_rows + 1
+        or indptr[0] != 0
+        or indptr[-1] != len(cols)
+        or len(cols) != len(vals)
+        or (counts < 0).any()
+    ):
+        raise ValueError(f"{path}: row extents disagree with the entries")
+    rows = np.repeat(np.arange(n_rows, dtype=np.int64), counts)
+    return COOMatrix(n_rows, n_cols, rows, cols, vals, sort=False, check=False)
 
 
 def load_snap_edgelist(
@@ -238,10 +286,11 @@ _prepared_lock = threading.Lock()
 
 
 def _renew_lock() -> None:
-    # A child forked while another thread held the lock would inherit
-    # it locked forever.
-    global _prepared_lock
+    # A child forked while another thread held a lock would inherit it
+    # locked forever.
+    global _prepared_lock, _read_lock
     _prepared_lock = threading.Lock()
+    _read_lock = threading.Lock()
 
 
 os.register_at_fork(after_in_child=_renew_lock)

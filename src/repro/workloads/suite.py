@@ -54,11 +54,11 @@ class GraphSpec:
         """Edges per vertex — preserved under scaling."""
         return self.edges / self.vertices
 
-    def adjacency(self, scale: int = 16, seed: int = 42) -> COOMatrix:
-        """The stand-in graph's adjacency at ``1/scale`` size.
+    def size(self, scale: int = 16) -> Tuple[int, int]:
+        """``(vertices, sampled edges)`` of the stand-in at ``1/scale``.
 
-        :meth:`generate` wraps it in a :class:`Graph`; the workload
-        cache stores it as is, so a cold cache builds no graph.
+        Both floor (64 vertices, 4 edges per vertex), so several scales
+        can share a vertex count; the pair tells them apart.
         """
         if scale < 1:
             raise WorkloadError("scale must be >= 1")
@@ -66,7 +66,15 @@ class GraphSpec:
         e = max(self.edges // scale, 4 * n)
         # At extreme scales a dense spec (vsp) can exceed the shrunken
         # shape; cap so the sampler always has room.
-        e = min(e, n * n // 3)
+        return n, min(e, n * n // 3)
+
+    def adjacency(self, scale: int = 16, seed: int = 42) -> COOMatrix:
+        """The stand-in graph's adjacency at ``1/scale`` size.
+
+        :meth:`generate` wraps it in a :class:`Graph`; the workload
+        cache stores it as is, so a cold cache builds no graph.
+        """
+        n, e = self.size(scale)
         if self.kind == "social":
             coo = chung_lu(n, e, exponent=2.1, seed=seed, directed=True)
         else:

@@ -17,6 +17,7 @@ import numpy as np
 
 from ..errors import WorkloadError
 from ..formats import COOMatrix
+from ..formats.order import lex_groups
 
 __all__ = ["uniform_random", "chung_lu", "rmat", "power_law_degrees"]
 
@@ -25,14 +26,15 @@ def _finalize(n_rows, n_cols, rows, cols, vals, remove_self_loops):
     """Drop self-loops and duplicate coordinates (keeping one value each
     — a doubly sampled edge exists once, its weight is not doubled).
 
-    ``np.unique`` returns the ``row * n_cols + col`` keys ascending, which
-    is row-major order already, so the matrix skips its own sort.
+    Each coordinate keeps its first sampled entry, and the distinct
+    coordinates come out in row-major order, so the matrix skips its
+    own sort.
     """
     if remove_self_loops and n_rows == n_cols:
         keep = rows != cols
         rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    keys = rows.astype(np.int64) * n_cols + cols
-    _uniq, first = np.unique(keys, return_index=True)
+    order, starts = lex_groups((cols, rows))
+    first = order[starts]
     return COOMatrix(
         n_rows, n_cols, rows[first], cols[first], vals[first], sort=False
     )

@@ -3,13 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.cluster import Shard, build_shards, shard_bounds
+from repro.cluster import Shard, ShardedRuntime, build_shards, shard_bounds
 from repro.errors import ConfigurationError
+from repro.formats import COOMatrix
+from repro.graphs import Graph
+from repro.workloads.reorder import permute_matrix
 from repro.spmv import (
     commvol_row_bounds,
     cut_columns,
     equal_nnz_row_bounds,
 )
+
+from ..formats.reference_order import reference_csc
 
 
 class TestBuildShards:
@@ -47,6 +52,36 @@ class TestBuildShards:
             expected = np.zeros(powerlaw_coo.n_cols, dtype=bool)
             expected[s.coo.cols] = True
             assert np.array_equal(s.col_mask, expected)
+
+    @pytest.mark.parametrize("stable", [False, True], ids=["sorted", "stable-permuted"])
+    def test_formats_equal_the_sort_based_builds(self, powerlaw_coo, stable):
+        adj = powerlaw_coo
+        if stable:
+            perm = np.random.default_rng(3).permutation(adj.n_rows)
+            adj = permute_matrix(adj, perm, stable=True)
+        op = Graph(adj).operand
+        for nodes in (1, 3, 4):
+            for strategy in ("nnz", "commvol"):
+                bounds = shard_bounds(op.coo, nodes, strategy)
+                built = (
+                    build_shards(op.coo, bounds, op.csc),
+                    build_shards(op.coo, bounds),
+                    ShardedRuntime(op, nodes, "2x4", partition=strategy, jobs=1).shards,
+                )
+                for shards in built:
+                    for s in shards:
+                        e0, e1 = np.searchsorted(op.coo.rows, [s.lo, s.hi])
+                        want = (
+                            op.coo.rows[e0:e1] - s.lo,
+                            op.coo.cols[e0:e1],
+                            op.coo.vals[e0:e1],
+                        )
+                        local = COOMatrix(s.hi - s.lo, op.coo.n_cols, *want, sort=False)
+                        for got, ref in zip(
+                            s.coo.to_arrays() + (s.csc.indptr, s.csc.indices, s.csc.vals),
+                            want + reference_csc(local),
+                        ):
+                            assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
     def test_unknown_strategy_rejected(self, powerlaw_coo):
         with pytest.raises(ConfigurationError):

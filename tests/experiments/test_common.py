@@ -2,6 +2,7 @@
 
 import os
 
+import numpy as np
 import pytest
 
 from repro.experiments.common import (
@@ -13,7 +14,7 @@ from repro.experiments.common import (
 )
 from repro.formats import CSCMatrix
 from repro.hardware import Geometry, HWMode
-from repro.workloads import random_frontier
+from repro.workloads import TABLE3_GRAPHS, random_frontier
 
 
 @pytest.fixture(autouse=True)
@@ -41,6 +42,17 @@ class TestCaches:
         fig4_matrix(1, scale=64)
         files = os.listdir(os.environ["REPRO_CACHE_DIR"])
         assert any(f.startswith("fig4_u_") for f in files)
+
+    def test_scales_sharing_a_vertex_count_get_their_own_graphs(self):
+        # Both scales floor to 64 vertices but sample different edge
+        # counts, so one must not be handed the other's cache entry.
+        spec = TABLE3_GRAPHS["twitter"]
+        assert spec.size(4096)[0] == spec.size(2048)[0]
+        for scale in (4096, 2048):
+            got = table3_graph("twitter", scale=scale).adjacency
+            want = spec.adjacency(scale)
+            for a, b in zip(got.to_arrays(), want.to_arrays()):
+                assert np.array_equal(a, b)
 
 
 class TestRunConfig:

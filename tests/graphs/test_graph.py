@@ -6,6 +6,10 @@ import pytest
 from repro.errors import AlgorithmError
 from repro.formats import COOMatrix
 from repro.graphs import Graph
+from repro.workloads import cached_matrix
+from repro.workloads.reorder import permute_matrix
+
+from ..formats.reference_order import reference_csc, reference_transpose
 
 
 class TestConstruction:
@@ -73,3 +77,33 @@ class TestStructure:
     def test_density(self):
         g = Graph.from_edges(10, [0], [1])
         assert g.density == pytest.approx(0.01)
+
+
+def _adjacency(powerlaw_coo, layout, tmp_path):
+    if layout == "stable-permuted":
+        perm = np.random.default_rng(3).permutation(powerlaw_coo.n_rows)
+        return permute_matrix(powerlaw_coo, perm, stable=True)
+    if layout == "cached":
+        return cached_matrix(str(tmp_path), "g", lambda: powerlaw_coo)
+    return powerlaw_coo
+
+
+class TestOperand:
+    @pytest.mark.parametrize("layout", ["sorted", "stable-permuted", "cached"])
+    def test_equals_the_sort_based_build(self, powerlaw_coo, layout, tmp_path):
+        adj = _adjacency(powerlaw_coo, layout, tmp_path)
+        op = Graph(adj).operand
+        rows, cols, vals = reference_transpose(adj)
+        for got, want in zip(op.coo.to_arrays(), (rows, cols, vals)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        ref = reference_csc(COOMatrix(adj.n_cols, adj.n_rows, rows, cols, vals, sort=False))
+        for got, want in zip((op.csc.indptr, op.csc.indices, op.csc.vals), ref):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_writes_to_the_adjacency_leave_the_operand_alone(self, powerlaw_coo):
+        g = Graph(powerlaw_coo)
+        before = g.operand.csc.vals.copy(), g.operand.csc.indices.copy()
+        powerlaw_coo.vals[:] = -1.0
+        powerlaw_coo.cols[:] = 0
+        assert np.array_equal(g.operand.csc.vals, before[0])
+        assert np.array_equal(g.operand.csc.indices, before[1])

@@ -1,9 +1,11 @@
 """Matrix persistence tests."""
 
 import errno
+import gc
 import os
 import sys
 import threading
+import zipfile
 from collections import OrderedDict
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 
 import repro.workloads.io as wio
 from repro.errors import FormatError, WorkloadError
-from repro.formats import CSCMatrix
+from repro.formats import COOMatrix, CSCMatrix
 from repro.parallel.tasks import array_digest
 from repro.workloads import (
     cached_csc,
@@ -23,6 +25,7 @@ from repro.workloads import (
     uniform_random,
 )
 from repro.workloads.io import prepared_digest
+from repro.workloads.reorder import permute_matrix
 
 
 class TestMatrixMarket:
@@ -70,11 +73,102 @@ class TestMatrixMarket:
             load_matrix_market(str(path))
 
 
+def _assert_identical(got, want):
+    assert got.shape == want.shape
+    for a, b in zip(got.to_arrays(), want.to_arrays()):
+        assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 class TestNpz:
     def test_round_trip(self, tmp_path, medium_coo):
         path = str(tmp_path / "m.npz")
         save_npz(path, medium_coo)
         assert load_npz(path).allclose(medium_coo)
+
+    def test_compact_layout(self, tmp_path, medium_coo):
+        path = str(tmp_path / "m.npz")
+        save_npz(path, medium_coo)
+        with zipfile.ZipFile(path) as zf:
+            assert {i.compress_type for i in zf.infolist()} == {zipfile.ZIP_STORED}
+        with np.load(path) as z:
+            assert sorted(z.files) == ["cols", "indptr", "shape", "vals"]
+            assert z["indptr"].dtype == np.int64
+            assert z["cols"].dtype == np.int32
+            assert z["vals"].dtype == np.float32  # integer weights are exact
+            assert np.array_equal(z["indptr"], medium_coo.row_extents())
+        _assert_identical(load_npz(path), medium_coo)
+
+    @pytest.mark.parametrize(
+        "vals,stored",
+        [
+            ([1.0, 2.5, -3.0, -0.0, 2.0**100], np.float32),
+            ([1.0, np.nan, 2.0, 3.0, 4.0], np.float32),
+            ([1.0, 0.1, 2.0, 3.0, 4.0], np.float64),
+            ([1.0, 1e-320, 2.0, 3.0, 4.0], np.float64),
+            ([1.0, 1e300, 2.0, 3.0, 4.0], np.float64),
+            (
+                [1.0, np.int64(0x7FF8000000000001).view(np.float64), 2.0, 3.0, 4.0],
+                np.float64,
+            ),
+        ],
+        ids=["f32-exact", "nan", "0.1", "subnormal", "overflow", "nan-payload"],
+    )
+    def test_values_round_trip_bit_for_bit(self, tmp_path, vals, stored):
+        m = COOMatrix(4, 6, [0, 0, 1, 3, 3], [1, 5, 0, 2, 4], vals, sort=False)
+        path = str(tmp_path / "m.npz")
+        save_npz(path, m)
+        with np.load(path) as z:
+            assert z["vals"].dtype == stored
+        _assert_identical(load_npz(path), m)
+
+    @pytest.mark.parametrize("kind", ["empty", "stable-permuted"])
+    def test_matrices_round_trip(self, tmp_path, powerlaw_coo, kind):
+        if kind == "empty":
+            m = COOMatrix.empty(5, 3)
+        else:
+            perm = np.random.default_rng(3).permutation(powerlaw_coo.n_rows)
+            m = permute_matrix(powerlaw_coo, perm, stable=True)
+        path = str(tmp_path / "m.npz")
+        save_npz(path, m)
+        _assert_identical(load_npz(path), m)
+
+    def test_rows_out_of_order_rejected(self, tmp_path):
+        m = COOMatrix(3, 3, [2, 0], [0, 1], [1.0, 2.0], sort=False)
+        with pytest.raises(FormatError):
+            save_npz(str(tmp_path / "m.npz"), m)
+
+    def test_entry_of_the_deflated_row_layout_loads(self, tmp_path, medium_coo):
+        # The layout written before row extents: every entry's row,
+        # int64 indices and float64 values, deflated.
+        path = str(tmp_path / "m.npz")
+        np.savez_compressed(
+            path,
+            shape=np.asarray(medium_coo.shape, dtype=np.int64),
+            rows=medium_coo.rows,
+            cols=medium_coo.cols,
+            vals=medium_coo.vals,
+        )
+        _assert_identical(load_npz(path), medium_coo)
+
+    @pytest.mark.parametrize(
+        "n_rows,indptr",
+        [(3, [1, 2, 2, 4]), (3, [0, 3, 2, 4]), (3, [0, 1, 2, 3]),
+         (3, [0, 1, 2, 5]), (3, [0, 2, 4]), (-1, [])],
+        ids=["not-from-0", "decreasing", "short-end", "long-end",
+             "wrong-length", "negative-rows"],
+    )
+    def test_row_extents_that_disagree_are_corrupt(self, tmp_path, n_rows, indptr):
+        path = str(tmp_path / "m.npz")
+        np.savez(
+            path,
+            shape=np.asarray([n_rows, 3], dtype=np.int64),
+            indptr=np.asarray(indptr, dtype=np.int64),
+            cols=np.asarray([0, 1, 2, 0], dtype=np.int32),
+            vals=np.ones(4, dtype=np.float32),
+        )
+        with pytest.raises(ValueError):
+            load_npz(path)
 
 
 class TestCache:
@@ -136,6 +230,23 @@ class TestCorruptEntry:
         builder, calls = _counting(seed=1)
         first = cached_matrix(str(tmp_path), "k", builder)
         assert calls == [1]
+        fresh_memo._prepared.clear()  # force the next call to read the file
+        again = cached_matrix(str(tmp_path), "k", builder)
+        assert calls == [1]
+        assert _same(again, first)
+
+    def test_row_extents_disagreeing_with_cols_rebuilt_once(self, tmp_path, fresh_memo):
+        m = uniform_random(60, nnz=200, seed=1)
+        path = tmp_path / "k.npz"
+        indptr = m.row_extents()
+        indptr[-1] -= 1
+        np.savez(
+            str(path), shape=np.asarray(m.shape, dtype=np.int64),
+            indptr=indptr, cols=m.cols.astype(np.int32), vals=m.vals,
+        )
+        builder, calls = _counting(seed=1)
+        first = cached_matrix(str(tmp_path), "k", builder)
+        assert calls == [1] and _same(first, m)
         fresh_memo._prepared.clear()  # force the next call to read the file
         again = cached_matrix(str(tmp_path), "k", builder)
         assert calls == [1]
@@ -282,3 +393,52 @@ class TestMemoUnderThreads:
         assert sorted(memo) == sorted(
             os.path.abspath(str(tmp_path / f"{k}.npz")) for k in "ab"
         )
+
+    def test_reads_survive_finalizers_in_other_threads(self, tmp_path, fresh_memo):
+        # numpy parses every member header with ``ast.literal_eval``;
+        # on CPython 3.11 a finalizer run by the collector while two
+        # threads build ASTs made one of them raise ``SystemError``.
+        # Clearing the memo keeps every thread reading the files.
+        seeds = {"a": 1, "b": 2}
+        builders = {
+            k: (lambda s=s: uniform_random(80, nnz=300, seed=s))
+            for k, s in seeds.items()
+        }
+        for key, builder in builders.items():
+            cached_matrix(str(tmp_path), key, builder)
+        errors = []
+        start = threading.Barrier(8)
+
+        class Cycle:
+            def __del__(self):
+                self.gone = True
+
+        def work(i):
+            try:
+                start.wait(timeout=60)
+                for j in range(60):
+                    if j % 10 == 0:
+                        with fresh_memo._prepared_lock:
+                            fresh_memo._prepared.clear()
+                    junk = Cycle()
+                    junk.loop = junk
+                    key = "ab"[(i + j) % 2]
+                    coo = cached_matrix(str(tmp_path), key, builders[key])
+                    assert _same(coo, builders[key]())
+            except Exception as exc:  # pragma: no cover - asserted below
+                errors.append(exc)
+
+        thresholds, interval = gc.get_threshold(), sys.getswitchinterval()
+        gc.set_threshold(50, 5, 5)
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+        finally:
+            gc.set_threshold(*thresholds)
+            sys.setswitchinterval(interval)
+        assert errors == []
