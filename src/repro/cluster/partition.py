@@ -69,21 +69,15 @@ def shard_bounds(
     return equal_nnz_row_bounds(row_ptr, nodes)
 
 
-def build_shards(
-    coo: COOMatrix, bounds: np.ndarray, csc: Optional[CSCMatrix] = None
-) -> List[Shard]:
+def build_shards(coo: COOMatrix, bounds: np.ndarray) -> List[Shard]:
     """Materialise one :class:`Shard` per bounds interval.
 
     The global COO is row-major sorted, so slicing its entry stream by
     row range preserves each row's within-row (column-ascending) entry
     order — the order both kernels reduce in, which the bit-identity
-    contract rests on.  Each shard's CSC copy is cut out of the global
-    one (``csc``, the operand's, or built from ``coo`` once when not
-    given) by :meth:`CSCMatrix.row_slice`, which keeps every column's
-    entry order, and handed to the operand pre-built.
+    contract rests on.  The CSC copy is built here once per shard and
+    handed to the operand pre-built.
     """
-    if csc is None:
-        csc = CSCMatrix.from_coo(coo)
     shards: List[Shard] = []
     for p in range(len(bounds) - 1):
         lo, hi = int(bounds[p]), int(bounds[p + 1])
@@ -106,7 +100,7 @@ def build_shards(
                 lo=lo,
                 hi=hi,
                 coo=local,
-                csc=csc.row_slice(lo, hi),
+                csc=CSCMatrix.from_coo(local),
                 col_mask=mask,
             )
         )

@@ -251,9 +251,8 @@ class ShardedRuntime:
                 "mutates thresholds online and would drift from the "
                 "single-node trajectory)"
             )
-        csc = None
         if isinstance(matrix, SpMVOperand):
-            coo, csc = matrix.coo, matrix.csc
+            coo = matrix.coo
         elif isinstance(matrix, COOMatrix):
             coo = matrix
         else:
@@ -281,7 +280,7 @@ class ShardedRuntime:
         self.partition = partition
         self.n = coo.n_rows
         self.bounds = shard_bounds(coo, nodes, partition)
-        self.shards = build_shards(coo, self.bounds, csc)
+        self.shards = build_shards(coo, self.bounds)
         self.topology = topology_for(topology, nodes, link)
         self.log = ClusterLog(clock_hz=params.clock_hz)
         self.jobs = resolve_jobs(jobs)

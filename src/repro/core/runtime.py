@@ -79,8 +79,9 @@ class SpMVOperand:
 
     def __init__(self, coo: COOMatrix, csc: Optional[CSCMatrix] = None):
         self.coo = coo
-        # Graphs and shard builders (repro.cluster) pass a CSC derived
-        # from arrays already in order, so nothing is sorted again.
+        # Graphs pass the CSC read off their adjacency's own arrays and
+        # shard builders (repro.cluster) the one they built, so nothing
+        # is converted twice.
         self.csc = CSCMatrix.from_coo(coo) if csc is None else csc
         self.info = MatrixInfo.of(coo)
         self._partitions = {}

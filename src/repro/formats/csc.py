@@ -19,20 +19,6 @@ from .order import lex_order
 __all__ = ["CSCMatrix"]
 
 
-def _shared(arr: np.ndarray) -> np.ndarray:
-    """``arr`` itself when nothing can write it, else a copy.
-
-    A read-only array is still written through any writeable array (or
-    mutable buffer) it is a view of, so every base must be read-only.
-    """
-    base = arr
-    while isinstance(base, np.ndarray):
-        if base.flags.writeable:
-            return arr.copy()
-        base = base.base
-    return arr if base is None or isinstance(base, bytes) else arr.copy()
-
-
 class CSCMatrix:
     """Sparse matrix in CSC format with row indices sorted within columns.
 
@@ -117,9 +103,8 @@ class CSCMatrix:
         That needs ``A``'s ``(row, col)`` keys non-decreasing (an O(nnz)
         check); a matrix stored in another within-row order (a
         ``permute_matrix(stable=True)`` layout) returns None.  The
-        columns and values are shared when nothing can write them (the
-        workload cache's matrices) and copied otherwise, so a write to
-        ``coo`` never changes this copy.
+        columns and values are copied, so a write to ``coo`` never
+        changes this matrix.
         """
         rows, cols = coo.rows, coo.cols
         if len(rows) > 1:
@@ -127,8 +112,8 @@ class CSCMatrix:
             if (step < 0).any() or ((step == 0) & (cols[1:] < cols[:-1])).any():
                 return None
         return cls(
-            coo.n_cols, coo.n_rows, coo.row_extents(), _shared(cols),
-            _shared(coo.vals), check=False,
+            coo.n_cols, coo.n_rows, coo.row_extents(), cols.copy(),
+            coo.vals.copy(), check=False,
         )
 
     @classmethod
@@ -172,22 +157,6 @@ class CSCMatrix:
             raise ShapeError(f"column {j} outside [0, {self.n_cols})")
         lo, hi = self.indptr[j], self.indptr[j + 1]
         return self.indices[lo:hi], self.vals[lo:hi]
-
-    def row_slice(self, lo: int, hi: int) -> "CSCMatrix":
-        """Rows ``[lo, hi)`` as a ``(hi - lo) x n_cols`` matrix.
-
-        Row indices are re-indexed from 0 and every column keeps its
-        entries in stored order, so the result equals ``from_coo`` of
-        the row-range COO slice re-indexed the same way (the stable
-        sort keeps the sub-sequence's order) without sorting.
-        """
-        if not 0 <= lo <= hi <= self.n_rows:
-            raise ShapeError(f"row range [{lo}, {hi}) outside [0, {self.n_rows})")
-        taken = np.flatnonzero((self.indices >= lo) & (self.indices < hi))
-        return CSCMatrix(
-            hi - lo, self.n_cols, np.searchsorted(taken, self.indptr),
-            self.indices[taken] - lo, self.vals[taken], check=False,
-        )
 
     def row_extents(self) -> np.ndarray:
         """CSR-like row offsets: row ``i`` holds ``ptr[i+1] - ptr[i]``

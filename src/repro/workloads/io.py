@@ -40,6 +40,7 @@ import numpy as np
 
 from ..errors import FormatError, WorkloadError
 from ..formats import COOMatrix, CSCMatrix
+from .synthetic import _finalize
 
 __all__ = [
     "atomic_write",
@@ -134,6 +135,10 @@ def save_npz(path: str, matrix: COOMatrix) -> None:
     * ``vals``: float32 when every value round-trips bit for bit
       (``-0.0`` and NaN payloads included), else float64.
 
+    The narrow layout is for disk space: the same arrays stored as
+    int64 rows and columns and float64 values take about 2.7 times as
+    much (docs/model.md, "Cache entries").
+
     Concurrent writers — e.g. parallel pricing workers warming the same
     workload — each write a private tmp file and race on the final
     ``os.replace``, so readers only ever see complete files.
@@ -170,21 +175,16 @@ def load_npz(path: str) -> COOMatrix:
 
     The matrix comes back with int64 indices and float64 values.  An
     entry whose row extents do not start at 0, decrease, or do not end
-    at its entry count raises ``ValueError``.  Entries written before
-    the row-extent layout (``rows`` in place of ``indptr``, deflated)
-    still load.
+    at its entry count raises ``ValueError``.  An entry of the earlier
+    layout (``rows`` in place of ``indptr``) raises ``KeyError``; both
+    are corrupt entries to :func:`cached_matrix`, which rebuilds them.
     """
     # The handle is opened here: ``np.load(path)`` leaves its own open
     # when the file starts like a zip but its directory is unreadable.
     with _read_lock, open(path, "rb") as f:
         z = np.load(f)
         n_rows, n_cols = (int(x) for x in z["shape"])
-        cols, vals = z["cols"], z["vals"]
-        if "indptr" not in z.files:  # written before the row-extent layout
-            return COOMatrix(
-                n_rows, n_cols, z["rows"], cols, vals, sort=False, check=False
-            )
-        indptr = z["indptr"]
+        indptr, cols, vals = z["indptr"], z["cols"], z["vals"]
     counts = np.diff(indptr)
     if (
         n_rows < 0
@@ -239,11 +239,7 @@ def load_snap_edgelist(
     if undirected:
         src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
         w = np.concatenate([w, w])
-    keep = src != dst
-    src, dst, w = src[keep], dst[keep], w[keep]
-    keys = src * n + dst
-    _uniq, first = np.unique(keys, return_index=True)
-    return COOMatrix(n, n, src[first], dst[first], w[first])
+    return _finalize(n, n, src, dst, w, remove_self_loops=True)
 
 
 #: Byte budget of the per-process memo of prepared operands (COO arrays

@@ -64,7 +64,6 @@ class TestBuildShards:
             for strategy in ("nnz", "commvol"):
                 bounds = shard_bounds(op.coo, nodes, strategy)
                 built = (
-                    build_shards(op.coo, bounds, op.csc),
                     build_shards(op.coo, bounds),
                     ShardedRuntime(op, nodes, "2x4", partition=strategy, jobs=1).shards,
                 )

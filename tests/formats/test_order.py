@@ -188,7 +188,7 @@ class TestOrdersAlreadyHeld:
         assert CSCMatrix.of_transpose(stable) is None
         assert CSCMatrix.of_transpose(permute_matrix(powerlaw_coo, perm)) is not None
 
-    def test_shares_only_arrays_nothing_can_write(self, powerlaw_coo):
+    def test_copies_so_writes_to_the_source_never_show(self, powerlaw_coo):
         coo = powerlaw_coo
         csc = CSCMatrix.of_transpose(coo)
         assert not np.shares_memory(csc.indices, coo.cols)
@@ -196,36 +196,3 @@ class TestOrdersAlreadyHeld:
         want = csc.vals.copy()
         coo.vals[:] = -1.0
         assert np.array_equal(csc.vals, want)
-        # A read-only view of a writeable array is still written through.
-        view = coo.vals[:]
-        view.flags.writeable = False
-        assert CSCMatrix.of_transpose(
-            COOMatrix(coo.n_rows, coo.n_cols, coo.rows, coo.cols, view, sort=False)
-        ).vals is not view
-        for arr in (coo.cols, coo.vals):
-            arr.flags.writeable = False
-        frozen = CSCMatrix.of_transpose(coo)
-        assert frozen.indices is coo.cols and frozen.vals is coo.vals
-
-    @settings(max_examples=80, deadline=None)
-    @given(coo_matrices(), st.data())
-    def test_row_slice_is_the_sorted_slice(self, m, data):
-        n_rows, n_cols, rows, cols, vals = m
-        coo = COOMatrix(n_rows, n_cols, rows, cols, vals)
-        lo = data.draw(st.integers(0, min(n_rows, 80)))
-        hi = data.draw(st.integers(lo, min(n_rows, 80)))
-        e0, e1 = np.searchsorted(coo.rows, [lo, hi])
-        local = COOMatrix(
-            hi - lo, n_cols, coo.rows[e0:e1] - lo, coo.cols[e0:e1],
-            coo.vals[e0:e1], sort=False,
-        )
-        cut = CSCMatrix.from_coo(coo).row_slice(lo, hi)
-        assert cut.shape == (hi - lo, n_cols)
-        assert_arrays_equal(_csc_arrays(cut), reference_csc(local))
-
-    def test_row_slice_rejects_bad_ranges(self, small_csc):
-        from repro.errors import ShapeError
-
-        for lo, hi in ((-1, 2), (3, 2), (0, small_csc.n_rows + 1)):
-            with pytest.raises(ShapeError):
-                small_csc.row_slice(lo, hi)

@@ -138,19 +138,6 @@ class TestNpz:
         with pytest.raises(FormatError):
             save_npz(str(tmp_path / "m.npz"), m)
 
-    def test_entry_of_the_deflated_row_layout_loads(self, tmp_path, medium_coo):
-        # The layout written before row extents: every entry's row,
-        # int64 indices and float64 values, deflated.
-        path = str(tmp_path / "m.npz")
-        np.savez_compressed(
-            path,
-            shape=np.asarray(medium_coo.shape, dtype=np.int64),
-            rows=medium_coo.rows,
-            cols=medium_coo.cols,
-            vals=medium_coo.vals,
-        )
-        _assert_identical(load_npz(path), medium_coo)
-
     @pytest.mark.parametrize(
         "n_rows,indptr",
         [(3, [1, 2, 2, 4]), (3, [0, 3, 2, 4]), (3, [0, 1, 2, 3]),
@@ -247,6 +234,25 @@ class TestCorruptEntry:
         builder, calls = _counting(seed=1)
         first = cached_matrix(str(tmp_path), "k", builder)
         assert calls == [1] and _same(first, m)
+        fresh_memo._prepared.clear()  # force the next call to read the file
+        again = cached_matrix(str(tmp_path), "k", builder)
+        assert calls == [1]
+        assert _same(again, first)
+
+    def test_entry_of_the_earlier_layout_rebuilt_once(self, tmp_path, fresh_memo):
+        # The layout written before row extents: every entry's row,
+        # int64 indices and float64 values, deflated.
+        m = uniform_random(60, nnz=200, seed=1)
+        path = tmp_path / "k.npz"
+        np.savez_compressed(
+            str(path), shape=np.asarray(m.shape, dtype=np.int64),
+            rows=m.rows, cols=m.cols, vals=m.vals,
+        )
+        builder, calls = _counting(seed=1)
+        first = cached_matrix(str(tmp_path), "k", builder)
+        assert calls == [1] and _same(first, m)
+        with np.load(str(path)) as z:
+            assert "indptr" in z.files
         fresh_memo._prepared.clear()  # force the next call to read the file
         again = cached_matrix(str(tmp_path), "k", builder)
         assert calls == [1]

@@ -6,6 +6,8 @@ import pytest
 from repro.graphs import Graph, bfs
 from repro.workloads import load_snap_edgelist
 
+from ..formats.reference_order import reference_first_of_each
+
 SAMPLE = """\
 # Directed graph (each unordered pair of nodes is saved once)
 # FromNodeId\tToNodeId
@@ -37,6 +39,22 @@ class TestLoader:
         dense = m.to_dense()
         assert dense[0, 1] == 1.0 and dense[2, 0] == 1.0
         assert dense[2, 2] == 0.0
+
+    def test_keeps_the_first_weight_of_each_edge(self, tmp_path):
+        rng = np.random.default_rng(5)
+        src = rng.integers(0, 40, 400) * 7
+        dst = rng.integers(0, 40, 400) * 7
+        w = rng.integers(1, 9, 400) / 4
+        p = tmp_path / "dup.txt"
+        p.write_text("".join(f"{a} {b} {c}\n" for a, b, c in zip(src, dst, w)))
+        m = load_snap_edgelist(str(p), weighted=True)
+        ids = np.unique(np.concatenate([src, dst]))
+        s, d = np.searchsorted(ids, src), np.searchsorted(ids, dst)
+        keep = s != d
+        s, d, w = s[keep], d[keep], w[keep]
+        first = reference_first_of_each(len(ids), s, d)
+        for got, want in zip(m.to_arrays(), (s[first], d[first], w[first])):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_undirected_mirrors(self, snap_file):
         m = load_snap_edgelist(snap_file, undirected=True)
