@@ -13,13 +13,14 @@ Two execution paths produce bit-identical results:
 
 * **serial** (``jobs=1`` or a single shard) — shard runtimes live in
   this process and run back-to-back;
-* **pooled** — shard steps fan out through a
-  :class:`~repro.parallel.scheduler.SweepScheduler` session: the shards'
-  COO/CSC arrays are pinned to the session, so they are published to
-  shared memory once per session and ship by reference in every task
-  whatever their size, while each superstep's frontier, semiring recipe
-  arrays and ``current`` slices travel inline (no segment per
-  superstep); workers keep per-shard runtime memos, and the
+* **pooled** — shard steps fan out to the process's worker pool through
+  a :class:`~repro.parallel.scheduler.SweepScheduler` session: the
+  shards' COO/CSC arrays are pinned in the process's shared-memory
+  arena, so they are published once per session and ship by reference
+  in every task whatever their size, while each superstep's frontier,
+  semiring recipe arrays and ``current`` slices travel inline (below
+  1 MiB; larger ones in a segment unlinked after the superstep);
+  workers keep per-shard runtime memos, and the
   coordinator remains the single source of truth for each shard's
   mutable decision state (last config + the stateful hardware mode), so
   results cannot depend on task-to-worker placement.
@@ -32,9 +33,10 @@ shard-order concatenation — contiguous row shards keep every row's
 reduction (and its contribution order) inside one shard, so distributed
 values/touched are bit-identical to single-node in original vertex ids.
 
-Pooled runtimes hold a process pool and shared-memory segments: use the
-runtime as a context manager (or call :meth:`close`) so they are
-released deterministically.
+Pooled runtimes pin their shard arrays in shared memory: use the
+runtime as a context manager (or call :meth:`close`) so the segments
+are unlinked as soon as the runtime is done; the process's pool and
+arena outlive it.
 """
 
 from __future__ import annotations
@@ -331,7 +333,7 @@ class ShardedRuntime:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the pooled path's worker pool and shm segments."""
+        """Unpin the pooled path's shard arrays (their segments go)."""
         if self._scheduler is not None:
             self._scheduler.close_session()
 
@@ -568,9 +570,8 @@ class ShardedRuntime:
                 "reconstruction spec; construct the ShardedRuntime with "
                 "jobs=1 to run it serially"
             )
-        # Idempotent: keeps one pool + arena across iterations so the
-        # pinned shard arrays are published to shared memory once per
-        # session.
+        # Idempotent: the shard arrays stay pinned across iterations,
+        # so they are published to shared memory once per session.
         self._start_session()
         marker, f_arrays = self._frontier_shipment(frontier)
         sr_arrays = {

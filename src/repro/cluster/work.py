@@ -9,11 +9,14 @@ Worker-side memo
 ----------------
 Rebuilding a shard's :class:`~repro.core.runtime.CoSparseRuntime` every
 iteration would dominate the fan-out, so workers keep one runtime per
-``(run token, shard)`` in :data:`_shard_runtimes`.  The COO/CSC arrays
-arrive pre-built: they are pinned to the scheduler session, published
-to shared memory once per session and shipped by reference in every
-task, so a worker's memoised runtime reads zero-copy views; the
-frontier, the semiring's recipe arrays and ``current`` ride inline.  The
+``(run token, shard)`` in :data:`_shard_runtimes`, for the
+:data:`_SHARD_RUNS_KEPT` most recently used run tokens: a process that
+builds many sharded runtimes does not grow its long-lived workers.  The
+COO/CSC arrays arrive pre-built: the scheduler session pins them in the
+process's shared-memory arena, so they are published once per session
+and shipped by reference in every task, and a worker's memoised runtime
+reads zero-copy views; the frontier, the semiring's recipe arrays and
+``current`` ride inline (or, from 1 MiB, in a per-call segment).  The
 runtime's *mutable* decision state (last config, the stateful hardware
 mode) is never trusted across calls: the coordinator tracks it centrally
 and every task payload carries the authoritative snapshot, so results
@@ -23,7 +26,8 @@ it runs on the serial fallback path in the coordinator itself.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from collections import OrderedDict
+from typing import Dict
 
 import numpy as np
 
@@ -45,8 +49,14 @@ __all__ = ["SHARD_FN", "shard_step", "semiring_from_spec"]
 #: Task-function address for :class:`~repro.parallel.tasks.PricingTask`.
 SHARD_FN = "repro.cluster.work:shard_step"
 
-#: (run token, shard index) -> the shard's CoSparseRuntime, per process.
-_shard_runtimes: Dict[Tuple[str, int], CoSparseRuntime] = {}
+#: Run tokens whose shard runtimes a process keeps.
+_SHARD_RUNS_KEPT = 4
+
+#: run token -> {shard index: the shard's CoSparseRuntime}, per process,
+#: least recently used first.
+_shard_runtimes: "OrderedDict[str, Dict[int, CoSparseRuntime]]" = (
+    OrderedDict()
+)
 
 
 def semiring_from_spec(
@@ -82,8 +92,15 @@ def semiring_from_spec(
 def _runtime_for(
     payload: dict, arrays: Dict[str, np.ndarray]
 ) -> CoSparseRuntime:
-    key = (payload["token"], int(payload["shard"]))
-    rt = _shard_runtimes.get(key)
+    token, shard = payload["token"], int(payload["shard"])
+    run = _shard_runtimes.get(token)
+    if run is None:
+        run = _shard_runtimes[token] = {}
+        while len(_shard_runtimes) > _SHARD_RUNS_KEPT:
+            _shard_runtimes.popitem(last=False)
+    else:
+        _shard_runtimes.move_to_end(token)
+    rt = run.get(shard)
     if rt is not None:
         return rt
     n_rows, n_cols = payload["shape"]
@@ -120,7 +137,7 @@ def _runtime_for(
         balanced=bool(payload["balanced"]),
         objective=payload["objective"],
     )
-    _shard_runtimes[key] = rt
+    run[shard] = rt
     return rt
 
 

@@ -84,7 +84,7 @@ def sweep_op_vs_ip(
         base = {
             "geometry": geometry.name,
             "shape": [coo.n_rows, coo.n_cols],
-            "frontier": {"n": coo.n_cols},
+            "frontiers": [{"n": coo.n_cols}],
         }
         if params_spec is not None:
             base["params"] = params_spec
@@ -102,7 +102,10 @@ def sweep_op_vs_ip(
                 {**csc_arrays(csc), **f_arrays},
             )
         )
-    reports = SweepScheduler(jobs=jobs, label="calibration").map(tasks)
+    reports = [
+        r["points"][0]
+        for r in SweepScheduler(jobs=jobs, label="calibration").map(tasks)
+    ]
     return [
         SweepPoint(
             vector_density=d,

@@ -83,26 +83,28 @@ def price_task(
     mode,
     geometry_name: str,
     matrix,
-    frontier_spec: Dict[str, object],
+    frontier_specs: Sequence[Dict[str, object]],
     frontier_arrays: Optional[Dict[str, np.ndarray]] = None,
     **extra,
 ) -> PricingTask:
-    """One ``price_config`` task of a sweep grid.
+    """One ``price_config`` task of a sweep grid: a row of frontiers
+    priced on one (matrix, system, algorithm, mode).
 
     ``matrix`` is the COO matrix for ``"ip"`` or the CSC matrix for
-    ``"op"``; ``frontier_spec`` is either the seeded form
+    ``"op"``; each of ``frontier_specs`` is either the seeded form
     ``{"n", "density", "seed"}`` (regenerated bit-exactly in the worker)
     or ``{"n"}`` with explicit ``frontier_arrays``
-    (``frontier_idx``/``frontier_vals``).  Extra keywords land in the
-    payload verbatim (``balanced``, ``profile_only``, ``semiring``,
-    ``use_partition``/``token``, ``params``).
+    (``frontier_idx``/``frontier_vals``), at most one per task.  The
+    task's result holds one point per spec, in order.  Extra keywords
+    land in the payload verbatim (``balanced``, ``profile_only``,
+    ``semiring``, ``use_partition``/``token``, ``params``).
     """
     payload = {
         "algorithm": algorithm,
         "mode": mode.name,
         "geometry": geometry_name,
         "shape": [matrix.n_rows, matrix.n_cols],
-        "frontier": frontier_spec,
+        "frontiers": list(frontier_specs),
         **extra,
     }
     arrays = coo_arrays(matrix) if algorithm == "ip" else csc_arrays(matrix)

@@ -33,10 +33,11 @@ def run_fig4(
 ) -> ExperimentResult:
     """Regenerate the Fig. 4 sweep; one row per (matrix, system, d_v).
 
-    The grid is decomposed into pure pricing tasks and executed by a
-    :class:`~repro.parallel.scheduler.SweepScheduler` (``jobs`` /
-    ``REPRO_JOBS`` workers, persistent pricing cache); rows are
-    assembled in grid order, bit-identical for any worker count.
+    The grid is decomposed into pure pricing tasks, one per (matrix,
+    system, kernel) over every density, priced profile-only, and
+    executed by a :class:`~repro.parallel.scheduler.SweepScheduler`
+    (``jobs`` / ``REPRO_JOBS`` workers, persistent pricing cache); rows
+    are assembled in grid order, bit-identical for any worker count.
     """
     result = ExperimentResult(
         experiment="fig4",
@@ -55,31 +56,38 @@ def run_fig4(
     tasks, meta = [], []
     for mi in matrices:
         coo = fig4_matrix(mi, scale=scale)
-        memo = {"use_partition": True, "token": fig4_key(mi, scale)}
+        row = {
+            "use_partition": True,
+            "token": fig4_key(mi, scale),
+            "profile_only": True,
+        }
         csc = cached_csc(coo)
+        specs = [
+            {"n": coo.n_cols, "density": d, "seed": seed + 13 * i}
+            for i, d in enumerate(densities)
+        ]
         for geom_name in geometries:
-            for i, d in enumerate(densities):
-                spec = {"n": coo.n_cols, "density": d, "seed": seed + 13 * i}
-                tasks.append(
-                    price_task("ip", HWMode.SC, geom_name, coo, spec, **memo)
-                )
-                tasks.append(
-                    price_task("op", HWMode.PC, geom_name, csc, spec, **memo)
-                )
-                meta.append((coo.n_cols, coo.density, geom_name, d))
+            tasks.append(
+                price_task("ip", HWMode.SC, geom_name, coo, specs, **row)
+            )
+            tasks.append(
+                price_task("op", HWMode.PC, geom_name, csc, specs, **row)
+            )
+            meta.append((coo.n_cols, coo.density, geom_name))
     reports = sweep_tasks(tasks, "fig4", jobs)
-    for (n, m_density, geom_name, d), ip, op in zip(
+    for (n, m_density, geom_name), ip_row, op_row in zip(
         meta, reports[0::2], reports[1::2]
     ):
-        result.add(
-            N=n,
-            matrix_density=m_density,
-            system=geom_name,
-            vector_density=d,
-            ip_cycles=ip["cycles"],
-            op_cycles=op["cycles"],
-            op_vs_ip_speedup=ip["cycles"] / op["cycles"],
-        )
+        for d, ip, op in zip(densities, ip_row["points"], op_row["points"]):
+            result.add(
+                N=n,
+                matrix_density=m_density,
+                system=geom_name,
+                vector_density=d,
+                ip_cycles=ip["cycles"],
+                op_cycles=op["cycles"],
+                op_vs_ip_speedup=ip["cycles"] / op["cycles"],
+            )
     return result
 
 

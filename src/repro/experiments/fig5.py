@@ -34,7 +34,8 @@ def run_fig5(
     seed: int = 9,
     jobs: Optional[int] = None,
 ) -> ExperimentResult:
-    """Regenerate the Fig. 5 sweep; one row per (matrix, system, d_v)."""
+    """Regenerate the Fig. 5 sweep; one row per (matrix, system, d_v),
+    priced by one profile-only task per (matrix, system, mode)."""
     result = ExperimentResult(
         experiment="fig5",
         title="Speedup of SCS vs. SC for IP",
@@ -52,30 +53,37 @@ def run_fig5(
     tasks, meta = [], []
     for mi in matrices:
         coo = fig4_matrix(mi, scale=scale)
-        memo = {"use_partition": True, "token": fig4_key(mi, scale)}
+        row = {
+            "use_partition": True,
+            "token": fig4_key(mi, scale),
+            "profile_only": True,
+        }
         info = MatrixInfo.of(coo)
+        specs = [
+            {"n": coo.n_cols, "density": d, "seed": seed + 17 * i}
+            for i, d in enumerate(densities)
+        ]
         for geom_name in geometries:
             nreuse = DecisionTree(Geometry.parse(geom_name)).nreuse(info)
-            for i, d in enumerate(densities):
-                spec = {"n": coo.n_cols, "density": d, "seed": seed + 17 * i}
-                tasks.append(
-                    price_task("ip", HWMode.SC, geom_name, coo, spec, **memo)
-                )
-                tasks.append(
-                    price_task("ip", HWMode.SCS, geom_name, coo, spec, **memo)
-                )
-                meta.append((coo.n_cols, nreuse, geom_name, d))
+            tasks.append(
+                price_task("ip", HWMode.SC, geom_name, coo, specs, **row)
+            )
+            tasks.append(
+                price_task("ip", HWMode.SCS, geom_name, coo, specs, **row)
+            )
+            meta.append((coo.n_cols, nreuse, geom_name))
     reports = sweep_tasks(tasks, "fig5", jobs)
-    for (n, nreuse, geom_name, d), sc, scs in zip(
+    for (n, nreuse, geom_name), sc_row, scs_row in zip(
         meta, reports[0::2], reports[1::2]
     ):
-        result.add(
-            N=n,
-            nreuse=nreuse,
-            system=geom_name,
-            vector_density=d,
-            sc_cycles=sc["cycles"],
-            scs_cycles=scs["cycles"],
-            scs_gain_pct=100.0 * (sc["cycles"] / scs["cycles"] - 1.0),
-        )
+        for d, sc, scs in zip(densities, sc_row["points"], scs_row["points"]):
+            result.add(
+                N=n,
+                nreuse=nreuse,
+                system=geom_name,
+                vector_density=d,
+                sc_cycles=sc["cycles"],
+                scs_cycles=scs["cycles"],
+                scs_gain_pct=100.0 * (sc["cycles"] / scs["cycles"] - 1.0),
+            )
     return result

@@ -28,7 +28,8 @@ def run_fig6(
     seed: int = 5,
     jobs: Optional[int] = None,
 ) -> ExperimentResult:
-    """Regenerate the Fig. 6 sweep; one row per (matrix, system, d_v)."""
+    """Regenerate the Fig. 6 sweep; one row per (matrix, system, d_v),
+    priced by one profile-only task per (matrix, system, mode)."""
     result = ExperimentResult(
         experiment="fig6",
         title="Speedup of PS vs. PC for OP",
@@ -46,31 +47,36 @@ def run_fig6(
     tasks, meta = [], []
     for mi in matrices:
         coo = fig4_matrix(mi, scale=scale)
-        memo = {"use_partition": True, "token": fig4_key(mi, scale)}
+        row = {
+            "use_partition": True,
+            "token": fig4_key(mi, scale),
+            "profile_only": True,
+        }
         csc = cached_csc(coo)
+        specs = [
+            {"n": coo.n_cols, "density": d, "seed": seed + 19 * i}
+            for i, d in enumerate(densities)
+        ]
         for geom_name in geometries:
-            geometry = Geometry.parse(geom_name)
-            for i, d in enumerate(densities):
-                spec = {"n": coo.n_cols, "density": d, "seed": seed + 19 * i}
-                tasks.append(
-                    price_task("op", HWMode.PC, geom_name, csc, spec, **memo)
-                )
-                tasks.append(
-                    price_task("op", HWMode.PS, geom_name, csc, spec, **memo)
-                )
-                heap_words = 2.0 * coo.n_cols * d / geometry.pes_per_tile
-                meta.append((coo.n_cols, geom_name, d, heap_words))
+            tasks.append(
+                price_task("op", HWMode.PC, geom_name, csc, specs, **row)
+            )
+            tasks.append(
+                price_task("op", HWMode.PS, geom_name, csc, specs, **row)
+            )
+            meta.append((coo.n_cols, geom_name, Geometry.parse(geom_name)))
     reports = sweep_tasks(tasks, "fig6", jobs)
-    for (n, geom_name, d, heap_words), pc, ps in zip(
+    for (n, geom_name, geometry), pc_row, ps_row in zip(
         meta, reports[0::2], reports[1::2]
     ):
-        result.add(
-            N=n,
-            system=geom_name,
-            vector_density=d,
-            heap_words_per_pe=heap_words,
-            pc_cycles=pc["cycles"],
-            ps_cycles=ps["cycles"],
-            ps_gain_pct=100.0 * (pc["cycles"] / ps["cycles"] - 1.0),
-        )
+        for d, pc, ps in zip(densities, pc_row["points"], ps_row["points"]):
+            result.add(
+                N=n,
+                system=geom_name,
+                vector_density=d,
+                heap_words_per_pe=2.0 * n * d / geometry.pes_per_tile,
+                pc_cycles=pc["cycles"],
+                ps_cycles=ps["cycles"],
+                ps_gain_pct=100.0 * (pc["cycles"] / ps["cycles"] - 1.0),
+            )
     return result

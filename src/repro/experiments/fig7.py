@@ -88,11 +88,11 @@ def run_fig7(
         for mode in (HWMode.SC, HWMode.SCS):
             for balanced in (False, True):
                 tasks.append(
-                    price_task("ip", mode, geometry_name, pl, ip_spec,
+                    price_task("ip", mode, geometry_name, pl, [ip_spec],
                                balanced=balanced, **pl_memo)
                 )
                 tasks.append(
-                    price_task("ip", mode, geometry_name, uni, ip_spec,
+                    price_task("ip", mode, geometry_name, uni, [ip_spec],
                                balanced=balanced, **uni_memo)
                 )
                 meta.append((pl.n_cols, mode.label, balanced))
@@ -100,15 +100,15 @@ def run_fig7(
         for mode in (HWMode.PC, HWMode.PS):
             for balanced in (False, True):
                 tasks.append(
-                    price_task("op", mode, geometry_name, pl_csc, op_spec,
+                    price_task("op", mode, geometry_name, pl_csc, [op_spec],
                                balanced=balanced, **pl_memo)
                 )
                 tasks.append(
-                    price_task("op", mode, geometry_name, uni_csc, op_spec,
+                    price_task("op", mode, geometry_name, uni_csc, [op_spec],
                                balanced=balanced, **uni_memo)
                 )
                 meta.append((pl.n_cols, mode.label, balanced))
-    reports = sweep_tasks(tasks, "fig7", jobs)
+    reports = [r["points"][0] for r in sweep_tasks(tasks, "fig7", jobs)]
     for (n, config, balanced), pl_rep, uni_rep in zip(
         meta, reports[0::2], reports[1::2]
     ):

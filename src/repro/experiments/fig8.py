@@ -69,18 +69,18 @@ def run_fig8(
             if decision.algorithm == "ip":
                 tasks.append(
                     price_task("ip", decision.hw_mode, geometry_name, coo,
-                               spec, use_partition=True, token=token)
+                               [spec], use_partition=True, token=token)
                 )
             else:
                 tasks.append(
                     price_task("op", decision.hw_mode, geometry_name, csc,
-                               spec, use_partition=True, token=token)
+                               [spec], use_partition=True, token=token)
                 )
             dense = frontier.to_dense()
             cpu = cpu_spmv(csr, dense, compute=False)
             gpu = gpu_spmv(csr, dense, compute=False)
             meta.append((graph.name, d, decision, cpu, gpu))
-    reports = sweep_tasks(tasks, "fig8", jobs)
+    reports = [r["points"][0] for r in sweep_tasks(tasks, "fig8", jobs)]
     for (graph_name, d, decision, cpu, gpu), rep in zip(meta, reports):
         co_t = rep["cycles"] / rep["clock_hz"]
         co_e = rep["energy_j"]

@@ -56,7 +56,7 @@ def _iteration_tasks(operand, frontier, dist, geometry_name, token):
             "mode": mode.name,
             "geometry": geometry_name,
             "shape": [coo.n_rows, coo.n_cols],
-            "frontier": {"n": frontier.n},
+            "frontiers": [{"n": frontier.n}],
             "semiring": "sssp",
             "profile_only": True,
             "use_partition": True,
@@ -128,7 +128,9 @@ def run_fig9(
             reports = scheduler.map(
                 _iteration_tasks(operand, frontier, dist, geometry_name, token)
             )
-            cycles = {c: r["cycles"] for c, r in zip(_CONFIGS, reports)}
+            cycles = {
+                c: r["points"][0]["cycles"] for c, r in zip(_CONFIGS, reports)
+            }
             # One functional execution advances the SSSP state (the
             # result is identical under every config, so IP/SC serves).
             dense = np.full(n, semiring.absent)

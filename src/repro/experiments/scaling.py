@@ -70,10 +70,10 @@ def run_scaling(
             for algorithm, mode in _CONFIGS:
                 tasks.append(
                     price_task(algorithm, mode, name,
-                               matrix if algorithm == "ip" else csc, spec)
+                               matrix if algorithm == "ip" else csc, [spec])
                 )
             meta.append((name, d))
-    reports = sweep_tasks(tasks, "scaling", jobs)
+    reports = [r["points"][0] for r in sweep_tasks(tasks, "scaling", jobs)]
     n_cfg = len(_CONFIGS)
     for (name, d), group in zip(
         meta, (reports[i:i + n_cfg] for i in range(0, len(reports), n_cfg))

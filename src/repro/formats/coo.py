@@ -125,6 +125,27 @@ class COOMatrix:
         return cls(m.shape[0], m.shape[1], m.row, m.col, m.data)
 
     @classmethod
+    def summed(cls, n_rows, n_cols, rows, cols, vals) -> "COOMatrix":
+        """A row-major matrix of entries given in any order, duplicate
+        coordinates folded additively, in one ordering.
+
+        Each coordinate's duplicates add in stored order (``np.add.at``),
+        which a stable ordering of the entries would keep: ordering them
+        first changes no value.
+        """
+        entries = cls(n_rows, n_cols, rows, cols, vals, sort=False)
+        order, starts = lex_groups((entries.cols, entries.rows))
+        inverse = np.empty(len(order), dtype=np.int64)
+        inverse[order] = np.cumsum(starts) - 1
+        first = order[starts]
+        folded = np.zeros(len(first))
+        np.add.at(folded, inverse, entries.vals)
+        return cls(
+            n_rows, n_cols, entries.rows[first], entries.cols[first], folded,
+            sort=False, check=False,
+        )
+
+    @classmethod
     def empty(cls, n_rows: int, n_cols: int) -> "COOMatrix":
         """An all-zero matrix of the given shape."""
         z = np.zeros(0)
@@ -153,15 +174,8 @@ class COOMatrix:
         """Fold duplicate coordinates additively into a canonical matrix."""
         if not self.nnz:
             return self
-        order, starts = lex_groups((self.cols, self.rows))
-        inverse = np.empty(self.nnz, dtype=np.int64)
-        inverse[order] = np.cumsum(starts) - 1
-        first = order[starts]
-        vals = np.zeros(len(first))
-        np.add.at(vals, inverse, self.vals)
-        return COOMatrix(
-            self.n_rows, self.n_cols, self.rows[first], self.cols[first], vals,
-            sort=False,
+        return COOMatrix.summed(
+            self.n_rows, self.n_cols, self.rows, self.cols, self.vals
         )
 
     def transpose(self) -> "COOMatrix":
@@ -169,8 +183,22 @@ class COOMatrix:
 
         Graph algorithms invoke ``SpMV(G.T, f)`` (Fig. 2); the
         :class:`repro.graphs.graph.Graph` container pre-computes this once.
+
+        Every matrix keeps its rows non-decreasing, so a stable ordering
+        by the new row key alone already leaves each new row's entries
+        in ascending new column, equal coordinates in stored order:
+        the permutation a two-key ordering would give.
         """
-        return COOMatrix(self.n_cols, self.n_rows, self.cols, self.rows, self.vals)
+        order = lex_order((self.cols,))
+        return COOMatrix(
+            self.n_cols,
+            self.n_rows,
+            self.cols[order],
+            self.rows[order],
+            self.vals[order],
+            sort=False,
+            check=False,
+        )
 
     # ------------------------------------------------------------------
     # Degree / structure queries used by partitioning and algorithms

@@ -55,7 +55,7 @@ def _symmetrised(graph: Graph) -> Graph:
     src = np.concatenate([adj.rows, adj.cols])
     dst = np.concatenate([adj.cols, adj.rows])
     vals = np.ones(2 * adj.nnz)
-    coo = COOMatrix(adj.n_rows, adj.n_cols, src, dst, vals).sum_duplicates()
+    coo = COOMatrix.summed(adj.n_rows, adj.n_cols, src, dst, vals)
     return Graph(coo, name=f"{graph.name}+sym")
 
 

@@ -71,7 +71,7 @@ class Graph:
         if undirected:
             src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
             weights = np.concatenate([weights, weights])
-        coo = COOMatrix(n_vertices, n_vertices, src, dst, weights).sum_duplicates()
+        coo = COOMatrix.summed(n_vertices, n_vertices, src, dst, weights)
         return cls(coo, name=name)
 
     @classmethod

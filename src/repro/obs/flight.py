@@ -174,6 +174,18 @@ _recorder: Optional[FlightRecorder] = None
 _lock = threading.Lock()
 
 
+def _renew_locks() -> None:
+    # A child forked while another thread recorded (a pool worker forked
+    # under a traced, threaded coordinator) would inherit a held lock.
+    global _lock
+    _lock = threading.Lock()
+    if _recorder is not None:
+        _recorder._lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_renew_locks)
+
+
 def _capacity_from_env() -> int:
     raw = os.environ.get(_ENV_VAR, "").strip()
     if not raw:

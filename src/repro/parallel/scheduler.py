@@ -23,15 +23,17 @@ Execution strategy, in order:
    few misses remain to amortise a pool), misses run right here.  This
    path imports neither :mod:`multiprocessing` nor
    :mod:`concurrent.futures`.
-3. **Process pool** — misses are shipped to a
-   ``ProcessPoolExecutor`` whose workers are each pinned to a CPU of
-   their own (round robin); large arrays travel as shared-memory views
-   (:mod:`repro.parallel.shm`), small ones inline — or, in a persistent
-   session, exactly the session's pinned arrays travel by reference
-   (see :meth:`SweepScheduler.start_session`).  A worker death
-   (``BrokenProcessPool``) or a per-task timeout triggers **graceful
-   degradation**: the event is logged as an ``obs`` warning and every
-   unfinished task re-runs on the serial path.
+3. **Process pool** — misses are shipped to the process's worker pool
+   (:mod:`repro.parallel.pool`: forked once per process and worker
+   count, each worker pinned to a CPU of its own, round robin).  Arrays
+   the workload memo owns, and a session's pinned arrays, travel by name
+   from the process's shared-memory arena, published once; other arrays
+   of at least :data:`SHM_MIN_BYTES` through a per-call arena; smaller
+   ones inline (:mod:`repro.parallel.shm`).  A worker death
+   (``BrokenProcessPool``, from a result or from ``submit``) or a
+   per-task timeout triggers **graceful degradation**: the pool is
+   dropped, the event is logged as an ``obs`` warning and every
+   unfinished task re-runs on the serial path; the next call forks anew.
 
 Worker count resolution: explicit ``jobs=`` argument, else the
 ``REPRO_JOBS`` environment variable, else ``os.cpu_count()``.
@@ -53,9 +55,10 @@ from .work import execute
 
 __all__ = ["SweepScheduler", "resolve_jobs"]
 
-#: On per-call pools, arrays at or above this many bytes ride shared
-#: memory; smaller ones are pickled inline with the task (a segment per
-#: tiny frontier would cost more in syscalls than the copy it saves).
+#: Arrays neither the workload memo owns nor a session pins ride a
+#: per-call shared-memory segment at or above this many bytes; smaller
+#: ones are pickled inline with the task (a segment per tiny frontier
+#: would cost more in syscalls than the copy it saves).
 SHM_MIN_BYTES = 1 << 20
 
 #: Pools only pay off with enough independent work; below this many
@@ -125,51 +128,42 @@ class SweepScheduler:
         #: Filled by :meth:`map`: dispatch/cache/fallback accounting of
         #: the most recent run (mirrored into perf counters and obs).
         self.last_stats: Dict[str, float] = {}
-        #: Persistent pool session: ``(ShmArena, ProcessPoolExecutor,
-        #: pinned)`` reused across :meth:`map` calls, or None (per-call
-        #: pools).  ``pinned`` maps ``id(array)`` to the array, whose
-        #: reference it retains so a recycled id cannot alias it.
-        self._session = None
+        #: The arrays an open session pins in the process arena, or
+        #: None outside a session.
+        self._pinned: Optional[List[np.ndarray]] = None
 
     # ------------------------------------------------------------------
-    # Persistent session: pool + arena reused across map() calls
+    # Session: arrays pinned in the process arena across map() calls
     # ------------------------------------------------------------------
     def start_session(self, pinned: Sequence[np.ndarray] = ()) -> None:
-        """Keep one worker pool and shm arena alive across :meth:`map`.
+        """Ship ``pinned`` by reference from the process's shared-memory
+        arena until :meth:`close_session`.
 
         Iterative callers (the sharded cluster runtime dispatches K
-        shard tasks per superstep) would otherwise fork a fresh pool
-        every call.  ``pinned`` holds the arrays every call reads (the
-        shard matrices): the first task that carries one publishes it
-        to the session's arena, and every task ships it by reference
-        from then on, whatever its size.  Nothing else is published in
-        a session — all other arrays travel inline — so the session's
-        segments, and the workers' attachment caches, stay bounded by
-        the pinned set however many calls run.
+        shard tasks per superstep) read the same arrays on every call.
+        The first task that carries a pinned array publishes it, and
+        every task ships it by name from then on, whatever its size.
+        Tasks run on the process pool, as outside a session.
 
-        Idempotent while a session is open.  A session started again —
-        after :meth:`close_session`, or after a pool failure dropped it
-        (the usual serial fallback runs first) — pins what this call
-        passes into a fresh arena.  No-op when ``jobs == 1``.
+        Idempotent while a session is open.  A session started again
+        after :meth:`close_session` pins what this call passes.  No-op
+        when ``jobs == 1``.
         """
-        if self._session is not None or self.jobs <= 1:
+        if self._pinned is not None or self.jobs <= 1:
             return
-        from .shm import ShmArena
+        from .pool import arena
 
-        self._session = (
-            ShmArena(),
-            _new_pool(self.jobs),
-            {id(arr): arr for arr in pinned},
-        )
+        self._pinned = list(pinned)
+        arena().pin(self._pinned)
 
     def close_session(self) -> None:
-        """Shut the persistent pool down and release its shm segments."""
-        if self._session is None:
+        """Unpin the session's arrays; their segments are unlinked."""
+        if self._pinned is None:
             return
-        arena, executor, _pinned = self._session
-        self._session = None
-        executor.shutdown(wait=True, cancel_futures=True)
-        arena.close()
+        from .pool import arena
+
+        pinned, self._pinned = self._pinned, None
+        arena().unpin(pinned)
 
     def __enter__(self) -> "SweepScheduler":
         self.start_session()
@@ -245,110 +239,84 @@ class SweepScheduler:
         results: List[Optional[dict]],
         stats: Dict[str, float],
     ) -> None:
-        """Fan pending tasks out to a process pool; degrade serially."""
+        """Fan pending tasks out to the process pool; degrade serially."""
         # Lazy imports: the serial path must not pull these in.
         import concurrent.futures as cf
         import time
         from concurrent.futures.process import BrokenProcessPool
 
+        from . import pool
         from .shm import ShmArena
 
-        session = self._session
-        if session is None:
-            workers = min(self.jobs, len(pending))
-            arena = ShmArena()
-            executor = _new_pool(workers)
-            pinned = None
-        else:
-            # Session mode: the long-lived pool keeps its full width and
-            # the arena keeps the pinned arrays published on first use.
-            workers = self.jobs
-            arena, executor, pinned = session
+        workers = self.jobs
         tracer = _obs_active()
         unfinished = list(pending)
         traces: Dict[int, tuple] = {}
-        inline_bytes = 0
-        shm_before = arena.nbytes
         busy_s = 0.0
+        failure: Optional[str] = None
+        futures: Dict[object, int] = {}
+        executor = None
         t_pool0 = time.perf_counter()
+        arena, call_arena = pool.arena(), ShmArena()
         try:
+            shipped, inline_bytes, shm_bytes = self._ship(
+                arena, call_arena, tasks, pending
+            )
+            context = (arena.names(), _repro_env())
             try:
-                futures = {}
+                executor = pool.pool(workers)
                 for i in pending:
-                    shipped, nbytes = self._ship_arrays(
-                        arena, tasks[i].arrays, pinned
-                    )
-                    inline_bytes += nbytes
                     spec = (
-                        i, tasks[i].fn, tasks[i].payload, shipped,
-                        tracer.enabled,
+                        i, tasks[i].fn, tasks[i].payload, shipped[i],
+                        tracer.enabled, context,
                     )
-                    futures[i] = executor.submit(_pool_entry_trampoline, spec)
-                shm_bytes = arena.nbytes - shm_before
-                # Collect in *completion* order: a straggler must not
-                # block — or worse, discard — results that finished
-                # behind it in submission order.  The timeout bounds the
-                # wait for the next completion; whatever already landed
-                # is kept, and only tasks that truly never finished
-                # re-run on the serial fallback path.
-                failure: Optional[str] = None
-                remaining = {futures[i]: i for i in pending}
-                while remaining and failure is None:
-                    done, _ = cf.wait(
-                        remaining,
-                        timeout=self.timeout_s,
-                        return_when=cf.FIRST_COMPLETED,
-                    )
-                    if not done:
-                        failure = (
-                            f"pricing task timed out after {self.timeout_s}s"
-                        )
-                        break
-                    for fut in done:
-                        remaining.pop(fut)
-                        try:
-                            index, result, task_s, deltas, trace = (
-                                fut.result()
-                            )
-                        except BrokenProcessPool:
-                            failure = (
-                                "a pricing worker died (BrokenProcessPool)"
-                            )
-                            break
-                        busy_s += task_s
-                        _perf.add(deltas)
-                        if trace is not None:
-                            traces[index] = trace
-                        results[index] = result
-                        unfinished.remove(index)
-                        if keys[index] is not None and self.cache is not None:
-                            self.cache.put(
-                                keys[index], tasks[index].fn, result
-                            )
-            finally:
-                if unfinished:
-                    # Hung/dead workers: cancel what never started and
-                    # terminate the rest so shutdown cannot block.  A
-                    # failed session pool is not reusable — drop it so
-                    # later map() calls build fresh per-call pools.
-                    if session is not None:
-                        self._session = None
-                    for fut in futures.values():
-                        fut.cancel()
+                    fut = executor.submit(_pool_entry_trampoline, spec)
+                    futures[fut] = i
+            except RuntimeError as exc:  # BrokenProcessPool, or shut down
+                failure = f"the worker pool cannot take tasks ({exc!r})"
+            # Collect in *completion* order: a straggler must not
+            # block — or worse, discard — results that finished behind
+            # it in submission order.  The timeout bounds the wait for
+            # the next completion; whatever already landed is kept, and
+            # only tasks that truly never finished re-run on the serial
+            # fallback path.
+            remaining = dict(futures)
+            while remaining and failure is None:
+                done, _ = cf.wait(
+                    remaining,
+                    timeout=self.timeout_s,
+                    return_when=cf.FIRST_COMPLETED,
+                )
+                if not done:
+                    failure = f"pricing task timed out after {self.timeout_s}s"
+                    break
+                for fut in done:
+                    remaining.pop(fut)
                     try:
-                        for proc in list(
-                            getattr(executor, "_processes", {}).values()
-                        ):
-                            proc.terminate()
-                    except Exception:  # pragma: no cover - best effort
-                        pass
-                if unfinished or session is None:
-                    executor.shutdown(
-                        wait=not unfinished, cancel_futures=True
-                    )
+                        index, result, task_s, deltas, trace = fut.result()
+                    except (BrokenProcessPool, cf.CancelledError) as exc:
+                        # Cancelled: another call dropped the shared pool.
+                        failure = f"the worker pool failed ({exc!r})"
+                        break
+                    busy_s += task_s
+                    _perf.add(deltas)
+                    if trace is not None:
+                        traces[index] = trace
+                    results[index] = result
+                    unfinished.remove(index)
+                    if keys[index] is not None and self.cache is not None:
+                        self.cache.put(keys[index], tasks[index].fn, result)
         finally:
-            if unfinished or session is None:
-                arena.close()
+            if unfinished:
+                # A task error propagating leaves the pool healthy: drop
+                # what has not started.  A dead or hung worker breaks
+                # it: terminate the workers so nothing blocks, and let
+                # the next call fork a new pool.
+                for fut in futures:
+                    fut.cancel()
+                if failure is not None and executor is not None:
+                    pool.discard(executor)
+            call_arena.close()
         wall_s = time.perf_counter() - t_pool0
         for i in sorted(traces):  # submission order
             tracer.adopt(*traces[i])
@@ -389,58 +357,41 @@ class SweepScheduler:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _ship_arrays(
-        arena, arrays: Dict[str, np.ndarray], pinned: Optional[dict]
-    ) -> Tuple[Dict[str, object], int]:
-        """Task arrays -> shared-memory refs or inline, plus inline bytes.
+    def _ship(
+        process_arena, call_arena, tasks: List[PricingTask], pending: List[int]
+    ) -> Tuple[Dict[int, Dict[str, object]], int, int]:
+        """Each pending task's arrays as shared-memory refs or inline, plus
+        the bytes pickled inline and the bytes newly copied to segments.
 
-        A session (``pinned`` given) ships exactly its pinned arrays by
-        reference; a per-call pool publishes arrays of at least
-        :data:`SHM_MIN_BYTES`.
+        Pinned and memo-owned arrays ship from the process arena; other
+        arrays of at least :data:`SHM_MIN_BYTES` from the call's arena.
         """
-        shipped: Dict[str, object] = {}
-        inline_bytes = 0
-        for name, arr in arrays.items():
-            if pinned is None:
-                by_ref = arr.nbytes >= SHM_MIN_BYTES
-            else:
-                by_ref = id(arr) in pinned
-            if by_ref:
-                shipped[name] = arena.publish(arr)
-            else:
-                shipped[name] = arr
-                inline_bytes += arr.nbytes
-        return shipped, inline_bytes
+        shipped: Dict[int, Dict[str, object]] = {}
+        refs: Dict[int, tuple] = {}  # id -> (array, ref): one lookup each
+        inline_bytes = shm_bytes = 0
+        for i in pending:
+            out: Dict[str, object] = {}
+            for name, arr in tasks[i].arrays.items():
+                hit = refs.get(id(arr))
+                if hit is None:
+                    ref, copied = process_arena.ref_for(arr)
+                    if ref is None and arr.nbytes >= SHM_MIN_BYTES:
+                        ref, copied = call_arena.publish(arr), arr.nbytes
+                    shm_bytes += copied
+                    hit = refs[id(arr)] = (arr, ref)
+                if hit[1] is None:
+                    out[name] = arr
+                    inline_bytes += arr.nbytes
+                else:
+                    out[name] = hit[1]
+            shipped[i] = out
+        return shipped, inline_bytes, shm_bytes
 
 
-def _new_pool(workers: int):
-    """A process pool whose workers share this process's resource tracker
-    and run on a CPU each.
-
-    Forked workers inherit the tracker only if it is running before they
-    start.  A worker that launched its own would, on exit, unlink and
-    warn about every shared-memory segment it had attached.
-
-    Forked workers also start on this process's CPU.  Where the kernel
-    does not balance load across CPUs (a cpuset with load balancing off,
-    as in some containers), two workers can then share one CPU for the
-    pool's whole life while another CPU idles, which halves the pool's
-    throughput at random from one pool to the next.  The shared counter
-    lets :func:`~repro.parallel.work.pool_init` pin the i-th worker to
-    start to the i-th allowed CPU, round robin.
-    """
-    import concurrent.futures as cf
-    import multiprocessing
-    from multiprocessing import resource_tracker
-
-    from .work import pool_init
-
-    resource_tracker.ensure_running()
-    return cf.ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=pool_init,
-        initargs=(multiprocessing.Value("i", 0),),
-    )
+def _repro_env() -> Dict[str, str]:
+    """This process's ``REPRO_*`` variables: a long-lived worker adopts
+    them for each task, as a worker forked for the call would have."""
+    return {k: os.environ[k] for k in os.environ if k.startswith("REPRO_")}
 
 
 def _pool_entry_trampoline(spec):

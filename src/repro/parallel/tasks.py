@@ -1,9 +1,11 @@
 """The unit of parallel pricing work: :class:`PricingTask`.
 
-A task is a *pure* description of one pricing point — a registry
-function name, a JSON-able payload, and the numpy arrays the function
-reads (matrices, frontiers, current-value vectors).  Purity is the
-contract everything else rests on:
+A task is a *pure* description of one unit of pricing work — for
+:func:`~repro.parallel.work.price_config`, a row of points on one
+matrix, system and kernel — as a registry function name, a JSON-able
+payload, and the numpy arrays the function reads (matrices, frontiers,
+current-value vectors).  Purity is the contract everything else rests
+on:
 
 * the :class:`~repro.parallel.scheduler.SweepScheduler` may run the
   task in this process, in a pool worker, or not at all (persistent
@@ -17,8 +19,8 @@ through :func:`repro.parallel.work.execute`; they receive
 ``(payload, arrays)`` and return a plain JSON-able dict (floats, ints,
 strings, lists, ``None``).  Arrays travel to pool workers either inline
 or as :class:`~repro.parallel.shm.SharedArrayRef` views over
-``multiprocessing.shared_memory`` (large arrays, or a session's pinned
-ones), see the scheduler.
+``multiprocessing.shared_memory`` (the workload memo's arrays, a
+session's pinned ones, and other large ones), see the scheduler.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ __all__ = ["PricingTask", "array_digest", "task_key", "PRICING_CACHE_SCHEMA"]
 
 #: Bump when task payload semantics or result shapes change: the hash
 #: feeds every cache key, so stale entries die with the old schema.
-PRICING_CACHE_SCHEMA = 1
+PRICING_CACHE_SCHEMA = 2
 
 
 @dataclass
@@ -52,8 +54,8 @@ class PricingTask:
         hashed into the cache key verbatim.
     arrays:
         Named numpy arrays the function reads.  The scheduler ships
-        them to workers (shared memory above a size threshold, or when
-        pinned to a persistent session) and
+        them to workers (shared memory for the workload memo's arrays,
+        a session's pinned ones and those above a size threshold) and
         hashes their content into the cache key.
     cacheable:
         Whether the result may be persisted.  Tasks returning large

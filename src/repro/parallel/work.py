@@ -22,8 +22,10 @@ hot path, so the expensive invariants are cached per process:
   spec, and so do the points of every geometry a matrix is priced on.
 
 The memos live at module scope: pool workers are forked with the module
-already imported, and the ``REPRO_JOBS=1`` serial path shares the very
-same caches, so both paths price through identical objects.
+already imported and live as long as the process's pool, so a worker's
+memos serve every call it takes, and the ``REPRO_JOBS=1`` serial path
+shares the very same caches, so both paths price through identical
+objects.
 
 Telemetry
 ---------
@@ -112,7 +114,7 @@ def pool_init(started) -> None:
 
     ``started`` is the pool's shared count of started workers; the i-th
     worker to start takes the i-th CPU of the affinity set it inherited,
-    round robin (see :func:`repro.parallel.scheduler._new_pool` for why).
+    round robin (see :func:`repro.parallel.pool._new_pool` for why).
     """
     os.environ[_POOL_ENV] = "1"
     if not hasattr(os, "sched_setaffinity"):
@@ -125,27 +127,58 @@ def pool_init(started) -> None:
 
 
 def pool_entry(spec) -> Tuple[int, dict, float, dict, Optional[tuple]]:
-    """Pool-side task entry: ``(index, fn, payload, arrays, traced)`` in,
-    ``(index, result, busy_seconds, counter_deltas, trace)`` out.
+    """Pool-side task entry: ``(index, fn, payload, arrays, traced,
+    (live, env))`` in, ``(index, result, busy_seconds, counter_deltas,
+    trace)`` out.
 
-    The task runs under a fresh tracer when the coordinator traces, else
-    under a null one, so a forked worker never appends to its inherited
-    copy of the coordinator's tracer.  ``trace`` is ``(records, epoch_s,
-    pid)`` for :meth:`~repro.obs.tracer.Tracer.adopt`, or None.  The busy
-    time is host wall clock (never model cycles); the scheduler
-    aggregates it into the worker-utilization metric.
+    A worker outlives the call that forked it, so each task first adopts
+    the coordinator's ``REPRO_*`` variables (``env``) and lets go of the
+    shared-memory segments the coordinator's arena no longer holds
+    (``live`` names the ones it does); the task's other attachments are
+    closed when it ends.  The task runs under a fresh tracer when the
+    coordinator traces, else under a null one, so a forked worker never
+    appends to its inherited copy of the coordinator's tracer.
+    ``trace`` is ``(records, epoch_s, pid)`` for
+    :meth:`~repro.obs.tracer.Tracer.adopt`, or None.  The busy time is
+    host wall clock (never model cycles); the scheduler aggregates it
+    into the worker-utilization metric.
     """
     import time
 
-    index, fn, payload, arrays, traced = spec
+    from .shm import release
+
+    index, fn, payload, arrays, traced, (live, env) = spec
+    _adopt_env(env)
+    release(live)
     tracer = Tracer(label="worker") if traced else NullTracer()
     before = _perf.snapshot()
     t0 = time.perf_counter()
-    with override(tracer):
-        result = execute(fn, payload, arrays)
+    try:
+        with override(tracer):
+            result = execute(fn, payload, arrays)
+    finally:
+        release()
     busy_s = time.perf_counter() - t0
     trace = (tracer.records, tracer.epoch_s, os.getpid()) if traced else None
     return index, result, busy_s, _perf.since(before), trace
+
+
+#: The coordinator environment this worker adopted last, or None.
+_adopted_env: Optional[Dict[str, str]] = None
+
+
+def _adopt_env(env: Dict[str, str]) -> None:
+    """Make this worker's ``REPRO_*`` variables the coordinator's."""
+    global _adopted_env
+    if env == _adopted_env:
+        return
+    for name in [
+        n for n in os.environ
+        if n.startswith("REPRO_") and n not in env and n != _POOL_ENV
+    ]:
+        del os.environ[name]
+    os.environ.update(env)
+    _adopted_env = dict(env)
 
 
 # ----------------------------------------------------------------------
@@ -290,15 +323,14 @@ def _csc_from(payload: dict, arrays: Dict[str, np.ndarray]) -> CSCMatrix:
 
 
 def _frontier_from(
-    payload: dict, arrays: Dict[str, np.ndarray]
+    spec: dict, arrays: Dict[str, np.ndarray]
 ) -> SparseVector:
-    """Rebuild the task's frontier — seeded spec or explicit arrays.
+    """Rebuild one frontier of a task — seeded spec or explicit arrays.
 
     The seeded form regenerates the exact bits the serial driver would
     (``random_frontier`` is a pure function of ``(n, density, seed)``),
     so shipping three scalars replaces shipping two arrays.
     """
-    spec = payload["frontier"]
     if "seed" in spec:
         return seeded_frontier(
             int(spec["n"]), float(spec["density"]), int(spec["seed"])
@@ -317,25 +349,37 @@ def _params_from(payload: dict) -> Optional[HardwareParams]:
 # Task functions
 # ----------------------------------------------------------------------
 def price_config(payload: dict, arrays: Dict[str, np.ndarray]) -> dict:
-    """Price one ``(matrix, frontier, algorithm, hw_mode)`` point.
+    """Price one ``(matrix, algorithm, hw_mode)`` row: one point per
+    frontier, in list order.
 
     Payload keys: ``algorithm`` ("ip"/"op"), ``mode`` (HWMode label),
-    ``geometry`` ("AxB"), ``shape`` ([n_rows, n_cols]), ``frontier``
-    (seeded spec or explicit-array marker), optional ``semiring``
-    ("spmv"/"sssp"), ``balanced``, ``profile_only``, ``use_partition``
-    + ``token`` (the partition memo key, naming the matrix's content;
-    IP reads both partition levels, OP its tile level), ``params``
-    (HardwareParams overrides), ``vblock_width`` (IP blocking override,
-    the autotuner's candidate widths).  Arrays: the matrix in the format the
-    algorithm streams (COO for IP, CSC for OP), optional
+    ``geometry`` ("AxB"), ``shape`` ([n_rows, n_cols]), ``frontiers``
+    (a list of frontier specs: the seeded form ``{"n", "density",
+    "seed"}``, or ``{"n"}`` for the explicit ``frontier_idx`` /
+    ``frontier_vals`` arrays, which a task carries for at most one of
+    its frontiers), optional ``semiring`` ("spmv"/"sssp"),
+    ``balanced``, ``profile_only``, ``use_partition`` + ``token`` (the
+    partition memo key, naming the matrix's content; IP reads both
+    partition levels, OP its tile level), ``params`` (HardwareParams
+    overrides), ``vblock_width`` (IP blocking override, the autotuner's
+    candidate widths).  Arrays: the matrix in the format the algorithm
+    streams (COO for IP, CSC for OP), optional
     ``frontier_idx``/``frontier_vals``/``current``.
+
+    Returns ``{"points": [...]}``, each point the ``cycles``,
+    ``energy_j`` and ``clock_hz`` of one frontier.  The matrix, its
+    partition, the system and the semiring are set up once per row.
     """
+    specs = payload["frontiers"]
+    if sum("seed" not in spec for spec in specs) > 1:
+        raise ValueError(
+            "a pricing task carries at most one explicit frontier"
+        )
     geometry = Geometry.parse(payload["geometry"])
     params = _params_from(payload)
     system = system_for(payload["geometry"], params)
     semiring = semiring_for(payload.get("semiring", "spmv"))
     mode = HWMode[payload["mode"]]
-    frontier = _frontier_from(payload, arrays)
     current = arrays.get("current")
     balanced = bool(payload.get("balanced", True))
     profile_only = bool(payload.get("profile_only", False))
@@ -345,45 +389,49 @@ def price_config(payload: dict, arrays: Dict[str, np.ndarray]) -> dict:
     partition = None
     if payload.get("use_partition"):
         partition = partition_for(payload["token"], geometry, matrix, balanced)
-    if ip:
-        if semiring.absent == 0.0:
-            dense = frontier.to_dense()
+    vb = payload.get("vblock_width")
+    points = []
+    for spec in specs:
+        frontier = _frontier_from(spec, arrays)
+        if ip:
+            if semiring.absent == 0.0:
+                dense = frontier.to_dense()
+            else:
+                dense = np.full(frontier.n, semiring.absent)
+                dense[frontier.indices] = frontier.values
+            kern = inner_product(
+                matrix,
+                dense,
+                semiring,
+                geometry,
+                mode,
+                current=current,
+                partition=partition,
+                balanced=balanced,
+                profile_only=profile_only,
+                vblock_width=None if vb is None else int(vb),
+                **kw,
+            )
         else:
-            dense = np.full(frontier.n, semiring.absent)
-            dense[frontier.indices] = frontier.values
-        vb = payload.get("vblock_width")
-        kern = inner_product(
-            matrix,
-            dense,
-            semiring,
-            geometry,
-            mode,
-            current=current,
-            partition=partition,
-            balanced=balanced,
-            profile_only=profile_only,
-            vblock_width=None if vb is None else int(vb),
-            **kw,
-        )
-    else:
-        kern = outer_product(
-            matrix,
-            frontier,
-            semiring,
-            geometry,
-            mode,
-            current=current,
-            partition=partition,
-            balanced=balanced,
-            profile_only=profile_only,
-            **kw,
-        )
-    rep = system.evaluate_without_switching(kern.profile)
-    return {
-        "cycles": float(rep.cycles),
-        "energy_j": None if rep.energy_j is None else float(rep.energy_j),
-        "clock_hz": float(rep.clock_hz),
-    }
+            kern = outer_product(
+                matrix,
+                frontier,
+                semiring,
+                geometry,
+                mode,
+                current=current,
+                partition=partition,
+                balanced=balanced,
+                profile_only=profile_only,
+                **kw,
+            )
+        rep = system.evaluate_without_switching(kern.profile)
+        points.append({
+            "cycles": float(rep.cycles),
+            "energy_j": None if rep.energy_j is None else float(rep.energy_j),
+            "clock_hz": float(rep.clock_hz),
+        })
+    return {"points": points}
 
 
 def gains_case(payload: dict, arrays: Dict[str, np.ndarray]) -> dict:

@@ -156,11 +156,11 @@ def _evaluate(
                 "mode": mode,
                 "geometry": geometry.name,
                 "shape": shape,
-                "frontier": {
+                "frontiers": [{
                     "n": shape[1],
                     "density": 1.0,
                     "seed": TUNE_FRONTIER_SEED,
-                },
+                }],
                 "semiring": "spmv",
                 "profile_only": True,
                 "vblock_width": cand.vblock_width,
@@ -175,7 +175,7 @@ def _evaluate(
     results = scheduler.map(tasks)
     n_modes = len(PROBE_MODES)
     cycles = [
-        min(float(r["cycles"]) for r in results[i : i + n_modes])
+        min(float(r["points"][0]["cycles"]) for r in results[i : i + n_modes])
         for i in range(0, len(results), n_modes)
     ]
     # ``min`` keeps the first of equal values: identity wins every tie.

@@ -34,7 +34,7 @@ import zipfile
 import zlib
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -51,6 +51,7 @@ __all__ = [
     "cached_matrix",
     "cached_csc",
     "prepared_digest",
+    "prepared_digests",
     "PREPARED_BUDGET_BYTES",
     "load_snap_edgelist",
 ]
@@ -425,6 +426,16 @@ def cached_csc(coo: COOMatrix) -> CSCMatrix:
                 _evict()
             csc = entry.csc
     return csc
+
+
+def prepared_digests() -> Set[str]:
+    """The digests stored with the arrays the memo holds now."""
+    with _prepared_lock:
+        return {
+            digest
+            for entry in _prepared.values()
+            for digest in entry.digests.values()
+        }
 
 
 def prepared_digest(arr: np.ndarray) -> Optional[str]:

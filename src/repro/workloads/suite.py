@@ -88,7 +88,7 @@ class GraphSpec:
             src = np.concatenate([coo.rows, coo.cols])
             dst = np.concatenate([coo.cols, coo.rows])
             vals = np.concatenate([coo.vals, coo.vals])
-            coo = COOMatrix(n, n, src, dst, vals).sum_duplicates()
+            coo = COOMatrix.summed(n, n, src, dst, vals)
         return coo
 
     def generate(self, scale: int = 16, seed: int = 42) -> Graph:

@@ -167,6 +167,94 @@ class TestConversions:
         assert_arrays_equal(got.to_arrays(), (rows[first], cols[first], vals[first]))
 
 
+    @settings(max_examples=80, deadline=None)
+    @given(coo_matrices(), st.integers(0, 2**32 - 1))
+    def test_transpose_orders_by_one_key(self, m, seed):
+        # A sorted matrix with duplicates and its schedule-stable
+        # permutation, whose rows ascend but whose columns do not.
+        n_rows, n_cols, rows, cols, vals = m
+        coo = COOMatrix(n_rows, n_cols, rows, cols, vals)
+        rng = np.random.default_rng(seed)
+        stable = permute_matrix(
+            coo, rng.permutation(n_rows), col_perm=rng.permutation(n_cols),
+            stable=True,
+        )
+        for held in (coo, stable):
+            assert_arrays_equal(
+                held.transpose().to_arrays(), reference_transpose(held)
+            )
+
+
+@st.composite
+def edge_lists(draw):
+    """``(n, src, dst, weights)``: repeated edges, self loops, and
+    weights among which ``-0.0`` and ``0.0`` both appear."""
+    n = draw(st.sampled_from((1, 5, 2**16 + 3, 300_000)))
+    m = draw(st.integers(0, 120))
+    src = draw(key_array(m, n))
+    dst = draw(key_array(m, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if m and draw(st.booleans()):  # self loops
+        loops = rng.random(m) < 0.3
+        dst[loops] = src[loops]
+    weights = rng.choice(np.asarray([-0.0, 0.0, 1.0, -2.5, 0.1]), m)
+    return n, src, dst, weights
+
+
+def _bits(arrays):
+    """Arrays as raw bytes: ``-0.0`` differs from ``0.0``."""
+    return [a.dtype.str + a.tobytes().hex() for a in arrays]
+
+
+class TestFoldInOneOrdering:
+    """Undirected adjacencies fold their mirrored entries in one place;
+    ordering them first, as the sort-then-fold path did, changes no
+    bit."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(edge_lists())
+    def test_summed_equals_sort_then_fold(self, edges):
+        n, src, dst, w = edges
+        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+        w = np.concatenate([w, w])
+        got = COOMatrix.summed(n, n, src, dst, w)
+        want = COOMatrix(n, n, src, dst, w).sum_duplicates()
+        assert _bits(got.to_arrays()) == _bits(want.to_arrays())
+        assert np.all(np.diff(got.rows) >= 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(edge_lists(), st.booleans())
+    def test_from_edges_and_symmetrised(self, edges, undirected):
+        from repro.graphs import Graph
+        from repro.graphs.cc import _symmetrised
+
+        n, src, dst, w = edges
+        graph = Graph.from_edges(n, src, dst, w, undirected=undirected)
+        if undirected:
+            src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+            w = np.concatenate([w, w])
+        want = COOMatrix(n, n, src, dst, w).sum_duplicates()
+        assert _bits(graph.adjacency.to_arrays()) == _bits(want.to_arrays())
+        adj = graph.adjacency
+        sym = _symmetrised(graph).adjacency
+        want = COOMatrix(
+            n, n,
+            np.concatenate([adj.rows, adj.cols]),
+            np.concatenate([adj.cols, adj.rows]),
+            np.ones(2 * adj.nnz),
+        ).sum_duplicates()
+        assert _bits(sym.to_arrays()) == _bits(want.to_arrays())
+
+    def test_bad_edges_still_raise(self):
+        from repro.errors import FormatError
+        from repro.graphs import Graph
+
+        with pytest.raises(FormatError):
+            Graph.from_edges(3, [0, 3], [1, 2])
+        with pytest.raises(FormatError):
+            COOMatrix.summed(3, 3, [0, 1], [1], [1.0, 2.0])
+
+
 def _csc_arrays(csc):
     return csc.indptr, csc.indices, csc.vals
 

@@ -71,7 +71,7 @@ def _payload(algorithm, mode, matrix, token=None, balanced=True):
         "mode": mode.name,
         "geometry": "2x8",
         "shape": [matrix.n_rows, matrix.n_cols],
-        "frontier": {"n": matrix.n_cols, "density": 0.05, "seed": 3},
+        "frontiers": [{"n": matrix.n_cols, "density": 0.05, "seed": 3}],
         "balanced": balanced,
     }
     if token is not None:

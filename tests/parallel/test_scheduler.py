@@ -303,7 +303,7 @@ class TestPreparedOperands:
     def test_writeable_matrix_rehashed_each_call(self, tmp_path):
         coo = uniform_random(256, nnz=2000, seed=3)
         spec = {"n": coo.n_cols, "density": 0.05, "seed": 1}
-        tasks = [price_task("ip", HWMode.SC, "4x8", coo, spec)]
+        tasks = [price_task("ip", HWMode.SC, "4x8", coo, [spec])]
         sched = SweepScheduler(jobs=1, use_cache=True, label="rehash")
         sched.cache = PricingCache(root=str(tmp_path))
         sched.map(tasks)
@@ -320,8 +320,8 @@ class TestPreparedOperands:
         csc = cached_csc(coo)
         spec = {"n": coo.n_cols, "density": 0.01, "seed": 7}
         tasks = [
-            price_task("ip", HWMode.SC, "4x8", coo, spec),
-            price_task("op", HWMode.PC, "4x8", csc, spec),
+            price_task("ip", HWMode.SC, "4x8", coo, [spec]),
+            price_task("op", HWMode.PC, "4x8", csc, [spec]),
         ]
         for task in tasks:
             assert all(

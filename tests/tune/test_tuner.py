@@ -63,7 +63,10 @@ def _fake_cycles(cycles_of):
     ``cycles_of(i)`` without running a kernel."""
 
     def fake_map(self, tasks):
-        return [{"cycles": float(cycles_of(i))} for i in range(len(tasks))]
+        return [
+            {"points": [{"cycles": float(cycles_of(i))}]}
+            for i in range(len(tasks))
+        ]
 
     return fake_map
 
