@@ -33,9 +33,11 @@ test: lint test-O
 	$(MAKE) test-sanitize
 
 # The whole fast subset under `python -O`, which strips bare `assert`
-# statements from the library: any correctness check hiding in one (the
-# OP exact-path cross-check once did) silently vanishes there, so the
-# suite must still pass — guard checks have to raise real errors.
+# statements from the library and from the test oracles (trace replay and
+# the exact heap merge in tests/hardware/trace_oracle.py are not test_*
+# modules, so pytest does not rewrite their asserts): any correctness
+# check hiding in one silently vanishes there, so the suite must still
+# pass — guard checks have to raise real errors.
 test-O:
 	PYTHONPATH=src $(PYTHON) -O -m pytest tests/ -q -m "not slow"
 

@@ -229,7 +229,7 @@ class ShardedRuntime:
     policy / static_config / balanced / objective / params:
         Forwarded to every shard's :class:`CoSparseRuntime`.
         ``adaptive`` is rejected (online threshold mutation diverges
-        from single-node), as is trace fidelity.
+        from single-node).
     """
 
     def __init__(

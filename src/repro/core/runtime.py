@@ -140,11 +140,6 @@ class CoSparseRuntime:
         (cycles, the paper's criterion) or ``"energy"`` (joules — an
         extension; on this substrate the two mostly coincide because
         static power makes energy track time).
-    fidelity:
-        Hardware pricing mode (see
-        :class:`~repro.hardware.system.TransmuterSystem`).
-    with_trace:
-        Generate exact address traces (small inputs only).
     plan:
         A :class:`~repro.tune.plan.TuningPlan` to apply: the operand is
         permuted into the plan's schedule-stable vertex order and the
@@ -166,9 +161,7 @@ class CoSparseRuntime:
         policy: str = "tree",
         static_config: Tuple[str, HWMode] = ("ip", HWMode.SC),
         thresholds: Optional[DecisionThresholds] = None,
-        fidelity: str = "analytic",
         balanced: bool = True,
-        with_trace: bool = False,
         objective: str = "time",
         plan=None,
         auto_tune: bool = False,
@@ -198,9 +191,8 @@ class CoSparseRuntime:
         self.policy = policy
         self.static_config = static_config
         self.balanced = balanced
-        self.with_trace = with_trace
         self.objective = objective
-        self.system = TransmuterSystem(self.geometry, params, fidelity=fidelity)
+        self.system = TransmuterSystem(self.geometry, params)
         self.tree = DecisionTree(self.geometry, params, thresholds)
         self.log = ReconfigurationLog(clock_hz=params.clock_hz)
         self._iteration = 0
@@ -307,10 +299,7 @@ class CoSparseRuntime:
         profile_only: bool = False,
     ) -> Tuple[SpMVResult, ConversionCost]:
         kw = dict(
-            self._kernel_kw(mode),
-            current=current,
-            with_trace=self.with_trace,
-            profile_only=profile_only,
+            self._kernel_kw(mode), current=current, profile_only=profile_only
         )
         if algorithm == "ip":
             vec, cost = self._convert("dense", frontier, semiring)
@@ -353,10 +342,8 @@ class CoSparseRuntime:
         """Price ``candidates`` with profile-only probes.
 
         Returns ``(best algo, best mode, reports, probe)`` where
-        ``probe`` is the winner's ``(SpMVResult, ConversionCost)``.  The
-        probe normally carries only the profile; when the kernel had to
-        execute anyway (OP under ``with_trace`` runs the exact merge),
-        its functional result rides along and :meth:`spmv` reuses it.
+        ``probe`` is the winner's ``(SpMVResult, ConversionCost)``: its
+        profile, not a functional result.
         """
         tracer = _obs_active()
         alternatives = {}
@@ -445,7 +432,7 @@ class CoSparseRuntime:
 
     def _log_column(
         self, result, conv, algorithm, mode, density, alternatives, shadow,
-        san, label, probe_reused=False, batch_id=None, batch_column=None,
+        san, label, batch_id=None, batch_column=None,
     ) -> IterationRecord:
         """Price one column's profile, check it and log its record.
 
@@ -498,7 +485,6 @@ class CoSparseRuntime:
                     cvd=shadow.cvd if shadow else None,
                     thresholds=asdict(self.tree.thresholds),
                     alternatives=serialize_alternatives(alternatives),
-                    probe_reused=probe_reused,
                     batch_id=batch_id,
                     batch_column=batch_column,
                 )
@@ -533,23 +519,16 @@ class CoSparseRuntime:
             density = self.frontier_density(frontier, semiring)
             shadow = self._shadow_decision(density) if tracer.enabled else None
             with tracer.span("decide", policy=self.policy):
-                algorithm, mode, alternatives, probe = self._decide(
+                algorithm, mode, alternatives, _probe = self._decide(
                     density, semiring, frontier, current
                 )
-            probe_reused = probe is not None and probe[0].executed
-            if probe_reused:
-                # The winning pricing probe already ran the functional
-                # kernel (exact/trace path): reuse it instead of re-running.
-                result, conv = probe
-            else:
-                with tracer.span("kernel", algorithm=algorithm, hw_mode=mode):
-                    result, conv = self._run_kernel(
-                        algorithm, mode, frontier, semiring, current
-                    )
+            with tracer.span("kernel", algorithm=algorithm, hw_mode=mode):
+                result, conv = self._run_kernel(
+                    algorithm, mode, frontier, semiring, current
+                )
             record = self._log_column(
                 result, conv, algorithm, mode, density, alternatives, shadow,
                 sanitize.active(), f"spmv iter {self._iteration}",
-                probe_reused,
             )
             if tracer.enabled:
                 root.set(
@@ -598,11 +577,6 @@ class CoSparseRuntime:
         -------
         list of :class:`SpMVResult`, in the input column order.
         """
-        if self.with_trace:
-            raise ConfigurationError(
-                "spmv_batch does not generate address traces; use "
-                "sequential spmv() for trace capture"
-            )
         if semiring.value_words != 1:
             raise ConfigurationError(
                 f"spmv_batch handles scalar semirings; {semiring.name} "
@@ -658,9 +632,8 @@ class CoSparseRuntime:
                         density, semiring, frontier_j, per_current[j]
                     )
                 if probe is not None:
-                    # The batch kernel runs the winner; spmv() would
-                    # reuse the probe only had it executed (with_trace,
-                    # which spmv_batch rejects).
+                    # The batch kernel runs the winner; its probe priced
+                    # a profile and is dropped, as in spmv().
                     _perf.kernel_probe_discarded += 1
                     if tracer.enabled:
                         tracer.event(
@@ -727,7 +700,6 @@ class CoSparseRuntime:
             "geometry": self.geometry.name,
             "policy": self.policy,
             "objective": self.objective,
-            "fidelity": self.system.fidelity,
             "balanced": self.balanced,
             "static_config": [
                 self.static_config[0],

@@ -37,8 +37,8 @@ class ConfigurationError(ReproError):
 class SimulationError(ReproError):
     """The hardware model was driven incorrectly.
 
-    Examples: replaying a trace through an unconfigured system, or asking a
-    scratchpad for an address that was never allocated.
+    Examples: a kernel profile with an unknown pattern or a negative
+    count, or a sanitizer check that fails on a kernel's accounting.
     """
 
 

@@ -6,7 +6,6 @@ streams frontiers as either dense arrays or sorted (index, value) pairs,
 and converts vectors between the two at reconfiguration points.
 """
 
-from .blocked import BlockedCOO
 from .coo import COOMatrix
 from .csc import CSCMatrix
 from .csr import CSRMatrix
@@ -24,7 +23,6 @@ from .convert import (
 )
 
 __all__ = [
-    "BlockedCOO",
     "COOMatrix",
     "CSCMatrix",
     "CSRMatrix",

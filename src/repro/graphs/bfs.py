@@ -42,7 +42,7 @@ def bfs(
 
     Parameters mirror every driver in this package: pass a prepared
     :class:`~repro.core.runtime.CoSparseRuntime` to control
-    policy/geometry/fidelity, or let the driver build one.
+    policy/geometry/objective, or let the driver build one.
     """
     source = graph.check_source(source)
     rt = ensure_runtime(graph, runtime, geometry, **runtime_kw)

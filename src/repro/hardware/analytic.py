@@ -1,9 +1,9 @@
-"""Closed-form performance estimation (the large-system fidelity mode).
+"""Closed-form performance estimation: the system's hardware model.
 
 The paper evaluates systems up to 8x16 in gem5 and switches to "a
 trace-based simulation model" beyond that because detailed simulation
 becomes prohibitive (Section IV-A).  This module is the analogous fast
-mode: it prices a :class:`~repro.hardware.profile.KernelProfile` without
+model, and the only one the system ships: it prices a :class:`~repro.hardware.profile.KernelProfile` without
 replaying addresses, using a reuse-distance cache model, and it prices
 the profile's columns with array operations — every PE (or tile) at
 once — rather than stream by stream.
@@ -31,15 +31,15 @@ order.  Sums run left to right in the order a stream-by-stream walk adds
 its terms and ``exp`` is ``math.exp``, so prices are bit-identical to
 pricing each stream in turn.
 
-Latency composition is shared with the trace engine
-(:mod:`repro.hardware.latency`): hits cost the issue slot plus
-unhideable crossbar serialisation; miss latency is discounted by the
-pattern's hide fraction (prefetchable stream / independent gather /
-pointer chase).  A PE's cycles are ops plus access latencies; a tile
-finishes with its slowest PE plus the LCP's serial tail (OP's merge and
-its dependent read-modify-write of output rows — the term that keeps OP
-from scaling with PEs per tile); the system finishes with the slowest
-tile unless the HBM bandwidth floor is higher.
+Latency composition is shared with the trace-replay oracle in
+``tests/hardware/trace_oracle.py`` (:mod:`repro.hardware.latency`): hits
+cost the issue slot plus unhideable crossbar serialisation; miss latency
+is discounted by the pattern's hide fraction (prefetchable stream /
+independent gather / pointer chase).  A PE's cycles are ops plus access
+latencies; a tile finishes with its slowest PE plus the LCP's serial
+tail (OP's merge and its dependent read-modify-write of output rows —
+the term that keeps OP from scaling with PEs per tile); the system
+finishes with the slowest tile unless the HBM bandwidth floor is higher.
 """
 
 from __future__ import annotations
@@ -365,7 +365,6 @@ class AnalyticModel:
             counters=counters,
             tile_reports=tile_reports,
             bandwidth_floor_cycles=bw_cycles,
-            fidelity="analytic",
             clock_hz=params.clock_hz,
             detail={
                 "compute_cycles": compute_cycles,

@@ -1,9 +1,10 @@
-"""Latency composition shared by the analytic and trace fidelity modes.
+"""Latency composition shared by the analytic model and its trace oracle.
 
-Both modes price an access the same way once the hit rates are known; only
-*how the hit rates are obtained* differs (closed form vs. replayed
-addresses).  Keeping the composition here guarantees the two modes rank
-configurations consistently.
+The analytic model and the trace-replay oracle in
+``tests/hardware/trace_oracle.py`` price an access the same way once the
+hit rates are known; only *how the hit rates are obtained* differs
+(closed form vs. replayed addresses).  Keeping the composition here
+keeps the oracle's rankings comparable with the model's.
 """
 
 from __future__ import annotations

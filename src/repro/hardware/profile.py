@@ -11,13 +11,12 @@ operations and the hardware model prices every PE at once:
   word accesses one PE issues;
 * per PE, shaped ``(tiles, PEs per tile)``: compute ops and SPM fill words;
 * per tile: the LCP's serial elements, output words and ops, and the
-  shared-SPM fill words;
-* optionally, for small inputs, an exact word-address trace per PE.
+  shared-SPM fill words.
 
 A slot a PE does not use holds a zero-count stream that is not in SPM:
 it prices exactly like an absent stream.  The hardware model
-(:mod:`repro.hardware.analytic` or :mod:`repro.hardware.trace`) consumes
-this description and prices it in cycles and picojoules.
+(:mod:`repro.hardware.analytic`) consumes this description and prices it
+in cycles and picojoules.
 
 Keeping the contract explicit lets the same kernel implementation be priced
 under every hardware mode, which is exactly what the CoSPARSE decision
@@ -28,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from enum import IntEnum
-from typing import Dict, List, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -39,7 +38,6 @@ __all__ = [
     "Region",
     "Pattern",
     "KernelProfile",
-    "PETrace",
 ]
 
 
@@ -70,40 +68,6 @@ class Pattern(IntEnum):
     SEQUENTIAL = 0
     RANDOM = 1
     DEPENDENT = 2
-
-
-@dataclass
-class PETrace:
-    """Exact per-PE word-address trace (small inputs / trace mode).
-
-    ``regions`` tags each access with a :class:`Region` value; ``addrs``
-    holds region-local word offsets (the trace engine relocates regions
-    into disjoint address ranges); ``writes`` flags stores.
-    """
-
-    regions: np.ndarray
-    addrs: np.ndarray
-    writes: np.ndarray
-
-    def __post_init__(self):
-        if not (len(self.regions) == len(self.addrs) == len(self.writes)):
-            raise SimulationError("trace arrays must have equal length")
-
-    @property
-    def n_accesses(self) -> int:
-        return len(self.addrs)
-
-    @classmethod
-    def concat(cls, parts: List["PETrace"]) -> "PETrace":
-        """Concatenate traces in program order."""
-        if not parts:
-            e = np.zeros(0, dtype=np.int64)
-            return cls(e.astype(np.int8), e, e.astype(bool))
-        return cls(
-            np.concatenate([p.regions for p in parts]),
-            np.concatenate([p.addrs for p in parts]),
-            np.concatenate([p.writes for p in parts]),
-        )
 
 
 #: Column dtypes by the leading axes they span: (tiles, PEs per tile,
@@ -203,8 +167,6 @@ class KernelProfile:
     fixed_overhead_cycles: float = 0.0
     #: Free-form details for reports (vblock count, heap sizes, ...).
     meta: Dict[str, object] = field(default_factory=dict)
-    #: One :class:`PETrace` per PE, tile-major (trace mode), or None.
-    traces: Optional[List[PETrace]] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.algorithm not in ("ip", "op"):
@@ -227,7 +189,6 @@ class KernelProfile:
         return all(
             np.array_equal(getattr(self, f.name), getattr(other, f.name))
             for f in fields(self)
-            if f.compare
         )
 
     # ------------------------------------------------------------------
@@ -252,9 +213,3 @@ class KernelProfile:
     @property
     def n_tiles(self) -> int:
         return self.count.shape[0]
-
-    def has_traces(self) -> bool:
-        """Whether every PE carries an exact trace (trace mode possible)."""
-        return self.traces is not None and all(
-            t is not None for t in self.traces
-        )

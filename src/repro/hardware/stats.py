@@ -1,8 +1,7 @@
 """Counters and reports produced by the hardware model.
 
-Both fidelity modes (analytic and trace) fill the same
-:class:`MemCounters` / :class:`RunReport` structures, so the energy model
-and the experiment drivers are mode-agnostic.
+The analytic model fills :class:`MemCounters` and :class:`RunReport`,
+which the energy model and the experiment drivers read.
 """
 
 from __future__ import annotations
@@ -86,10 +85,8 @@ class RunReport:
     reconfig_cycles: float = 0.0
     #: Energy in joules — filled in by :class:`repro.hardware.energy.EnergyModel`.
     energy_j: Optional[float] = None
-    #: Which fidelity mode produced this report (``"analytic"``/``"trace"``).
-    fidelity: str = "analytic"
     #: The clock the cycle counts were priced at.  Filled in by the
-    #: fidelity backends from their :class:`HardwareParams`, so
+    #: model from its :class:`HardwareParams`, so
     #: ``time_s`` tracks the configured frequency instead of assuming
     #: the Table II default.
     clock_hz: float = DEFAULT_PARAMS.clock_hz
@@ -114,7 +111,7 @@ class RunReport:
         """One-line human-readable digest."""
         c = self.counters
         return (
-            f"{self.cycles:,.0f} cycles ({self.fidelity}), "
+            f"{self.cycles:,.0f} cycles, "
             f"L1 {c.l1_hit_rate:.1%} / L2 {c.l2_hit_rate:.1%} hit, "
             f"{c.dram_words:,.0f} DRAM words"
             + (f", {self.energy_j * 1e6:.1f} uJ" if self.energy_j is not None else "")

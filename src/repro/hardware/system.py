@@ -4,7 +4,7 @@
 the geometry and the *current* hardware mode, charges the documented
 <=10-cycle overhead whenever a kernel requires a different mode (runtime
 hardware reconfiguration, triggered by one of the LCPs — Section III-D),
-and dispatches profiles to the right fidelity backend.
+and prices profiles with the analytic model.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, Optional, Tuple, Union
 
-from ..errors import ConfigurationError, SimulationError
+from ..errors import ConfigurationError
 from .analytic import AnalyticModel
 from .energy import EnergyModel
 from .geometry import Geometry
@@ -20,11 +20,8 @@ from .hwconfig import HWMode
 from .params import DEFAULT_PARAMS, HardwareParams
 from .profile import KernelProfile
 from .stats import RunReport
-from .trace import TraceEngine
 
 __all__ = ["TransmuterSystem"]
-
-_FIDELITIES = ("analytic", "trace", "auto")
 
 
 class TransmuterSystem:
@@ -37,30 +34,19 @@ class TransmuterSystem:
         ``"AxB"`` string (e.g. ``"8x16"``).
     params:
         Microarchitectural constants; defaults to Table II.
-    fidelity:
-        ``"analytic"`` (closed-form, any size), ``"trace"`` (replay exact
-        traces; profiles must carry them), or ``"auto"`` (trace when the
-        profile has traces, analytic otherwise).
     """
 
     def __init__(
         self,
         geometry: Union[Geometry, str],
         params: HardwareParams = DEFAULT_PARAMS,
-        fidelity: str = "analytic",
     ):
         if isinstance(geometry, str):
             geometry = Geometry.parse(geometry)
-        if fidelity not in _FIDELITIES:
-            raise ConfigurationError(
-                f"fidelity must be one of {_FIDELITIES}, got {fidelity!r}"
-            )
         self.geometry = geometry
         self.params = params
-        self.fidelity = fidelity
         self.energy_model = EnergyModel(geometry, params)
         self._analytic = AnalyticModel(geometry, params)
-        self._trace = TraceEngine(geometry, params)
         self.current_mode: Optional[HWMode] = None
         self.reconfigurations = 0
         self.reconfiguration_cycles = 0.0
@@ -85,16 +71,16 @@ class TransmuterSystem:
         return self.params.reconfig_cycles
 
     # ------------------------------------------------------------------
-    def _evaluate_analytic(self, profile: KernelProfile) -> RunReport:
+    def _evaluate(self, profile: KernelProfile) -> RunReport:
         """The analytic report of ``profile``, priced once per frozen profile.
 
         A frozen profile (:meth:`KernelProfile.freeze`) cannot change, so
         pricing it again would reproduce the stored report: each call
         gets a field-by-field copy of it instead, which the caller may
-        then charge reconfiguration and energy on.  Any other profile,
-        and any profile under ``auto`` fidelity, is priced afresh.
+        then charge reconfiguration and energy on.  Any other profile is
+        priced afresh.
         """
-        if not (profile.frozen and self.fidelity == "analytic"):
+        if not profile.frozen:
             return self._analytic.evaluate(profile)
         hit = self._priced.get(id(profile))
         if hit is None:
@@ -115,12 +101,7 @@ class TransmuterSystem:
     def run(self, profile: KernelProfile, with_energy: bool = True) -> RunReport:
         """Price one kernel invocation, reconfiguring first if needed."""
         reconfig = self.configure(profile.mode)
-        if self.fidelity == "trace":
-            report = self._trace.evaluate(profile)
-        elif self.fidelity == "auto" and profile.has_traces():
-            report = self._trace.evaluate(profile)
-        else:
-            report = self._evaluate_analytic(profile)
+        report = self._evaluate(profile)
         report.cycles += reconfig
         report.reconfig_cycles = reconfig
         if with_energy:
@@ -133,12 +114,7 @@ class TransmuterSystem:
         The decision layer uses this to compare candidate configurations;
         only the chosen one is actually run.
         """
-        if self.fidelity == "trace" or (
-            self.fidelity == "auto" and profile.has_traces()
-        ):
-            report = self._trace.evaluate(profile)
-        else:
-            report = self._evaluate_analytic(profile)
+        report = self._evaluate(profile)
         self.energy_model.attach(report)
         return report
 
@@ -155,4 +131,4 @@ class TransmuterSystem:
 
     def __repr__(self):  # pragma: no cover - debugging aid
         mode = self.current_mode.label if self.current_mode else "unconfigured"
-        return f"TransmuterSystem({self.geometry.name}, mode={mode}, fidelity={self.fidelity})"
+        return f"TransmuterSystem({self.geometry.name}, mode={mode})"

@@ -13,16 +13,17 @@ Event kinds
 ``decision``
     One per SpMV invocation: the frontier density, the active policy,
     the chosen ``(algorithm, hw_mode)``, the decision tree's shadow
-    choice and crossover density (CVD), the live thresholds, every
-    priced alternative (label -> cycles/energy), and whether a pricing
-    probe's functional result was reused.
+    choice and crossover density (CVD), the live thresholds and every
+    priced alternative (label -> cycles/energy).  Exports written before
+    the runtime stopped reusing probes also carry ``probe_reused``; the
+    validator tolerates it, as it does any extra key.
 ``reconfig``
     Emitted when an invocation switched software and/or hardware
     configuration; carries the from/to labels and the charged cycles.
 ``probe_discarded``
     A batched superstep priced candidates for a column and the batch
-    kernel ran the winner without reusing its profile-only probe, as
-    sequential ``spmv`` would without a trace (docs/model.md §6b).
+    kernel ran the winner, dropping its profile-only probe, as
+    sequential ``spmv`` does (docs/model.md §6b).
 ``tuning``
     One autotune outcome, cold or from the plan cache: the winning
     ordering and vblock width with its modelled probe cycles and the
@@ -87,8 +88,6 @@ class DecisionEvent:
     thresholds: Dict[str, float] = field(default_factory=dict)
     #: Every priced alternative: label -> {"cycles": ..., "energy_j": ...}.
     alternatives: Dict[str, dict] = field(default_factory=dict)
-    #: Whether the winning pricing probe's functional result was reused.
-    probe_reused: bool = False
     batch_id: Optional[int] = None
     batch_column: Optional[int] = None
 
@@ -249,7 +248,6 @@ _EVENT_KEYS = {
         "hw_mode",
         "thresholds",
         "alternatives",
-        "probe_reused",
     ),
     "reconfig": (
         "iteration",

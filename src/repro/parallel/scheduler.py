@@ -42,6 +42,7 @@ Worker count resolution: explicit ``jobs=`` argument, else the
 from __future__ import annotations
 
 import os
+import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -131,6 +132,8 @@ class SweepScheduler:
         #: The arrays an open session pins in the process arena, or
         #: None outside a session.
         self._pinned: Optional[List[np.ndarray]] = None
+        #: An open session's unpin, run by close_session or on collection.
+        self._unpin: Optional[weakref.finalize] = None
 
     # ------------------------------------------------------------------
     # Session: arrays pinned in the process arena across map() calls
@@ -147,14 +150,22 @@ class SweepScheduler:
 
         Idempotent while a session is open.  A session started again
         after :meth:`close_session` pins what this call passes.  No-op
-        when ``jobs == 1``.
+        when ``jobs == 1``.  A scheduler collected with its session
+        open unpins the arrays then (the arena applies it at its next
+        pin, unpin, flush or names call).
         """
         if self._pinned is not None or self.jobs <= 1:
             return
         from .pool import arena
 
+        process_arena = arena()
         self._pinned = list(pinned)
-        arena().pin(self._pinned)
+        process_arena.pin(self._pinned)
+        # A finalizer may run while this thread holds the arena's lock,
+        # so it only queues the unpin.
+        self._unpin = weakref.finalize(
+            self, process_arena.unpin_later, self._pinned
+        )
 
     def close_session(self) -> None:
         """Unpin the session's arrays; their segments are unlinked."""
@@ -162,8 +173,9 @@ class SweepScheduler:
             return
         from .pool import arena
 
-        pinned, self._pinned = self._pinned, None
-        arena().unpin(pinned)
+        self._pinned = None
+        self._unpin()  # queues the unpin, once: the finalizer is spent
+        arena().flush()
 
     def __enter__(self) -> "SweepScheduler":
         self.start_session()

@@ -16,7 +16,8 @@ Two owners publish segments in the coordinator:
   the memo has evicted it: at the latest when the arena next creates a
   segment, so the arena stays within the memo's byte budget.  An array
   a session pins (:meth:`ProcessArena.pin`) is published on first use
-  and unlinked when its last pin goes.
+  and unlinked when its last pin goes (a session dropped unclosed lets
+  go through :meth:`ProcessArena.unpin_later`).
 * :class:`ShmArena` — one per pooled call, for other arrays of at least
   the scheduler's size threshold; ``close()`` unlinks them after the
   call.
@@ -97,6 +98,11 @@ def _unlink(seg: shared_memory.SharedMemory) -> None:
         pass
 
 
+def _unlink_all(segments: Iterable[shared_memory.SharedMemory]) -> None:
+    for seg in segments:
+        _unlink(seg)
+
+
 class ShmArena:
     """One call's segments: each array published once per buffer."""
 
@@ -141,31 +147,63 @@ class ProcessArena:
         self._pinned: Dict[int, list] = {}
         #: :meth:`names`, rebuilt after any segment comes or goes.
         self._names: Optional[Tuple[str, ...]] = ()
+        #: Array lists :meth:`unpin_later` queued; the next pin, unpin,
+        #: flush or names call (a pooled map calls names) applies them.
+        self._released: List[List[np.ndarray]] = []
 
     def pin(self, arrays: Iterable[np.ndarray]) -> None:
         """Ship ``arrays`` by reference until :meth:`unpin`, whatever their
         size; each is published on first use."""
         with self._lock:
+            gone = self._drain_locked()
             for arr in arrays:
                 entry = self._pinned.setdefault(id(arr), [arr, 0, None])
                 entry[1] += 1
+        _unlink_all(gone)
 
     def unpin(self, arrays: Iterable[np.ndarray]) -> None:
         """Drop one pin of each array; unlink those no longer pinned."""
-        gone = []
         with self._lock:
-            for arr in arrays:
-                entry = self._pinned.get(id(arr))
-                if entry is None or entry[0] is not arr:
-                    continue
-                entry[1] -= 1
-                if entry[1] == 0:
-                    del self._pinned[id(arr)]
-                    if entry[2] is not None:
-                        gone.append(entry[2][0])
-                        self._names = None
-        for seg in gone:
-            _unlink(seg)
+            gone = self._drain_locked()
+            self._unpin_locked(arrays, gone)
+        _unlink_all(gone)
+
+    def unpin_later(self, arrays: Iterable[np.ndarray]) -> None:
+        """Queue one unpin of each array, for the next locked operation.
+
+        Takes no lock, so a garbage-collection finalizer may call it at
+        any point, even while this thread holds the (non-reentrant)
+        lock: a scheduler session dropped without being closed lets go
+        of its pins this way.  The next :meth:`pin`, :meth:`unpin`,
+        :meth:`flush` or :meth:`names` call applies the queue.
+        """
+        self._released.append(list(arrays))
+
+    def flush(self) -> None:
+        """Apply the queued unpins now; unlink what is no longer pinned."""
+        with self._lock:
+            gone = self._drain_locked()
+        _unlink_all(gone)
+
+    def _unpin_locked(self, arrays, gone: list) -> None:
+        for arr in arrays:
+            entry = self._pinned.get(id(arr))
+            if entry is None or entry[0] is not arr:
+                continue
+            entry[1] -= 1
+            if entry[1] == 0:
+                del self._pinned[id(arr)]
+                if entry[2] is not None:
+                    gone.append(entry[2][0])
+                    self._names = None
+
+    def _drain_locked(self) -> list:
+        """Apply the queued unpins; returns the segments to unlink once
+        the lock is released."""
+        gone: list = []
+        while self._released:
+            self._unpin_locked(self._released.pop(), gone)
+        return gone
 
     def ref_for(
         self, arr: np.ndarray
@@ -215,19 +253,22 @@ class ProcessArena:
     def names(self) -> Tuple[str, ...]:
         """The names of every live segment (what workers may keep)."""
         with self._lock:
+            gone = self._drain_locked()
             if self._names is None:
                 self._names = tuple(s.name for s in self._segments_locked())
-            return self._names
+            names = self._names
+        _unlink_all(gone)
+        return names
 
     def close(self) -> None:
         """Unlink every segment; pins are forgotten."""
         with self._lock:
+            self._released.clear()
             segments = self._segments_locked()
             self._by_digest.clear()
             self._pinned.clear()
             self._names = ()
-        for seg in segments:
-            _unlink(seg)
+        _unlink_all(segments)
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Process-global performance counters for the reproduction.
 
-:data:`COUNTERS` names every perf counter once; the kernels, the
-trace-replay cache and the sweep, tuning and cluster layers increment
+:data:`COUNTERS` names every perf counter once; the kernels and the
+sweep, tuning and cluster layers increment
 the matching attribute of :data:`counters` (``counters.x += n``).  Tests
 use them to pin invariants like "the oracle policy executes exactly one
 functional kernel per invocation".  Spans record their deltas, and a
@@ -23,10 +23,9 @@ COUNTERS: Dict[str, str] = {
     "kernel_batched_columns": "columns run by the batch kernels (each also "
         "counts in kernel_executions or kernel_profile_only)",
     "kernel_probe_discarded": "winning pricing probes of spmv_batch columns "
-        "(oracle/adaptive), not reused; spmv reuses a probe only when it "
-        "executed, which needs with_trace, and spmv_batch rejects with_trace, "
-        "so this counts no extra work (docs/model.md §6b)",
-    "trace_accesses": "words replayed through the cache simulator",
+        "(oracle/adaptive), dropped once priced; a probe builds only a "
+        "profile and spmv drops its own too, so this counts no extra work "
+        "(docs/model.md §6b)",
     "pricing_tasks": "PricingTasks submitted to a SweepScheduler",
     "pricing_cache_hits": "submitted tasks the pricing cache answered (a "
         "warm sweep: hits == tasks, zero kernel_executions)",

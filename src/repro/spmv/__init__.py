@@ -12,7 +12,6 @@ functional output *and* the hardware profile the decision layer prices.
 """
 
 from .batch import inner_product_batch, outer_product_batch
-from .heap import MergeHeap
 from .inner import inner_product
 from .outer import outer_product
 from .partition import (
@@ -37,7 +36,6 @@ from .semiring import (
 )
 
 __all__ = [
-    "MergeHeap",
     "inner_product",
     "inner_product_batch",
     "outer_product",

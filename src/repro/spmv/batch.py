@@ -97,7 +97,7 @@ def inner_product_batch(
     Parameters mirror :func:`~repro.spmv.inner.inner_product`, with the
     dense vector replaced by a :class:`MultiVector` (whose ``absent``
     must match the semiring's) plus optional per-column ``currents`` and
-    a ``columns`` selection.  Address-trace generation is sequential-only.
+    a ``columns`` selection.
     """
     schedule = _ip_schedule(
         matrix, geometry, hw_mode, params, partition, balanced, 1,
@@ -115,7 +115,6 @@ def inner_product_batch(
             semiring,
             current,
             profile_only,
-            with_trace=False,
             label=f"inner_product_batch/active[{j}]",
         )
         for j, current in zip(columns, currents)
@@ -142,8 +141,7 @@ def outer_product_batch(
     """Batched OP SpMV: one result per selected column, in ``columns`` order.
 
     Parameters mirror :func:`~repro.spmv.outer.outer_product`, with the
-    sparse frontier replaced as in :func:`inner_product_batch`.  The exact
-    heap-merge path (and with it trace generation) is sequential-only.
+    sparse frontier replaced as in :func:`inner_product_batch`.
     """
     schedule = _op_schedule(matrix, geometry, hw_mode, params, partition, balanced)
     columns, currents = _check_batch_args(
@@ -158,8 +156,6 @@ def outer_product_batch(
             semiring,
             current,
             profile_only,
-            exact=False,
-            with_trace=False,
             label=f"outer_product_batch[{j}]",
         )
         for j, current in zip(columns, currents)

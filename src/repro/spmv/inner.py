@@ -10,8 +10,7 @@ synchronisation is needed.
 
 The function below produces (a) the exact functional result of the
 semiring SpMV, computed with vectorised numpy over the very same
-partition structure, and (b) the per-PE hardware profile — and, on
-request, an exact interleaved address trace for the trace-replay engine.
+partition structure, and (b) the per-PE hardware profile.
 """
 
 from __future__ import annotations
@@ -23,14 +22,7 @@ import numpy as np
 from ..analysis import sanitize
 from ..errors import ConfigurationError, ShapeError
 from ..formats import COOMatrix, DenseVector
-from ..hardware import (
-    Geometry,
-    HWMode,
-    KernelProfile,
-    PETrace,
-    Pattern,
-    Region,
-)
+from ..hardware import Geometry, HWMode, KernelProfile, Pattern, Region
 from ..hardware.params import DEFAULT_PARAMS, HardwareParams
 from ..obs.tracer import traced
 from ..perf import counters as _perf
@@ -66,7 +58,6 @@ def inner_product(
     current: Optional[np.ndarray] = None,
     partition: Optional[IPPartition] = None,
     balanced: bool = True,
-    with_trace: bool = False,
     profile_only: bool = False,
     vblock_width: Optional[int] = None,
     memo: Optional[dict] = None,
@@ -96,13 +87,11 @@ def inner_product(
     balanced:
         Equal-nnz partitioning (True) or the naive equal-rows baseline
         (False) — the Fig. 7 ablation.
-    with_trace:
-        Attach exact per-PE address traces (scalar semirings only).
     profile_only:
-        Build only the hardware profile (counts, streams and — with
-        ``with_trace`` — traces are all structural) and skip the
-        functional semiring computation; the returned result has
-        ``values is None``.  Used by the runtime's pricing probes.
+        Build only the hardware profile (its counts and streams are
+        structural) and skip the functional semiring computation; the
+        returned result has ``values is None``.  Used by the runtime's
+        pricing probes.
     vblock_width:
         Override the SPM-derived vertical-block width (a tuning plan's
         blocking choice).  Clamped to the SPM-fit width so SCS pinning
@@ -113,8 +102,8 @@ def inner_product(
         used together with a caller-held ``partition``: a frontier with
         no ``absent`` entry then reuses the per-PE counts, ``touched``
         mask and frozen profile built on the first such call
-        (docs/model.md §6k).  Without a memo, without a partition or
-        with ``with_trace`` every call computes them.
+        (docs/model.md §6k).  Without a memo or without a partition
+        every call computes them.
     """
     vw = semiring.value_words
     schedule = _ip_schedule(
@@ -133,14 +122,11 @@ def inner_product(
             f"semiring {semiring.name} expects value_words={vw}, "
             f"got vector of shape {v.shape}"
         )
-    if with_trace and vw != 1:
-        raise ConfigurationError("trace generation supports scalar semirings only")
-    if with_trace or partition is None:
-        # Traces need the per-entry mask; a partition built per call
-        # would key a new entry on every call.
+    if partition is None:
+        # A partition built per call would key a new entry on every call.
         memo = None
     return _ip_column(
-        matrix, schedule, v, semiring, current, profile_only, with_trace,
+        matrix, schedule, v, semiring, current, profile_only,
         "inner_product/active", memo,
     )
 
@@ -212,7 +198,6 @@ def _ip_column(
     semiring: Semiring,
     current: Optional[np.ndarray],
     profile_only: bool,
-    with_trace: bool,
     label: str,
     memo: Optional[dict] = None,
 ) -> SpMVResult:
@@ -278,17 +263,8 @@ def _ip_column(
     _san.check_histogram(label, act_pe, n_active)
     out_pe = _ip_first_touches(a_rows, a_cols, active_edges, schedule)
     _san.check_at_most(f"{label}/first_touches", out_pe, act_pe)
-    trace_builder = None
-    if with_trace:
-        e, width = schedule.pe_entries, schedule.width
-
-        def trace_builder(k):
-            return _build_ip_trace(
-                int(e[k]), int(e[k + 1]), rows, cols, active, width
-            )
-
     profile = _build_ip_profile(
-        matrix, semiring, schedule, act_pe, out_pe, n_active, trace_builder
+        matrix, semiring, schedule, act_pe, out_pe, n_active
     )
     return SpMVResult(values=out, touched=touched, profile=profile, semiring=semiring)
 
@@ -420,7 +396,6 @@ def _build_ip_profile(
     act_pe: np.ndarray,
     out_pe: np.ndarray,
     active_entries: int,
-    trace_builder=None,
 ) -> KernelProfile:
     """Assemble the IP :class:`KernelProfile` from per-PE counts.
 
@@ -467,50 +442,5 @@ def _build_ip_profile(
             "balanced": schedule.balanced,
             "active_entries": active_entries,
         },
-        traces=(
-            None
-            if trace_builder is None
-            else [trace_builder(k) for k in range(geometry.n_pes)]
-        ),
     )
 
-
-def _build_ip_trace(
-    lo: int,
-    hi: int,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    active: np.ndarray,
-    width: int,
-) -> PETrace:
-    """Exact access trace of the PE owning entries ``lo:hi``: per entry,
-    3 matrix words, one vector gather, and (when the source is active)
-    an output read-modify-write pair — in vblock-major schedule order."""
-    if hi == lo:
-        e = np.zeros(0, dtype=np.int64)
-        return PETrace(e.astype(np.int8), e, e.astype(bool))
-    order = lo + np.argsort(cols[lo:hi] // width, kind="stable")
-    n = hi - lo
-    act = active[order]
-    per_entry = 4 + 2 * act.astype(np.int64)
-    starts = np.concatenate([[0], np.cumsum(per_entry)[:-1]])
-    total = int(per_entry.sum())
-    regions = np.empty(total, dtype=np.int8)
-    addrs = np.empty(total, dtype=np.int64)
-    writes = np.zeros(total, dtype=bool)
-    # The stored partition is pre-blocked to match the schedule (the
-    # paper's preprocessing), so the matrix stream is strictly
-    # sequential within this PE's contiguous row-partition range.
-    seq = lo + np.arange(n, dtype=np.int64)
-    for off in range(3):  # matrix words (row, col, val)
-        regions[starts + off] = int(Region.MATRIX)
-        addrs[starts + off] = 3 * seq + off
-    regions[starts + 3] = int(Region.VECTOR_IN)
-    addrs[starts + 3] = cols[order]
-    a_starts = starts[act]
-    regions[a_starts + 4] = int(Region.VECTOR_OUT)
-    addrs[a_starts + 4] = rows[order][act]
-    regions[a_starts + 5] = int(Region.VECTOR_OUT)
-    addrs[a_starts + 5] = rows[order][act]
-    writes[a_starts + 5] = True
-    return PETrace(regions, addrs, writes)

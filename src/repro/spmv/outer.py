@@ -11,13 +11,10 @@ list").  Merged elements flow to the LCP, which combines duplicates
 across PEs and writes results back to main memory — a *serial* per-tile
 stage that is the reason OP scales worse with PEs per tile than IP.
 
-Two functional paths produce identical results:
-
-* the **fast path** (default) gathers the touched columns with vectorised
-  numpy and scatter-reduces — used for large inputs;
-* the **exact path** (``exact=True`` or ``with_trace=True``) runs the
-  real per-PE heap merge element by element, which doubles as the
-  address-trace generator for the PC/PS hardware comparison.
+The kernel gathers the touched columns with vectorised numpy and
+scatter-reduces; it prices the heap from the per-PE head and element
+counts.  The real per-PE heap merge, run element by element, is the
+test oracle that validates both (``tests/hardware/trace_oracle.py``).
 
 Both :func:`outer_product` and
 :func:`~repro.spmv.batch.outer_product_batch` place the tile bounds once
@@ -28,26 +25,18 @@ Both :func:`outer_product` and
 from __future__ import annotations
 
 import math
-from typing import List, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from ..analysis import sanitize
-from ..errors import ConfigurationError, ShapeError, SimulationError
+from ..errors import ConfigurationError, ShapeError
 from ..formats import CSCMatrix, SparseVector
-from ..hardware import (
-    Geometry,
-    HWMode,
-    KernelProfile,
-    PETrace,
-    Pattern,
-    Region,
-)
+from ..hardware import Geometry, HWMode, KernelProfile, Pattern, Region
 from ..hardware.params import DEFAULT_PARAMS, HardwareParams
-from ..hardware.spm import Scratchpad
+from ..hardware.spm import heap_spm_access_fraction
 from ..obs.tracer import traced
 from ..perf import counters as _perf
-from .heap import MergeHeap
 from .partition import IPPartition, sorted_distinct, split_rows
 from .result import SpMVResult
 from .semiring import Semiring
@@ -60,10 +49,8 @@ _OPS_PER_ELEMENT = 4
 _OPS_PER_COLUMN = 8
 #: Invocation setup: frontier chunking and kernel launch.
 _FIXED_OVERHEAD = 200.0
-#: Words per heap slot (row index, cursor id) — matches MergeHeap.
+#: Words per heap slot (row index, cursor id).
 _HEAP_SLOT_WORDS = 2
-#: Address stride separating different PEs' private heaps (words).
-_HEAP_PE_STRIDE = 1 << 22
 
 
 @traced("kernel.outer_product", capture=("hw_mode", "profile_only"))
@@ -76,8 +63,6 @@ def outer_product(
     params: HardwareParams = DEFAULT_PARAMS,
     current: Optional[np.ndarray] = None,
     partition: Optional[IPPartition] = None,
-    exact: bool = False,
-    with_trace: bool = False,
     balanced: bool = True,
     profile_only: bool = False,
 ) -> SpMVResult:
@@ -89,11 +74,8 @@ def outer_product(
     ``SC``.  ``partition`` is the same cached static partition the IP
     kernel takes; OP reads only its tile level.
 
-    ``profile_only=True`` skips the functional scatter/merge and returns
-    a result with ``values is None`` — unless the exact path is forced
-    (``exact``/``with_trace``), whose element-by-element merge *is* the
-    trace generator; its functional output then comes along for free and
-    the result reports ``executed``.
+    ``profile_only=True`` skips the functional scatter and returns a
+    result with ``values is None``.
     """
     schedule = _op_schedule(matrix, geometry, hw_mode, params, partition, balanced)
     if not isinstance(frontier, SparseVector):
@@ -109,7 +91,7 @@ def outer_product(
         )
     return _op_column(
         matrix, schedule, frontier, semiring, current, profile_only,
-        exact or with_trace, with_trace, "outer_product",
+        "outer_product",
     )
 
 
@@ -158,22 +140,21 @@ def _op_column(
     semiring: Semiring,
     current: Optional[np.ndarray],
     profile_only: bool,
-    exact: bool,
-    with_trace: bool,
     label: str,
+    merge_stats: Optional[dict] = None,
 ) -> SpMVResult:
     """Run one validated sparse frontier column through ``schedule``.
 
     The frontier's CSC columns are gathered once; that gather feeds the
-    functional scatter (or the exact heap merge, cross-checked against
-    it) and the per-(tile, PE) work statistics the profile is built from.
+    functional scatter and the per-(tile, PE) work statistics the profile
+    is built from.  ``merge_stats`` replaces the heap estimate with
+    measured per-cell counts (see :func:`_build_op_profile`).
     """
     # Dynamic chunking of frontier non-zeros across PEs (by the LCP).
     chunks = frontier.chunk(schedule.geometry.pes_per_tile)
     rows_g, vals_g, col_of = matrix.gather_columns(frontier.indices)
     pos_of = np.searchsorted(frontier.indices, col_of)
-    traces, merge_stats = None, None
-    if profile_only and not exact:
+    if profile_only:
         _perf.kernel_profile_only += 1
         out = None
         touched = None
@@ -189,17 +170,6 @@ def _op_column(
             vals_g, frontier.values[pos_of], v_dst, col_of, rows_g
         )
         semiring.scatter(out, rows_g, contrib)
-        if exact:
-            exact_out, traces, merge_stats = _exact_merge(
-                matrix, frontier, semiring, chunks, schedule, current, with_trace
-            )
-            if not np.allclose(exact_out, out, equal_nan=True):
-                # A real error, not an `assert`: the cross-check must
-                # survive `python -O` (assert statements are stripped).
-                raise SimulationError(
-                    "exact heap merge disagrees with the vectorised OP path"
-                )
-            out = exact_out
         touched = np.zeros(matrix.n_rows, dtype=bool)
         touched[rows_g] = True
         prev = (
@@ -224,7 +194,7 @@ def _op_column(
         _san.check_marked(f"{label}/outputs", tile_out, touched)
     profile = _build_op_profile(
         matrix, frontier, semiring, schedule, elems, heads, lcp_in, tile_out,
-        cols_pe, len(rows_g), merge_stats, traces, exact,
+        cols_pe, len(rows_g), merge_stats,
     )
     return SpMVResult(values=out, touched=touched, profile=profile, semiring=semiring)
 
@@ -278,16 +248,18 @@ def _build_op_profile(
     tile_out: np.ndarray,
     cols_pe: np.ndarray,
     touched_entries: int,
-    merge_stats=None,
-    traces=None,
-    exact: bool = False,
+    merge_stats: Optional[dict] = None,
 ) -> KernelProfile:
     """Assemble the OP :class:`KernelProfile` from per-cell counts and
     the per-tile LCP input and output counts.
 
     Every PE issues five streams: its frontier chunk, the column-pointer
     lookups, the column entries, and the two heap streams of
-    :func:`_heap_streams`.
+    :func:`_heap_streams`.  The heap's accesses and compares are
+    estimated from each cell's heads and elements, unless
+    ``merge_stats`` holds measured ``heap_accesses`` and ``compares``
+    arrays, one entry per cell (the exact heap merge of the test oracle
+    measures them).
     """
     geometry, hw_mode, params = schedule.geometry, schedule.hw_mode, schedule.params
     T, P = geometry.tiles, geometry.pes_per_tile
@@ -353,9 +325,7 @@ def _build_op_profile(
             "touched_columns": int(frontier.nnz),
             "touched_entries": int(touched_entries),
             "frontier_density": frontier.density,
-            "exact": bool(exact),
         },
-        traces=traces,
     )
 
 
@@ -377,7 +347,7 @@ def _heap_streams(
     PC "has no control over the cache replacement policies", so even the
     hot levels contend with the column stream.  The level-resident
     fraction comes from
-    :meth:`repro.hardware.spm.Scratchpad.heap_spm_access_fraction`.
+    :func:`repro.hardware.spm.heap_spm_access_fraction`.
 
     Returns, per PE, the resident and spilled streams' counts, their
     footprints, and whether the resident one sits in SPM.  A heap that
@@ -387,7 +357,7 @@ def _heap_streams(
     in_spm = hw_mode is HWMode.PS and spm_words > 0
     # PC: split hot (top-level, bank-sized) and cold (deep-level) shares.
     resident_words = spm_words if in_spm else l1_pe_words
-    f = Scratchpad.heap_spm_access_fraction(heap_words, resident_words)
+    f = heap_spm_access_fraction(heap_words, resident_words)
     return (
         (heap_accesses * f, heap_accesses * (1 - f)),
         (
@@ -397,115 +367,3 @@ def _heap_streams(
         (f > 0) if in_spm else np.zeros(f.shape, dtype=bool),
     )
 
-
-def _exact_merge(
-    matrix: CSCMatrix,
-    frontier: SparseVector,
-    semiring: Semiring,
-    chunks,
-    schedule: _OPSchedule,
-    current: Optional[np.ndarray],
-    with_trace: bool,
-):
-    """Element-by-element heap merge, per (tile, PE) — the real schedule.
-
-    Returns the reduced output array, optional per-PE traces, and
-    measured heap statistics keyed by PE cell index.
-    """
-    T, P = schedule.geometry.tiles, schedule.geometry.pes_per_tile
-    tile_bounds = schedule.tile_bounds
-    out = semiring.init_output(matrix.n_rows, current)
-    cur = np.asarray(current, dtype=np.float64) if current is not None else None
-    traces: List[Optional[PETrace]] = [None] * (T * P)
-    heap_acc = np.zeros(T * P)
-    compares = np.zeros(T * P)
-
-    for t in range(T):
-        lo, hi = int(tile_bounds[t]), int(tile_bounds[t + 1])
-        for p, (cidx, cval) in enumerate(chunks):
-            k = t * P + p
-            sink: Optional[list] = [] if with_trace else None
-            heap = MergeHeap(
-                sink=(lambda off, wr: sink.append((int(Region.HEAP), off, wr)))
-                if with_trace
-                else None
-            )
-            cursors = []  # [next_pos, end_pos, v_src]
-            for ci, (j, vj) in enumerate(zip(cidx.tolist(), cval.tolist())):
-                if with_trace:
-                    base = 2 * (int(np.searchsorted(frontier.indices, j)))
-                    sink.append((int(Region.FRONTIER), base, False))
-                    sink.append((int(Region.FRONTIER), base + 1, False))
-                    sink.append((int(Region.COLPTR), j, False))
-                    sink.append((int(Region.COLPTR), j + 1, False))
-                c0, c1 = int(matrix.indptr[j]), int(matrix.indptr[j + 1])
-                # restrict to this tile's row slice
-                s = c0 + int(np.searchsorted(matrix.indices[c0:c1], lo))
-                e = c0 + int(np.searchsorted(matrix.indices[c0:c1], hi))
-                if s >= e:
-                    continue
-                if with_trace:
-                    sink.append((int(Region.MATRIX), 2 * s, False))
-                    sink.append((int(Region.MATRIX), 2 * s + 1, False))
-                cursors.append([s + 1, e, vj, j])
-                heap.push(int(matrix.indices[s]), len(cursors) - 1)
-
-            # merge loop: pop smallest, emit, advance its column cursor
-            last_row, acc = -1, 0.0
-            merged = []  # (row, reduced value) in sorted order
-            while len(heap):
-                row, cid = heap.peek()
-                pos, end, vj, j = cursors[cid]
-                a = float(matrix.vals[pos - 1])
-                dst_val = (
-                    np.array([cur[row]]) if semiring.needs_dst else None
-                )
-                c = float(
-                    semiring.combine(
-                        np.array([a]),
-                        np.array([vj]),
-                        dst_val,
-                        np.array([j]),
-                        np.array([row]),
-                    )[0]
-                )
-                if row == last_row:
-                    acc = float(semiring.reduce_op(acc, c))
-                else:
-                    if last_row >= 0:
-                        merged.append((last_row, acc))
-                    last_row, acc = row, c
-                if pos < end:
-                    if with_trace:
-                        sink.append((int(Region.MATRIX), 2 * pos, False))
-                        sink.append((int(Region.MATRIX), 2 * pos + 1, False))
-                    cursors[cid][0] = pos + 1
-                    heap.replace_top(int(matrix.indices[pos]), cid)
-                else:
-                    heap.pop()
-            if last_row >= 0:
-                merged.append((last_row, acc))
-
-            # LCP stage: reduce this PE's sorted stream into the output.
-            for row, val in merged:
-                out[row] = semiring.reduce_op(out[row], val)
-            heap_acc[k] = heap.accesses
-            compares[k] = heap.compares
-            if with_trace:
-                if sink:
-                    regs, offs, wrs = zip(*sink)
-                    regs = np.asarray(regs, dtype=np.int8)
-                    offs = np.asarray(offs, dtype=np.int64)
-                    wrs = np.asarray(wrs, dtype=bool)
-                    # relocate the PE-private heap out of other PEs' way
-                    heap_sel = regs == int(Region.HEAP)
-                    offs = offs.copy()
-                    offs[heap_sel] += k * _HEAP_PE_STRIDE
-                else:
-                    regs = np.zeros(0, dtype=np.int8)
-                    offs = np.zeros(0, dtype=np.int64)
-                    wrs = np.zeros(0, dtype=bool)
-                traces[k] = PETrace(regs, offs, wrs)
-
-    stats = {"heap_accesses": heap_acc, "compares": compares}
-    return out, (traces if with_trace else None), stats

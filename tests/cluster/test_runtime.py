@@ -1,6 +1,8 @@
 """ShardedRuntime tests: the bit-identity contract, exchange accounting,
 state discipline, and observability integration."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from repro.experiments.common import table3_graph
 from repro.graphs import Graph, bfs, pagerank, sssp
 from repro.graphs.pagerank import pagerank_semiring_for
 from repro.obs import Tracer, override
+from repro.parallel.pool import arena
 from repro.perf import counters
 from repro.workloads import uniform_random
 from tests.parallel.test_shm import _psm_segments
@@ -135,6 +138,38 @@ class TestPooledTransport:
         assert after_step[0]
         assert after_step[-1] == after_step[0]
         assert _psm_segments() - before == set()
+
+    def test_dropped_runtimes_unpin_their_segments(self):
+        """A pooled runtime collected without close() unpins its shard
+        arrays; the arena applies it at its next locked operation."""
+        graph = Graph(uniform_random(3000, nnz=30_000, seed=1))
+        process_arena = arena()
+        pinned = set(process_arena._pinned)
+        before = _psm_segments()
+        for _ in range(3):
+            rt = ShardedRuntime(graph.operand, 4, jobs=2)
+            pagerank(graph, runtime=rt, max_iters=3)
+            assert _psm_segments() - before
+            del rt
+            gc.collect()
+        process_arena.names()
+        assert set(process_arena._pinned) == pinned
+        assert _psm_segments() - before == set()
+
+    def test_close_then_collection_unpins_once(self):
+        graph = Graph(uniform_random(3000, nnz=30_000, seed=1))
+        process_arena = arena()
+        rt = ShardedRuntime(graph.operand, 4, jobs=2)
+        pagerank(graph, runtime=rt, max_iters=3)
+        arrays = [a for shard in rt._shard_arrays for a in shard.values()]
+        process_arena.pin(arrays)  # a second pin of every shard array
+        rt.close()
+        del rt
+        gc.collect()
+        process_arena.flush()
+        assert [process_arena._pinned[id(a)][1] for a in arrays] == [1] * len(arrays)
+        process_arena.unpin(arrays)
+        assert not any(id(a) in process_arena._pinned for a in arrays)
 
 
 class TestExchange:

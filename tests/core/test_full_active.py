@@ -228,24 +228,6 @@ def test_memo_free_calls_compute_every_time(coo):
     assert memo == {}
 
 
-def test_trace_bypasses_the_memo(coo):
-    semiring, v, _ = _case("spmv", coo)
-    operand = SpMVOperand(coo)
-    part = operand.ip_partition(GEOMETRY)
-    traced = inner_product(
-        coo, v, semiring, GEOMETRY, HWMode.SC, partition=part,
-        memo=operand.ip_memo, with_trace=True,
-    )
-    assert operand.ip_memo == {}
-    assert traced.profile.has_traces()
-    plain = inner_product(
-        coo, v, semiring, GEOMETRY, HWMode.SC, partition=part,
-        memo=operand.ip_memo,
-    )
-    assert len(operand.ip_memo) == 1
-    _assert_same_profile(plain.profile, traced.profile)
-
-
 def test_frozen_profile_rejects_writes(coo):
     semiring, v, _ = _case("spmv", coo)
     rt = _runtime(coo, HWMode.SCS, True, None)

@@ -58,17 +58,6 @@ class TestKernelProfileOnly:
         r_probe = system.evaluate_without_switching(probe.profile)
         assert r_probe.cycles == pytest.approx(r_full.cycles)
 
-    def test_op_exact_path_executes_anyway(self, matrix):
-        """with_trace forces the element-by-element merge, whose values
-        are a by-product — the probe then reports executed."""
-        sr = spmv_semiring()
-        csc = CSCMatrix.from_coo(matrix)
-        f = random_frontier(matrix.n_cols, 0.005, seed=3)
-        probe = outer_product(
-            csc, f, sr, GEOM, HWMode.PC, profile_only=True, with_trace=True
-        )
-        assert probe.executed
-
     def test_profile_only_result_guards_functional_accessors(self, matrix):
         sr = spmv_semiring()
         f = random_frontier(matrix.n_cols, 0.3, seed=4).to_dense().data
@@ -112,21 +101,6 @@ class TestOracleCounting:
         rt = CoSparseRuntime(graph.operand, GEOM, policy="oracle")
         run = bfs(graph, 0, runtime=rt)
         assert perf_counters.kernel_executions == len(run.log)
-
-    def test_oracle_with_trace_reuses_executed_probe(self):
-        """Trace-fidelity oracle: the OP probes must execute (the exact
-        merge generates the traces), and a winning executed probe is
-        reused rather than re-run — never more than 3 functional runs,
-        and only 1 when an OP candidate wins."""
-        coo = uniform_random(300, nnz=2500, seed=6)
-        rt = CoSparseRuntime(
-            coo, "2x2", policy="oracle", fidelity="trace", with_trace=True
-        )
-        f = random_frontier(coo.n_cols, 0.01, seed=7)
-        result = rt.spmv(f, spmv_semiring())
-        assert result.executed
-        ran_ip = rt.last_record.algorithm == "ip"
-        assert perf_counters.kernel_executions == (3 if ran_ip else 2)
 
 
 class TestConversionMemoization:

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ShapeError
-from repro.formats import BlockedCOO, COOMatrix
+from repro.formats import COOMatrix
 from repro.spmv import build_ip_partitions
+
+from ..hardware.trace_oracle import BlockedCOO
 
 
 def flat_bounds(coo, tiles, pes):

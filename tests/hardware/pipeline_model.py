@@ -1,4 +1,4 @@
-"""Cycle-stepped in-order pipeline timing (validation substrate).
+"""Cycle-stepped in-order pipeline timing: the oracle of the hide fractions.
 
 The analytic model prices memory accesses with *hide fractions* — how
 much of a miss's latency a 1-issue in-order core with 8 MSHRs actually
@@ -17,19 +17,20 @@ simulator of one PE issuing an explicit instruction schedule, with
 * stores retiring through an 8-entry write buffer that drains one entry
   per cycle.
 
-``tests/hardware/test_pipeline.py`` replays IP-like and OP-like
-schedules and asserts the measured exposure matches the analytic hide
-fractions within a tolerance band — if those constants are ever changed,
-the validation fails rather than silently skewing every figure.
+``test_pipeline.py`` replays IP-like and OP-like schedules and asserts
+the measured exposure matches the analytic hide fractions within a
+tolerance band — if those constants are ever changed, the validation
+fails rather than silently skewing every figure.  Nothing under ``src/``
+imports this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Optional
 
-from ..errors import SimulationError
-from .params import DEFAULT_PARAMS, HardwareParams
+from repro.errors import SimulationError
+from repro.hardware.params import DEFAULT_PARAMS, HardwareParams
 
 __all__ = ["Event", "InOrderPipeline"]
 

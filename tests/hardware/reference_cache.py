@@ -1,12 +1,11 @@
-"""The per-word ``OrderedDict`` LRU cache: the oracle for the cache tests.
+"""The per-word ``OrderedDict`` LRU cache: the one cache simulator.
 
 :class:`ReferenceCacheBank` replays one word per Python-level iteration,
-the cache semantics written as plainly as possible.  The batched engine,
-:class:`repro.hardware.cache.BankedCache`, must reproduce its hit masks,
-hit/miss/writeback counters and end state exactly
-(``test_cache_differential.py``).  ``n_banks`` banks of the batched engine
-correspond to ``sets_override = n_banks * params.cache_sets_per_bank``
-here.  Nothing under ``src/`` imports this module.
+the cache semantics written as plainly as possible.  The trace-replay
+oracle (``trace_oracle.py``) replays every level of the memory hierarchy
+through it, a group of banks behind one crossbar as one cache
+(:meth:`ReferenceCacheBank.banked`).  Nothing under ``src/`` imports
+this module.
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ class ReferenceCacheBank:
 
     Replays one word per Python-level iteration through per-set
     ``OrderedDict``s (LRU order: oldest first; values are dirty flags).
-    Kept as the semantic ground truth the vectorized engine is checked
-    against; :class:`~repro.hardware.cache.BankedCache` is the engine.
 
     Parameters
     ----------
@@ -51,6 +48,17 @@ class ReferenceCacheBank:
         self.hits = 0
         self.misses = 0
         self.writebacks = 0
+
+    @classmethod
+    def banked(cls, n_banks: int, params: HardwareParams) -> "ReferenceCacheBank":
+        """``n_banks`` banks behind one crossbar, simulated as one cache.
+
+        For hit-rate purposes a shared group behaves as one cache of the
+        aggregate capacity with word-level bank interleaving; a private
+        bank is a group of one.  Bank conflicts are priced by
+        :func:`~repro.hardware.latency.shared_conflict_cycles`, not here.
+        """
+        return cls(params, n_banks * params.cache_sets_per_bank)
 
     # ------------------------------------------------------------------
     @property

@@ -55,7 +55,6 @@ class PE:
     compute_ops: float = 0.0
     streams: Sequence[Stream] = ()
     spm_fill_words: float = 0.0
-    trace: object = None
 
 
 @dataclass
@@ -95,7 +94,6 @@ def pack(
             [[getattr(s, name) for s in row] for row in grid]
         ).reshape(shape + (slots,))
 
-    traces = [pe.trace for pe in pes]
     return KernelProfile(
         algorithm=algorithm,
         mode=mode,
@@ -108,7 +106,6 @@ def pack(
         tile_spm_fill_words=[t.spm_fill_words for t in tiles],
         fixed_overhead_cycles=fixed_overhead_cycles,
         meta=dict(meta or {}),
-        traces=None if all(t is None for t in traces) else traces,
     )
 
 
@@ -412,7 +409,6 @@ def reference_evaluate(profile: KernelProfile, geom, params) -> RunReport:
         counters=counters,
         tile_reports=tile_reports,
         bandwidth_floor_cycles=bw_cycles,
-        fidelity="analytic",
         clock_hz=params.clock_hz,
         detail={
             "compute_cycles": compute_cycles,

@@ -1,10 +1,11 @@
 """Set-associative LRU cache simulator tests."""
 
 import numpy as np
-import pytest
 
 from repro.hardware import DEFAULT_PARAMS
-from repro.hardware.cache import BankedCache, interleave_round_robin
+
+from .reference_cache import ReferenceCacheBank
+from .trace_oracle import interleave_round_robin
 
 
 def access(cache, word_addr, write=False):
@@ -16,21 +17,21 @@ def access(cache, word_addr, write=False):
 
 
 class TestCacheBank:
-    """One 4 kB bank: ``BankedCache(1, params)``."""
+    """One 4 kB bank: ``ReferenceCacheBank(params)``."""
 
     def test_cold_miss_then_hit(self):
-        c = BankedCache(1, DEFAULT_PARAMS)
+        c = ReferenceCacheBank(DEFAULT_PARAMS)
         assert not access(c, 0)
         assert access(c, 0)
         assert access(c, 15)  # same 16-word line
         assert not access(c, 16)  # next line
 
     def test_capacity(self):
-        c = BankedCache(1, DEFAULT_PARAMS)
+        c = ReferenceCacheBank(DEFAULT_PARAMS)
         assert c.capacity_words == 1024
 
     def test_lru_eviction_within_set(self):
-        c = BankedCache(1, DEFAULT_PARAMS)
+        c = ReferenceCacheBank(DEFAULT_PARAMS)
         sets = c.n_sets
         line_words = DEFAULT_PARAMS.cache_line_words
         # 5 lines mapping to set 0; 4 ways -> first one evicted
@@ -41,7 +42,7 @@ class TestCacheBank:
         assert access(c, addrs[4])  # most recent survives
 
     def test_lru_touch_refreshes(self):
-        c = BankedCache(1, DEFAULT_PARAMS)
+        c = ReferenceCacheBank(DEFAULT_PARAMS)
         sets = c.n_sets
         lw = DEFAULT_PARAMS.cache_line_words
         addrs = [i * sets * lw for i in range(4)]
@@ -53,7 +54,7 @@ class TestCacheBank:
         assert not access(c, addrs[1])
 
     def test_writeback_counting(self):
-        c = BankedCache(1, DEFAULT_PARAMS)
+        c = ReferenceCacheBank(DEFAULT_PARAMS)
         sets = c.n_sets
         lw = DEFAULT_PARAMS.cache_line_words
         access(c, 0, write=True)
@@ -62,17 +63,17 @@ class TestCacheBank:
         assert c.writebacks == 1
 
     def test_hit_rate_idle_is_one(self):
-        assert BankedCache(1, DEFAULT_PARAMS).hit_rate == 1.0
+        assert ReferenceCacheBank(DEFAULT_PARAMS).hit_rate == 1.0
 
     def test_reset_lines_keeps_counters(self):
-        c = BankedCache(1, DEFAULT_PARAMS)
+        c = ReferenceCacheBank(DEFAULT_PARAMS)
         access(c, 0)
         c.reset_lines()
         assert not access(c, 0)  # cold again
         assert c.misses == 2
 
     def test_sequential_stream_miss_rate(self):
-        c = BankedCache(1, DEFAULT_PARAMS)
+        c = ReferenceCacheBank(DEFAULT_PARAMS)
         n = 512
         for a in range(n):
             access(c, a)
@@ -81,11 +82,11 @@ class TestCacheBank:
 
 class TestBankedCache:
     def test_aggregate_capacity(self):
-        b = BankedCache(8, DEFAULT_PARAMS)
+        b = ReferenceCacheBank.banked(8, DEFAULT_PARAMS)
         assert b.capacity_words == 8 * 1024
 
     def test_run_trace_mask(self):
-        b = BankedCache(2, DEFAULT_PARAMS)
+        b = ReferenceCacheBank.banked(2, DEFAULT_PARAMS)
         addrs = np.asarray([0, 0, 64, 0], dtype=np.int64)
         writes = np.zeros(4, dtype=bool)
         hits = b.run_trace(addrs, writes)
@@ -98,8 +99,8 @@ class TestBankedCache:
         foot = 2048  # words
         addrs = np.tile(np.arange(0, foot, 1, dtype=np.int64), 4)
         writes = np.zeros(len(addrs), dtype=bool)
-        small = BankedCache(1, DEFAULT_PARAMS)
-        big = BankedCache(8, DEFAULT_PARAMS)
+        small = ReferenceCacheBank(DEFAULT_PARAMS)
+        big = ReferenceCacheBank.banked(8, DEFAULT_PARAMS)
         h_small = small.run_trace(addrs, writes).mean()
         h_big = big.run_trace(addrs, writes).mean()
         assert h_big > h_small

@@ -1,4 +1,4 @@
-"""Latency-composition helper tests (shared by both fidelity modes)."""
+"""Latency-composition helper tests (shared by the model and the trace oracle)."""
 
 import pytest
 

@@ -4,8 +4,9 @@ import pytest
 
 from repro.hardware import DEFAULT_PARAMS
 from repro.hardware.latency import hide_fraction
-from repro.hardware.pipeline import Event, InOrderPipeline
 from repro.hardware.profile import Pattern
+
+from .pipeline_model import Event, InOrderPipeline
 
 
 @pytest.fixture

@@ -36,6 +36,7 @@ from repro.spmv import cf_semiring, inner_product, outer_product, spmv_semiring
 from repro.workloads import chung_lu
 
 from .reference_model import PE, Stream, Tile, pack, reference_evaluate
+from .trace_oracle import exact_op
 
 GEOMETRIES = ("2x8", "4x8", "8x16")
 DENSITIES = (0.002, 0.03, 0.3, 1.0)
@@ -49,7 +50,6 @@ def report_fields(report):
         [t.pe_cycles for t in report.tile_reports],
         [t.lcp_cycles for t in report.tile_reports],
         report.detail,
-        report.fidelity,
         report.clock_hz,
     )
 
@@ -118,8 +118,8 @@ class TestKernelProfiles:
         coo = chung_lu(300, 2000, seed=2)
         csc = CSCMatrix.from_coo(coo)
         geom = Geometry.parse("2x8")
-        res = outer_product(csc, frontier(300, 0.2, seed=6), spmv_semiring(),
-                            geom, mode, exact=True)
+        res = exact_op(csc, frontier(300, 0.2, seed=6), spmv_semiring(),
+                       geom, mode)
         assert_prices_like_reference(res.profile, geom)
 
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.hardware import HWMode, KernelProfile, PETrace, Pattern, Region
+from repro.hardware import HWMode, KernelProfile, Pattern, Region
 
 from .reference_model import PE, Stream, Tile, pack
+from .trace_oracle import PETrace
 
 
 def one_stream(region, count, pattern, footprint):
@@ -90,19 +91,6 @@ class TestKernelProfile:
         assert p.compute_ops.sum() == 10.0
         assert p.count.sum() == 14.0
         assert p.n_tiles == 1
-
-    def test_has_traces(self):
-        p = self.make()
-        assert not p.has_traces()
-        p.traces = [
-            PETrace(
-                np.zeros(0, dtype=np.int8),
-                np.zeros(0, dtype=np.int64),
-                np.zeros(0, dtype=bool),
-            )
-            for _ in range(2)
-        ]
-        assert p.has_traces()
 
     def test_stream_lookup(self):
         regions = self.make().region[0, 0]

@@ -1,54 +1,6 @@
-"""Scratchpad model tests."""
+"""Scratchpad heap-residency tests."""
 
-import pytest
-
-from repro.errors import SimulationError
-from repro.hardware.spm import Scratchpad
-
-
-class TestAllocation:
-    def test_allocate_and_release(self):
-        s = Scratchpad(1000)
-        assert s.allocate("heap", 400) == 400
-        assert s.used_words == 400
-        assert s.free_words == 600
-        s.release("heap")
-        assert s.used_words == 0
-
-    def test_oversubscription_clamped(self):
-        """PS lets the sorted list spill; allocation grants what fits."""
-        s = Scratchpad(100)
-        assert s.allocate("heap", 250) == 100
-        assert s.free_words == 0
-
-    def test_double_allocation_rejected(self):
-        s = Scratchpad(100)
-        s.allocate("a", 10)
-        with pytest.raises(SimulationError):
-            s.allocate("a", 10)
-
-    def test_release_unknown_rejected(self):
-        with pytest.raises(SimulationError):
-            Scratchpad(10).release("nope")
-
-    def test_negative_rejected(self):
-        with pytest.raises(SimulationError):
-            Scratchpad(-1)
-        with pytest.raises(SimulationError):
-            Scratchpad(10).allocate("x", -5)
-
-    def test_resident_fraction(self):
-        s = Scratchpad(100)
-        s.allocate("heap", 300)
-        assert s.resident_fraction("heap", 300) == pytest.approx(1 / 3)
-        assert s.resident_fraction("heap", 0) == 1.0
-
-    def test_access_and_fill_counters(self):
-        s = Scratchpad(100)
-        s.access(5)
-        s.fill(64)
-        assert s.accesses == 5
-        assert s.fill_words == 64
+from repro.hardware.spm import heap_spm_access_fraction
 
 
 class TestHeapResidency:
@@ -56,22 +8,22 @@ class TestHeapResidency:
     and swaps still happen in the SPM' (Section III-A)."""
 
     def test_fits_entirely(self):
-        assert Scratchpad.heap_spm_access_fraction(100, 1024) == 1.0
+        assert heap_spm_access_fraction(100, 1024) == 1.0
 
     def test_no_spm(self):
-        assert Scratchpad.heap_spm_access_fraction(100, 0) == 0.0
+        assert heap_spm_access_fraction(100, 0) == 0.0
 
     def test_empty_heap(self):
-        assert Scratchpad.heap_spm_access_fraction(0, 10) == 1.0
+        assert heap_spm_access_fraction(0, 10) == 1.0
 
     def test_majority_resident_on_mild_spill(self):
         # heap 2x the SPM: only the last level spills
-        f = Scratchpad.heap_spm_access_fraction(2048, 1024)
+        f = heap_spm_access_fraction(2048, 1024)
         assert f > 0.5
 
     def test_fraction_decreases_with_heap_size(self):
         fractions = [
-            Scratchpad.heap_spm_access_fraction(words, 256)
+            heap_spm_access_fraction(words, 256)
             for words in (256, 1024, 16384, 1 << 20)
         ]
         assert fractions == sorted(fractions, reverse=True)

@@ -1,4 +1,4 @@
-"""TransmuterSystem facade tests (configuration + dispatch)."""
+"""TransmuterSystem facade tests (configuration + pricing)."""
 
 import pytest
 
@@ -38,10 +38,6 @@ class TestConfiguration:
     def test_accepts_geometry_string(self):
         s = TransmuterSystem("4x8")
         assert s.geometry.tiles == 4
-
-    def test_rejects_bad_fidelity(self):
-        with pytest.raises(ConfigurationError):
-            TransmuterSystem("2x2", fidelity="exact")
 
     def test_rejects_non_mode(self):
         s = TransmuterSystem("2x2")
@@ -84,11 +80,6 @@ class TestRun:
         s.configure(HWMode.SC)
         s.evaluate_without_switching(tiny_profile(HWMode.PS))
         assert s.current_mode is HWMode.SC
-
-    def test_auto_fidelity_falls_back_to_analytic(self):
-        s = TransmuterSystem("2x2", fidelity="auto")
-        r = s.run(tiny_profile(HWMode.SC))
-        assert r.fidelity == "analytic"
 
     def test_report_summary_renders(self):
         s = TransmuterSystem("2x2")

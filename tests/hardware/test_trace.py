@@ -1,25 +1,30 @@
-"""Trace-replay engine tests."""
+"""Trace-replay oracle tests."""
 
 import numpy as np
 import pytest
 
 from repro.errors import SimulationError
+from repro.formats import CSCMatrix
 from repro.hardware import (
     DEFAULT_PARAMS,
     Geometry,
     HWMode,
-    PETrace,
     Pattern,
     Region,
+    TransmuterSystem,
 )
-from repro.hardware.trace import TraceEngine
+from repro.spmv import spmv_semiring
+from repro.workloads import random_frontier
 
 from .reference_model import PE, Stream, Tile, pack
+from .trace_oracle import PETrace, TraceEngine, exact_op, traced_ip
 
 
 def trace_profile(mode, geometry, addr_lists, region=Region.VECTOR_IN, in_spm=False):
-    """One tile per geometry row, each PE replaying its address list."""
+    """One tile per geometry row, each PE replaying its address list:
+    the profile and its traces."""
     tiles = []
+    traces = []
     idx = 0
     for _t in range(geometry.tiles):
         pes = []
@@ -31,6 +36,7 @@ def trace_profile(mode, geometry, addr_lists, region=Region.VECTOR_IN, in_spm=Fa
                 addrs=addrs,
                 writes=np.zeros(len(addrs), dtype=bool),
             )
+            traces.append(tr)
             pes.append(
                 PE(
                     compute_ops=10.0,
@@ -43,11 +49,11 @@ def trace_profile(mode, geometry, addr_lists, region=Region.VECTOR_IN, in_spm=Fa
                             in_spm=in_spm,
                         )
                     ],
-                    trace=tr,
                 )
             )
         tiles.append(Tile(pes=pes))
-    return pack("ip" if mode in (HWMode.SC, HWMode.SCS) else "op", mode, tiles)
+    algorithm = "ip" if mode in (HWMode.SC, HWMode.SCS) else "op"
+    return pack(algorithm, mode, tiles), traces
 
 
 @pytest.fixture
@@ -64,33 +70,33 @@ class TestReplay:
     def test_requires_traces(self, engine, geom):
         p = pack("ip", HWMode.SC, [Tile(pes=[PE()])])
         with pytest.raises(SimulationError):
-            engine.evaluate(p)
+            engine.evaluate(p, None)
+        with pytest.raises(SimulationError):
+            engine.evaluate(p, [None])
 
     def test_repeated_address_hits(self, engine, geom):
-        p = trace_profile(HWMode.SC, geom, [[0] * 100])
-        r = engine.evaluate(p)
+        r = engine.evaluate(*trace_profile(HWMode.SC, geom, [[0] * 100]))
         assert r.counters.l1_hit_rate > 0.95
-        assert r.fidelity == "trace"
+        assert r.detail["replayed_accesses"] == 100 * geom.n_pes
 
     def test_streaming_addresses_miss_per_line(self, engine, geom):
         # every PE streams the same addresses; under the shared L1 the
         # tile takes one miss per line, so the per-access miss rate is
         # 1/(line_words * pes_per_tile)
-        p = trace_profile(HWMode.SC, geom, [list(range(1600))])
-        r = engine.evaluate(p)
+        r = engine.evaluate(*trace_profile(HWMode.SC, geom, [list(range(1600))]))
         expected = 1 - 1 / (16 * geom.pes_per_tile)
         assert r.counters.l1_hit_rate == pytest.approx(expected, abs=0.02)
 
     def test_spm_accesses_bypass_caches(self, engine, geom):
-        p = trace_profile(HWMode.SCS, geom, [[0, 1, 2] * 10], in_spm=True)
-        r = engine.evaluate(p)
+        r = engine.evaluate(
+            *trace_profile(HWMode.SCS, geom, [[0, 1, 2] * 10], in_spm=True)
+        )
         assert r.counters.spm_accesses == 30 * geom.n_pes
         assert r.counters.l1_accesses == 0
 
     def test_ps_has_no_l1_cache(self, engine, geom):
         # under PS a cache-path stream goes straight to L2
-        p = trace_profile(HWMode.PS, geom, [[0] * 50])
-        r = engine.evaluate(p)
+        r = engine.evaluate(*trace_profile(HWMode.PS, geom, [[0] * 50]))
         assert r.counters.l1_hits == 0
         assert r.counters.l2_accesses == 50 * geom.n_pes
 
@@ -108,27 +114,40 @@ class TestReplay:
                 list(range(30000, 30512)),
             ],
         )
-        r_same = engine.evaluate(same)
-        r_disj = TraceEngine(geom, DEFAULT_PARAMS).evaluate(disjoint)
+        r_same = engine.evaluate(*same)
+        r_disj = TraceEngine(geom, DEFAULT_PARAMS).evaluate(*disjoint)
         assert r_same.counters.l1_hit_rate > r_disj.counters.l1_hit_rate
 
 
 class TestAgainstAnalytic:
-    """Both fidelity modes must rank configurations the same way on the
-    real kernels (the decision layer depends on it)."""
+    """Trace replay and the analytic model must price the real kernels
+    alike (the decision layer depends on it)."""
 
     def test_ip_cycles_within_factor_two(self, medium_coo):
-        from repro.hardware import TransmuterSystem
-        from repro.spmv import inner_product, spmv_semiring
-        import numpy as np
-
         geom = Geometry(2, 4)
         v = np.zeros(medium_coo.n_cols)
         v[::3] = 1.0
-        res = inner_product(
-            medium_coo, v, spmv_semiring(), geom, HWMode.SC, with_trace=True
-        )
-        analytic = TransmuterSystem(geom, fidelity="analytic").run(res.profile)
-        trace = TransmuterSystem(geom, fidelity="trace").run(res.profile)
+        res, traces = traced_ip(medium_coo, v, spmv_semiring(), geom, HWMode.SC)
+        analytic = TransmuterSystem(geom).evaluate_without_switching(res.profile)
+        trace = TraceEngine(geom).evaluate(res.profile, traces)
         ratio = analytic.cycles / trace.cycles
         assert 0.5 < ratio < 2.0
+
+
+class TestExactMerge:
+    def test_mismatch_raises_simulation_error(self, medium_coo, monkeypatch):
+        """The cross-check raises rather than asserts: this module is not
+        a test module, so ``python -O`` would strip a bare assert."""
+        from . import trace_oracle
+
+        real = trace_oracle._exact_merge
+
+        def corrupted(*args, **kwargs):
+            out, traces, stats = real(*args, **kwargs)
+            return out + 1.0, traces, stats
+
+        monkeypatch.setattr(trace_oracle, "_exact_merge", corrupted)
+        csc = CSCMatrix.from_coo(medium_coo)
+        sv = random_frontier(csc.n_cols, 0.01, seed=5)
+        with pytest.raises(SimulationError):
+            exact_op(csc, sv, spmv_semiring(), Geometry(2, 4))

@@ -286,23 +286,3 @@ class TestEnergyWarning:
         assert event["source"] == "ReconfigurationLog"
         assert "no record carries energy" in event["message"]
 
-
-class TestTraceFidelityIntegration:
-    def test_cache_span_under_trace_fidelity(self, small_graph):
-        tracer = Tracer()
-        with override(tracer):
-            rt = CoSparseRuntime(
-                small_graph.operand,
-                "2x4",
-                policy="static",
-                fidelity="trace",
-                with_trace=True,
-            )
-            bfs(small_graph, 0, runtime=rt, max_iters=2)
-        cache_spans = [
-            s for s in tracer.span_records() if s["name"] == "cache.run_trace"
-        ]
-        assert cache_spans
-        for span in cache_spans:
-            assert span["attrs"]["accesses"] >= span["attrs"]["hits"] >= 0
-            assert span["counters"].get("trace_accesses", 0) > 0

@@ -9,7 +9,7 @@ profile that prices to the same cycle count.
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, ShapeError, SimulationError
+from repro.errors import ConfigurationError, ShapeError
 from repro.formats import MultiVector, SparseVector
 from repro.hardware import HWMode, TransmuterSystem
 from repro.hardware.params import DEFAULT_PARAMS
@@ -194,25 +194,3 @@ class TestOuterBatch:
                 currents=[np.zeros(medium_csc.n_cols)],
             )
 
-
-class TestExactCrossCheckError:
-    """The OP exact-path cross-check raises SimulationError (not a bare
-    assert), so it survives ``python -O``."""
-
-    def test_mismatch_raises_simulation_error(
-        self, medium_csc, geom24, monkeypatch
-    ):
-        import repro.spmv.outer as outer_mod
-
-        sr = spmv_semiring()
-        sv = random_frontier(medium_csc.n_cols, 0.01, seed=5)
-        real = outer_mod._exact_merge
-
-        def corrupted(*args, **kwargs):
-            out, traces, stats = real(*args, **kwargs)
-            out = out + 1.0
-            return out, traces, stats
-
-        monkeypatch.setattr(outer_mod, "_exact_merge", corrupted)
-        with pytest.raises(SimulationError):
-            outer_product(medium_csc, sv, sr, geom24, exact=True)

@@ -10,7 +10,9 @@ import pytest
 
 from repro.formats import COOMatrix, CSCMatrix, SparseVector
 from repro.hardware import Geometry, HWMode
-from repro.spmv import Semiring, inner_product, outer_product, reference_spmv
+from repro.spmv import Semiring, inner_product, reference_spmv
+
+from ..hardware.trace_oracle import exact_op
 
 GEOM = Geometry(2, 4)
 
@@ -51,9 +53,7 @@ class TestWidestPath:
         dv = np.zeros(30)
         dv[sv.indices] = sv.values
         ip = inner_product(coo, dv, sr, GEOM, HWMode.SC, current=current)
-        op = outer_product(
-            csc, sv, sr, GEOM, HWMode.PC, current=current, exact=True
-        )
+        op = exact_op(csc, sv, sr, GEOM, HWMode.PC, current=current)
         ref = reference_spmv(dense, dv, sr, current)
         assert np.allclose(ip.values, op.values)
         assert np.allclose(ip.values, ref)
@@ -68,7 +68,7 @@ class TestCounting:
         dv = np.zeros(30)
         dv[sv.indices] = sv.values
         ip = inner_product(coo, dv, sr, GEOM, HWMode.SCS)
-        op = outer_product(csc, sv, sr, GEOM, HWMode.PS, exact=True)
+        op = exact_op(csc, sv, sr, GEOM, HWMode.PS)
         expected = (dense[:, sv.indices] != 0).sum(axis=1).astype(float)
         assert np.allclose(ip.values, expected)
         assert np.allclose(op.values, expected)

@@ -14,12 +14,13 @@ from repro.hardware import Geometry, HWMode
 from repro.spmv import (
     bfs_semiring,
     inner_product,
-    outer_product,
     reference_spmv,
     spmv_semiring,
     scipy_spmv,
     sssp_semiring,
 )
+
+from ..hardware.trace_oracle import exact_op
 
 GEOM = Geometry(2, 4)
 
@@ -49,9 +50,7 @@ def run_both(dense, idx, vals, semiring, current=None):
     dv = np.full(n, semiring.absent)
     dv[sv.indices] = sv.values
     ip = inner_product(coo, dv, semiring, GEOM, HWMode.SC, current=current)
-    op = outer_product(
-        csc, sv, semiring, GEOM, HWMode.PC, current=current, exact=True
-    )
+    op = exact_op(csc, sv, semiring, GEOM, HWMode.PC, current=current)
     return ip, op, dv
 
 

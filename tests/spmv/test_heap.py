@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.spmv import MergeHeap
+
+from ..hardware.trace_oracle import MergeHeap
 
 
 class TestBasics:

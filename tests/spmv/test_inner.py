@@ -19,6 +19,8 @@ from repro.spmv import (
     sssp_semiring,
 )
 
+from ..hardware.trace_oracle import traced_ip
+
 
 @pytest.fixture
 def geom():
@@ -99,9 +101,7 @@ class TestValidation:
         sr = cf_semiring(k=2)
         F = rng.normal(size=(small_coo.n_cols, 2))
         with pytest.raises(ConfigurationError):
-            inner_product(
-                small_coo, F, sr, geom, HWMode.SC, current=F, with_trace=True
-            )
+            traced_ip(small_coo, F, sr, geom, HWMode.SC, current=F)
 
     KERNELS = ["sequential", "batch", "op", "op_batch"]
 
@@ -193,12 +193,9 @@ class TestProfile:
 
     def test_trace_lengths_match_streams(self, small_coo, geom, rng):
         v = rng.random(small_coo.n_cols)
-        res = inner_product(
-            small_coo, v, spmv_semiring(), geom, HWMode.SC, with_trace=True
-        )
+        res, traces = traced_ip(small_coo, v, spmv_semiring(), geom, HWMode.SC)
         p = res.profile
-        for k, trace in enumerate(p.traces):
-            assert trace is not None
+        for k, trace in enumerate(traces):
             assert trace.n_accesses == pytest.approx(
-                p.count.reshape(len(p.traces), -1)[k].sum(), abs=0
+                p.count.reshape(len(traces), -1)[k].sum(), abs=0
             )

@@ -145,7 +145,6 @@ def _reference_profile(case, frontier, counts):
             "touched_columns": frontier.nnz,
             "touched_entries": n_touched,
             "frontier_density": frontier.density,
-            "exact": False,
         },
     )
 

@@ -1,4 +1,4 @@
-"""Outer-product kernel tests: fast path, exact heap merge, profile."""
+"""Outer-product kernel tests: vectorised kernel, exact heap merge, profile."""
 
 import numpy as np
 import pytest
@@ -14,6 +14,8 @@ from repro.spmv import (
     spmv_semiring,
     sssp_semiring,
 )
+
+from ..hardware.trace_oracle import exact_op, traced_op
 
 
 @pytest.fixture
@@ -36,15 +38,13 @@ class TestFunctional:
     def test_exact_merge_matches_fast_path(self, small_dense, small_csc, geom, rng):
         sv = frontier_for(small_csc, 0.3, rng)
         fast = outer_product(small_csc, sv, spmv_semiring(), geom, HWMode.PS)
-        exact = outer_product(
-            small_csc, sv, spmv_semiring(), geom, HWMode.PS, exact=True
-        )
+        exact = exact_op(small_csc, sv, spmv_semiring(), geom, HWMode.PS)
         assert np.allclose(fast.values, exact.values)
 
     def test_min_semiring_exact(self, small_dense, small_csc, geom, rng):
         sr = bfs_semiring()
         sv = frontier_for(small_csc, 0.15, rng)
-        res = outer_product(small_csc, sv, sr, geom, HWMode.PC, exact=True)
+        res = exact_op(small_csc, sv, sr, geom, HWMode.PC)
         dense = np.full(small_csc.n_cols, np.inf)
         dense[sv.indices] = sv.values
         ref = reference_spmv(small_dense, dense, sr)
@@ -54,9 +54,7 @@ class TestFunctional:
         sr = sssp_semiring()
         cur = rng.random(small_csc.n_rows) * 5
         sv = frontier_for(small_csc, 0.2, rng)
-        res = outer_product(
-            small_csc, sv, sr, geom, HWMode.PC, current=cur, exact=True
-        )
+        res = exact_op(small_csc, sv, sr, geom, HWMode.PC, current=cur)
         dense = np.full(small_csc.n_cols, np.inf)
         dense[sv.indices] = sv.values
         assert np.allclose(res.values, reference_spmv(small_dense, dense, sr, cur))
@@ -142,18 +140,15 @@ class TestProfile:
 
     def test_exact_mode_measures_heap_accesses(self, small_csc, geom, rng):
         sv = frontier_for(small_csc, 0.2, rng)
-        res = outer_product(
-            small_csc, sv, spmv_semiring(), geom, HWMode.PS, exact=True
-        )
+        res = exact_op(small_csc, sv, spmv_semiring(), geom, HWMode.PS)
         p = res.profile
         assert p.count[p.region == Region.HEAP].sum() > 0
 
     def test_trace_generation(self, small_csc, geom, rng):
         sv = frontier_for(small_csc, 0.2, rng)
-        res = outer_product(
-            small_csc, sv, spmv_semiring(), geom, HWMode.PS, with_trace=True
-        )
-        assert res.profile.has_traces()
+        _res, traces = traced_op(small_csc, sv, spmv_semiring(), geom, HWMode.PS)
+        assert len(traces) == geom.n_pes
+        assert all(t is not None for t in traces)
 
     def test_unbalanced_tiles(self, powerlaw_coo, geom, rng):
         csc = CSCMatrix.from_coo(powerlaw_coo)

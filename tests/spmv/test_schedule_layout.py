@@ -8,17 +8,16 @@ the two to each other so neither can drift.
 
 import numpy as np
 
-from repro.formats import BlockedCOO
 from repro.hardware import Geometry, HWMode, Region
-from repro.spmv import build_ip_partitions, inner_product, spmv_semiring, vblock_width
+from repro.spmv import build_ip_partitions, spmv_semiring
+
+from ..hardware.trace_oracle import BlockedCOO, traced_ip
 
 
 def test_trace_vector_order_matches_blocked_schedule(medium_coo, rng):
     geometry = Geometry(2, 4)
     v = rng.random(medium_coo.n_cols)
-    res = inner_product(
-        medium_coo, v, spmv_semiring(), geometry, HWMode.SCS, with_trace=True
-    )
+    res, traces = traced_ip(medium_coo, v, spmv_semiring(), geometry, HWMode.SCS)
     width = res.profile.meta["vblock_width"]
 
     part = build_ip_partitions(
@@ -32,7 +31,7 @@ def test_trace_vector_order_matches_blocked_schedule(medium_coo, rng):
     for t in range(geometry.tiles):
         for p in range(geometry.pes_per_tile):
             k = t * geometry.pes_per_tile + p
-            trace = res.profile.traces[k]
+            trace = traces[k]
             # the vector gathers appear once per entry, in schedule order
             vec_addrs = trace.addrs[trace.regions == int(Region.VECTOR_IN)]
             sched_cols = np.concatenate(
@@ -45,10 +44,8 @@ def test_trace_vector_order_matches_blocked_schedule(medium_coo, rng):
 def test_trace_matrix_stream_is_sequential(medium_coo, rng):
     geometry = Geometry(2, 2)
     v = rng.random(medium_coo.n_cols)
-    res = inner_product(
-        medium_coo, v, spmv_semiring(), geometry, HWMode.SC, with_trace=True
-    )
-    for trace in res.profile.traces:
+    _res, traces = traced_ip(medium_coo, v, spmv_semiring(), geometry, HWMode.SC)
+    for trace in traces:
         m = trace.addrs[trace.regions == int(Region.MATRIX)]
         if len(m):
             assert np.all(np.diff(m) > 0)  # strictly increasing words

@@ -246,7 +246,6 @@ class TestSelection:
         assert counters.pricing_tasks == probes
         assert counters.kernel_profile_only == probes
         assert counters.pricing_cache_hits == 0
-        assert counters.trace_accesses == 0
 
     def test_winner_is_argmin_of_probe_cycles(
         self, matrix, uncached, monkeypatch
