@@ -45,9 +45,10 @@ test-O:
 # histograms, distinct-count bounds, batch provenance and counter
 # accounting on every kernel the tests of the kernels and of their
 # callers drive: the graph drivers, the sharded runtime and the query
-# service feed partially active and sharded columns.
+# service feed partially active and sharded columns, and the Fig. 4-6
+# row tests feed the sweep's pricing tasks, whose reports it checks.
 test-sanitize:
-	REPRO_SANITIZE=1 PYTHONPATH=src $(PYTHON) -m pytest tests/spmv tests/core tests/graphs tests/cluster tests/serve -q -m "not slow"
+	REPRO_SANITIZE=1 PYTHONPATH=src $(PYTHON) -m pytest tests/spmv tests/core tests/graphs tests/cluster tests/serve tests/experiments/test_rows.py -q -m "not slow"
 
 test-all:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/

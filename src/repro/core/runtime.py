@@ -431,10 +431,10 @@ class CoSparseRuntime:
         return self.tree.decide(self.operand.info, density)
 
     def _log_column(
-        self, result, conv, algorithm, mode, density, alternatives, shadow,
+        self, report, conv, algorithm, mode, density, alternatives, shadow,
         san, label, batch_id=None, batch_column=None,
     ) -> IterationRecord:
-        """Price one column's profile, check it and log its record.
+        """Check one column's priced report and log its record.
 
         :meth:`spmv` and :meth:`spmv_batch` both log through here, in
         sequential iteration order: switches are charged against the
@@ -443,10 +443,6 @@ class CoSparseRuntime:
         the reconfiguration event.
         """
         tracer = _obs_active()
-        column = {} if batch_column is None else {"column": batch_column}
-        with tracer.span("price", **column) as priced:
-            report = self.system.run(result.profile)
-            priced.set(cycles=report.cycles)
         conv_cycles = (
             conv.words * _CONV_CYCLES_PER_WORD / max(self.geometry.n_pes, 1)
         )
@@ -526,8 +522,11 @@ class CoSparseRuntime:
                 result, conv = self._run_kernel(
                     algorithm, mode, frontier, semiring, current
                 )
+            with tracer.span("price") as priced:
+                report = self.system.run(result.profile)
+                priced.set(cycles=report.cycles)
             record = self._log_column(
-                result, conv, algorithm, mode, density, alternatives, shadow,
+                report, conv, algorithm, mode, density, alternatives, shadow,
                 sanitize.active(), f"spmv iter {self._iteration}",
             )
             if tracer.enabled:
@@ -551,9 +550,10 @@ class CoSparseRuntime:
         :meth:`spmv` would, groups the columns by chosen configuration in
         first-appearance order, and runs one *batched* kernel per group.
         A batched kernel places the static schedule once and runs each
-        column through the sequential kernel's own per-column helper, and
-        every column is priced and logged through the same helper as
-        :meth:`spmv`, so the per-column profiles, reports and
+        column through the sequential kernel's own per-column helper; a
+        group's profiles are priced in one stacked solve, whose reports
+        equal pricing each alone, and every column is logged through the
+        same helper as :meth:`spmv`, so the per-column profiles, reports and
         :class:`IterationRecord`\\ s stay bit-identical to K sequential
         :meth:`spmv` calls issued in that same group order.  Hardware
         switch costs are charged per group boundary (the first column of
@@ -674,14 +674,19 @@ class CoSparseRuntime:
                                 self.operand.csc, mv, semiring, self.geometry,
                                 **kw,
                             )
+                    with tracer.span("price", columns=cols) as priced:
+                        reports = self.system.run_many(
+                            [result.profile for result in group_results]
+                        )
+                        priced.set(cycles=[r.cycles for r in reports])
                     target = "dense" if algorithm == "ip" else "sparse"
-                    for j, result in zip(cols, group_results):
+                    for j, result, report in zip(cols, group_results, reports):
                         alternatives, density, shadow = decisions[j]
                         conv = conversion_cost(
                             mv.native(j), target, mv.n, mv.column_nnz(j)
                         )
                         self._log_column(
-                            result, conv, algorithm, mode, density,
+                            report, conv, algorithm, mode, density,
                             alternatives, shadow, san, f"spmv_batch col {j}",
                             batch_id=batch_id, batch_column=j,
                         )

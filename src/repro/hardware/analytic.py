@@ -3,10 +3,11 @@
 The paper evaluates systems up to 8x16 in gem5 and switches to "a
 trace-based simulation model" beyond that because detailed simulation
 becomes prohibitive (Section IV-A).  This module is the analogous fast
-model, and the only one the system ships: it prices a :class:`~repro.hardware.profile.KernelProfile` without
-replaying addresses, using a reuse-distance cache model, and it prices
-the profile's columns with array operations — every PE (or tile) at
-once — rather than stream by stream.
+model, and the only one the system ships: it prices kernel profiles
+(:class:`~repro.hardware.profile.KernelProfile`) without replaying
+addresses, using a reuse-distance cache model, and it prices the
+profiles' columns with array operations — every PE (or tile) at once —
+rather than stream by stream.
 
 Hit-rate model (per cache level)
 --------------------------------
@@ -31,6 +32,20 @@ order.  Sums run left to right in the order a stream-by-stream walk adds
 its terms and ``exp`` is ``math.exp``, so prices are bit-identical to
 pricing each stream in turn.
 
+One call prices a list of profiles that share a mode and a ``(tiles,
+PEs, streams)`` shape — a sweep row's densities, a batch group's
+columns — in one stacked solve.  B profiles of T tiles stack along the
+tile axis into B*T tiles, so per-PE and per-tile caches are just more
+rows, and a shared L2 becomes one row per profile.  Each row's solve
+reads only its own entries (the fixed point runs a fixed number of
+iterations, so no row waits on another's convergence), and each
+profile's counters, tile reports, slowest tile, bandwidth floor and
+fixed overhead reduce over its own slice in the order above: every
+report equals pricing its profile alone.  A solve costs numpy call
+overhead more than work, so a row of five costs well under five lone
+solves.  A one-profile list runs the same code on the profile's own
+arrays, uncopied.
+
 Latency composition is shared with the trace-replay oracle in
 ``tests/hardware/trace_oracle.py`` (:mod:`repro.hardware.latency`): hits
 cost the issue slot plus unhideable crossbar serialisation; miss latency
@@ -45,14 +60,18 @@ finishes with the slowest tile unless the HBM bandwidth floor is higher.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
+from typing import List, Sequence
 
 import numpy as np
 
+from ..errors import ConfigurationError
+from ..perf import counters as _perf
 from .geometry import Geometry
 from .hwconfig import HWMode, Sharing
 from .latency import compose_latency, l1_base_latency, spm_latency
 from .params import HardwareParams
-from .profile import KernelProfile, Pattern
+from .profile import _COLUMNS, KernelProfile, Pattern
 from .stats import MemCounters, RunReport, TileReport
 
 __all__ = ["AnalyticModel"]
@@ -170,6 +189,34 @@ class _RegionGroups:
         return rates[self.caches, self.region]
 
 
+def _check_stackable(profiles: Sequence[KernelProfile]) -> None:
+    """Raise :class:`ConfigurationError` unless every profile shares the
+    first one's mode and ``(tiles, PEs, streams)`` shape: one solve
+    prices one cache organisation over one layout."""
+    if not profiles:
+        return
+    mode, shape = profiles[0].mode, profiles[0].count.shape
+    for profile in profiles[1:]:
+        if profile.mode is not mode or profile.count.shape != shape:
+            raise ConfigurationError(
+                "one solve prices profiles of one mode and shape, not "
+                f"{mode.label} {shape} beside "
+                f"{profile.mode.label} {profile.count.shape}"
+            )
+
+
+def _stack(profiles: Sequence[KernelProfile]):
+    """The profiles' columns stacked along the tile axis.  A lone
+    profile is its own stack, so its columns are not copied."""
+    if len(profiles) == 1:
+        return profiles[0]
+    return SimpleNamespace(**{
+        name: np.concatenate([getattr(p, name) for p in profiles])
+        for _axes, columns in _COLUMNS
+        for name in columns
+    })
+
+
 class AnalyticModel:
     """Prices kernel profiles on a given geometry/parameter set."""
 
@@ -178,13 +225,23 @@ class AnalyticModel:
         self.params = params
 
     # ------------------------------------------------------------------
-    def evaluate(self, profile: KernelProfile) -> RunReport:
-        """Price one kernel invocation; returns cycles + counters."""
-        geom, params, mode = self.geometry, self.params, profile.mode
-        T, P, S = shape = profile.count.shape
-        count, writes, in_spm = profile.count, profile.writes, profile.in_spm
-        sequential = profile.pattern == Pattern.SEQUENTIAL
-        mb = _miss_bearing(count, writes, profile.distinct_touches)
+    def evaluate(self, profiles: Sequence[KernelProfile]) -> List[RunReport]:
+        """Price kernel invocations of one mode and shape in one solve;
+        returns each one's cycles + counters, in order."""
+        if not profiles:
+            return []
+        _check_stackable(profiles)
+        geom, params, mode = self.geometry, self.params, profiles[0].mode
+        B = len(profiles)
+        T, P, S = profiles[0].count.shape
+        _perf.pricing_solves += 1
+        _perf.pricing_profiles += B
+        # B profiles of T tiles are one stack of B*T tiles.
+        cols = _stack(profiles)
+        shape = (B * T, P, S)
+        count, writes, in_spm = cols.count, cols.writes, cols.in_spm
+        sequential = cols.pattern == Pattern.SEQUENTIAL
+        mb = _miss_bearing(count, writes, cols.distinct_touches)
         cached = ~in_spm & (mb > 0)
         l1_base = l1_base_latency(mode, geom, params)
         l1_shared = mode.l1_sharing is Sharing.SHARED
@@ -193,12 +250,12 @@ class AnalyticModel:
         # ---- Stage 1: L1 hit rates ------------------------------------
         if not l1_shared:
             # One cache per PE; its entries are the PE's streams.
-            flat = (T * P, S)
+            flat = (B * T * P, S)
             miss = _solve_misses(
                 np.where(cached, mb, 0.0).reshape(flat),
-                profile.footprint.reshape(flat),
+                cols.footprint.reshape(flat),
                 sequential.reshape(flat),
-                profile.passes.reshape(flat),
+                cols.passes.reshape(flat),
                 np.ones(flat),
                 l1_capacity,
                 params,
@@ -212,21 +269,21 @@ class AnalyticModel:
             # one, and the most passes any stream makes.
             h1 = np.ones(shape)
             if cached.any():
-                grid = (T, P * S)
+                grid = (B * T, P * S)
                 groups = _RegionGroups(
-                    profile.region.reshape(grid), cached.reshape(grid)
+                    cols.region.reshape(grid), cached.reshape(grid)
                 )
-                shared_fp = profile.shared_footprint.reshape(grid)
+                shared_fp = cols.shared_footprint.reshape(grid)
                 later = np.arange(P * S) != groups.first[..., None]
                 passes = np.where(
                     groups.member,
-                    profile.passes.reshape(grid)[:, None, :],
+                    cols.passes.reshape(grid)[:, None, :],
                     np.iinfo(np.int64).min,
                 )
                 h1 = groups.hit_rates(
                     groups.total(mb.reshape(grid)),
                     groups.total(
-                        profile.footprint.reshape(grid),
+                        cols.footprint.reshape(grid),
                         ~(later & shared_fp[:, None, :]),
                     ),
                     passes.max(axis=2),
@@ -239,22 +296,23 @@ class AnalyticModel:
             m1 = np.where(cached, mb * (1.0 - h1), 0.0)
 
         # ---- Stage 2: L2 hit rates --------------------------------------
-        # L1 misses aggregate per (L2 scope, region): the system when L2
-        # is shared, else the tile.  Each entry takes its first stream's
-        # pattern and passes.
+        # L1 misses aggregate per (L2 scope, region): the profile's whole
+        # system when L2 is shared, else the tile.  Each entry takes its
+        # first stream's pattern and passes.
         h2 = np.ones(shape)
         reaching = ~in_spm & (m1 > 0)
         if reaching.any():
-            grid = (1, -1) if mode.l2_sharing is Sharing.SHARED else (T, P * S)
-            groups = _RegionGroups(profile.region.reshape(grid), reaching.reshape(grid))
+            shared_l2 = mode.l2_sharing is Sharing.SHARED
+            grid = (B, -1) if shared_l2 else (B * T, P * S)
+            groups = _RegionGroups(cols.region.reshape(grid), reaching.reshape(grid))
             h2 = groups.hit_rates(
                 groups.total(m1.reshape(grid)),
                 _l2_footprints(
                     groups.member,
-                    profile.shared_footprint.reshape(grid)[:, None, :],
-                    profile.footprint.reshape(grid)[:, None, :],
+                    cols.shared_footprint.reshape(grid)[:, None, :],
+                    cols.footprint.reshape(grid)[:, None, :],
                 ),
-                groups.of_first(profile.passes.reshape(grid)),
+                groups.of_first(cols.passes.reshape(grid)),
                 np.ones(groups.first.shape),
                 sequential.reshape(grid),
                 mode.l2_words(geom, params),
@@ -265,7 +323,7 @@ class AnalyticModel:
         live = count > 0
         spm = live & in_spm
         path = live & ~in_spm
-        lat = compose_latency(l1_base, h1, h2, profile.pattern, params)
+        lat = compose_latency(l1_base, h1, h2, cols.pattern, params)
         cheap_loads = np.maximum(count - writes - mb, 0.0)
         stream_cycles = np.where(
             spm,
@@ -281,27 +339,28 @@ class AnalyticModel:
             geom.tiles / params.dram_words_per_cycle,
         )
         visible_fill = fill_rate * (1.0 - params.spm_fill_overlap)
-        pe_cycles = profile.compute_ops
+        pe_cycles = cols.compute_ops
         for s in range(S):
             pe_cycles = pe_cycles + stream_cycles[:, :, s]
         # Shared-SPM fill: PEs wait out the un-overlapped part.
         pe_cycles = (
             pe_cycles
-            + profile.spm_fill_words * visible_fill
-            + profile.tile_spm_fill_words[:, None] * visible_fill
+            + cols.spm_fill_words * visible_fill
+            + cols.tile_spm_fill_words[:, None] * visible_fill
         )
 
         # ---- Counters, accumulated in program order -----------------------
         # Per tile: each PE's streams, then its SPM fill; after the PEs,
-        # the LCP tail and the shared-SPM fill.
+        # the LCP tail and the shared-SPM fill.  Each profile sums its
+        # own tiles.
         m2 = m1 * (1.0 - h2)
-        granule = profile.fill_granule
+        granule = cols.fill_granule
         fill = m2 * np.where(granule != 0, granule, params.cache_line_words)
         # Read-modify-write streams dirty the lines they fetched; the
         # eventual write-back doubles the fill traffic.
         traffic = np.where(path, np.where(writes > 0, fill + fill, fill), 0.0)
-        acc = np.zeros((8, T, P * (S + 1) + 2))
-        per_pe = acc[:, :, :-2].reshape(8, T, P, S + 1)
+        acc = np.zeros((8, B * T, P * (S + 1) + 2))
+        per_pe = acc[:, :, :-2].reshape(8, B * T, P, S + 1)
         for row, term in enumerate(
             (
                 np.where(spm, count, 0.0),
@@ -315,63 +374,71 @@ class AnalyticModel:
             )
         ):
             per_pe[row, ..., :S] = term
-        per_pe[[_SPM, _DRAM, _DRAM_SEQ], ..., S] = profile.spm_fill_words
-        out_rows = profile.lcp_output_words / 2.0  # (index, value) pairs
+        per_pe[[_SPM, _DRAM, _DRAM_SEQ], ..., S] = cols.spm_fill_words
+        out_rows = cols.lcp_output_words / 2.0  # (index, value) pairs
         # RMW traffic: read the old row value, write the new one.
-        acc[_DRAM, :, -2] = out_rows + profile.lcp_output_words
-        acc[_DRAM_SEQ, :, -2] = profile.lcp_output_words
+        acc[_DRAM, :, -2] = out_rows + cols.lcp_output_words
+        acc[_DRAM_SEQ, :, -2] = cols.lcp_output_words
         acc[_DRAM_RAND, :, -2] = out_rows
-        acc[[_DRAM, _SPM, _DRAM_SEQ], :, -1] = profile.tile_spm_fill_words
-        spm_acc, l1a, l1h, l2a, l2h, dram, dram_seq, dram_rand = _seq_sum(
-            acc.reshape(8, -1)
-        ).tolist()
+        acc[[_DRAM, _SPM, _DRAM_SEQ], :, -1] = cols.tile_spm_fill_words
+        sums = _seq_sum(acc.reshape(8, B, -1)).T.tolist()
         # Crossbar hops: the shared SPM and shared L1 carry every access,
         # then every L1 miss crosses to L2.
         hops = (spm if mode is HWMode.SCS else False) | (path if l1_shared else False)
-        xbar = _seq_sum(np.stack([np.where(hops, count, 0.0), m1], axis=-1).ravel())
-        counters = MemCounters(
-            pe_ops=float(_seq_sum(profile.compute_ops.ravel())),
-            lcp_ops=float(
-                _seq_sum(profile.lcp_serial_elements * 4 + profile.lcp_compute_ops)
-            ),
-            spm_accesses=spm_acc,
-            l1_accesses=l1a,
-            l1_hits=l1h,
-            l2_accesses=l2a,
-            l2_hits=l2h,
-            dram_words=dram,
-            xbar_hops=float(xbar),
-        )
+        xbar = _seq_sum(
+            np.stack([np.where(hops, count, 0.0), m1], axis=-1).reshape(B, -1)
+        ).tolist()
+        pe_ops = _seq_sum(cols.compute_ops.reshape(B, -1)).tolist()
+        lcp_ops = _seq_sum(
+            (cols.lcp_serial_elements * 4 + cols.lcp_compute_ops).reshape(B, T)
+        ).tolist()
 
-        # ---- LCP serial tail and the system verdict -----------------------
+        # ---- LCP serial tail and each profile's verdict -------------------
         lcp_cycles = (
-            profile.lcp_serial_elements * params.lcp_cycles_per_element
+            cols.lcp_serial_elements * params.lcp_cycles_per_element
             + out_rows * params.lcp_rmw_cycles_per_row
-            + profile.lcp_compute_ops
-        )
-        tile_reports = [
-            TileReport(pe_cycles=row, lcp_cycles=lcp)
-            for row, lcp in zip(pe_cycles.tolist(), lcp_cycles.tolist())
-        ]
-        compute_cycles = max(t.cycles for t in tile_reports)
-        bw_cycles = (
-            dram_seq / params.dram_words_per_cycle
-            + dram_rand
-            / (params.dram_words_per_cycle * params.dram_random_efficiency)
-        )
-        total = max(compute_cycles, bw_cycles) + profile.fixed_overhead_cycles
-        return RunReport(
-            cycles=total,
-            counters=counters,
-            tile_reports=tile_reports,
-            bandwidth_floor_cycles=bw_cycles,
-            clock_hz=params.clock_hz,
-            detail={
-                "compute_cycles": compute_cycles,
-                "mode": mode.label,
-                "algorithm": profile.algorithm,
-            },
-        )
+            + cols.lcp_compute_ops
+        ).tolist()
+        pe_cycles = pe_cycles.tolist()
+        reports = []
+        for b, profile in enumerate(profiles):
+            tile_reports = [
+                TileReport(pe_cycles=row, lcp_cycles=lcp)
+                for row, lcp in zip(
+                    pe_cycles[b * T:(b + 1) * T], lcp_cycles[b * T:(b + 1) * T]
+                )
+            ]
+            compute_cycles = max(t.cycles for t in tile_reports)
+            spm_acc, l1a, l1h, l2a, l2h, dram, dram_seq, dram_rand = sums[b]
+            bw_cycles = (
+                dram_seq / params.dram_words_per_cycle
+                + dram_rand
+                / (params.dram_words_per_cycle * params.dram_random_efficiency)
+            )
+            total = max(compute_cycles, bw_cycles) + profile.fixed_overhead_cycles
+            reports.append(RunReport(
+                cycles=total,
+                counters=MemCounters(
+                    pe_ops=pe_ops[b],
+                    lcp_ops=lcp_ops[b],
+                    spm_accesses=spm_acc,
+                    l1_accesses=l1a,
+                    l1_hits=l1h,
+                    l2_accesses=l2a,
+                    l2_hits=l2h,
+                    dram_words=dram,
+                    xbar_hops=xbar[b],
+                ),
+                tile_reports=tile_reports,
+                bandwidth_floor_cycles=bw_cycles,
+                clock_hz=params.clock_hz,
+                detail={
+                    "compute_cycles": compute_cycles,
+                    "mode": mode.label,
+                    "algorithm": profile.algorithm,
+                },
+            ))
+        return reports
 
 
 def _l2_footprints(member, shared, footprint) -> np.ndarray:

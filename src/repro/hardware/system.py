@@ -4,13 +4,14 @@
 the geometry and the *current* hardware mode, charges the documented
 <=10-cycle overhead whenever a kernel requires a different mode (runtime
 hardware reconfiguration, triggered by one of the LCPs — Section III-D),
-and prices profiles with the analytic model.
+and prices profiles with the analytic model: one profile at a time, or a
+list of one mode and shape (a sweep row, a batch group) in one solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ConfigurationError
 from .analytic import AnalyticModel
@@ -71,42 +72,61 @@ class TransmuterSystem:
         return self.params.reconfig_cycles
 
     # ------------------------------------------------------------------
-    def _evaluate(self, profile: KernelProfile) -> RunReport:
-        """The analytic report of ``profile``, priced once per frozen profile.
+    def _evaluate(self, profiles: Sequence[KernelProfile]) -> List[RunReport]:
+        """The analytic reports of ``profiles``, in order, from one solve.
 
-        A frozen profile (:meth:`KernelProfile.freeze`) cannot change, so
-        pricing it again would reproduce the stored report: each call
-        gets a field-by-field copy of it instead, which the caller may
-        then charge reconfiguration and energy on.  Any other profile is
-        priced afresh.
+        A lone frozen profile (:meth:`KernelProfile.freeze`) cannot
+        change, so pricing it again would reproduce the stored report:
+        it is priced once and each call gets a field-by-field copy of
+        that report, which the caller may then charge reconfiguration
+        and energy on.  Any other list is priced afresh.
         """
-        if not profile.frozen:
-            return self._analytic.evaluate(profile)
+        if len(profiles) != 1 or not profiles[0].frozen:
+            return self._analytic.evaluate(profiles)
+        profile = profiles[0]
         hit = self._priced.get(id(profile))
         if hit is None:
             hit = self._priced[id(profile)] = (
-                profile, self._analytic.evaluate(profile)
+                profile, self._analytic.evaluate(profiles)[0]
             )
         report = hit[1]
-        return replace(
-            report,
-            counters=replace(report.counters),
-            tile_reports=[
-                replace(t, pe_cycles=list(t.pe_cycles))
-                for t in report.tile_reports
-            ],
-            detail=dict(report.detail),
-        )
+        return [
+            replace(
+                report,
+                counters=replace(report.counters),
+                tile_reports=[
+                    replace(t, pe_cycles=list(t.pe_cycles))
+                    for t in report.tile_reports
+                ],
+                detail=dict(report.detail),
+            )
+        ]
 
-    def run(self, profile: KernelProfile, with_energy: bool = True) -> RunReport:
-        """Price one kernel invocation, reconfiguring first if needed."""
-        reconfig = self.configure(profile.mode)
-        report = self._evaluate(profile)
-        report.cycles += reconfig
-        report.reconfig_cycles = reconfig
-        if with_energy:
+    def run_many(self, profiles: Sequence[KernelProfile]) -> List[RunReport]:
+        """Price kernel invocations of one mode and shape in one solve.
+
+        Reconfiguration and energy are charged per profile, in list
+        order, so the reports equal :meth:`run` on each profile in turn.
+        """
+        reports = self._evaluate(profiles)
+        for profile, report in zip(profiles, reports):
+            reconfig = self.configure(profile.mode)
+            report.cycles += reconfig
+            report.reconfig_cycles = reconfig
             self.energy_model.attach(report)
-        return report
+        return reports
+
+    def run(self, profile: KernelProfile) -> RunReport:
+        """Price one kernel invocation, reconfiguring first if needed."""
+        return self.run_many([profile])[0]
+
+    def evaluate_many(self, profiles: Sequence[KernelProfile]) -> List[RunReport]:
+        """Price profiles of one mode and shape hypothetically, in one
+        solve, leaving the system mode alone."""
+        reports = self._evaluate(profiles)
+        for report in reports:
+            self.energy_model.attach(report)
+        return reports
 
     def evaluate_without_switching(self, profile: KernelProfile) -> RunReport:
         """Price a profile hypothetically, leaving the system mode alone.
@@ -114,9 +134,7 @@ class TransmuterSystem:
         The decision layer uses this to compare candidate configurations;
         only the chosen one is actually run.
         """
-        report = self._evaluate(profile)
-        self.energy_model.attach(report)
-        return report
+        return self.evaluate_many([profile])[0]
 
     # ------------------------------------------------------------------
     @property
@@ -132,3 +150,4 @@ class TransmuterSystem:
     def __repr__(self):  # pragma: no cover - debugging aid
         mode = self.current_mode.label if self.current_mode else "unconfigured"
         return f"TransmuterSystem({self.geometry.name}, mode={mode})"
+

@@ -42,10 +42,12 @@ from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
+from ..analysis import sanitize
 from ..formats import COOMatrix, CSCMatrix, SparseVector
 from ..hardware import Geometry, HWMode, TransmuterSystem
 from ..hardware.params import DEFAULT_PARAMS, HardwareParams
 from ..obs.tracer import NullTracer, Tracer, override
+from ..obs.tracer import active as _obs_active
 from ..perf import counters as _perf
 from ..spmv import (
     inner_product,
@@ -368,7 +370,9 @@ def price_config(payload: dict, arrays: Dict[str, np.ndarray]) -> dict:
 
     Returns ``{"points": [...]}``, each point the ``cycles``,
     ``energy_j`` and ``clock_hz`` of one frontier.  The matrix, its
-    partition, the system and the semiring are set up once per row.
+    partition, the system and the semiring are set up once per row, and
+    the row's profiles are priced in one stacked solve; the sanitizer,
+    when on, checks each report.
     """
     specs = payload["frontiers"]
     if sum("seed" not in spec for spec in specs) > 1:
@@ -390,7 +394,7 @@ def price_config(payload: dict, arrays: Dict[str, np.ndarray]) -> dict:
     if payload.get("use_partition"):
         partition = partition_for(payload["token"], geometry, matrix, balanced)
     vb = payload.get("vblock_width")
-    points = []
+    profiles = []
     for spec in specs:
         frontier = _frontier_from(spec, arrays)
         if ip:
@@ -425,7 +429,14 @@ def price_config(payload: dict, arrays: Dict[str, np.ndarray]) -> dict:
                 profile_only=profile_only,
                 **kw,
             )
-        rep = system.evaluate_without_switching(kern.profile)
+        profiles.append(kern.profile)
+    with _obs_active().span("price", profiles=len(profiles)):
+        reports = system.evaluate_many(profiles)
+    san = sanitize.active()
+    points = []
+    label = f"price_config {payload['algorithm']}/{payload['mode']}"
+    for i, rep in enumerate(reports):
+        san.check_report(f"{label} point {i}", rep)
         points.append({
             "cycles": float(rep.cycles),
             "energy_j": None if rep.energy_j is None else float(rep.energy_j),

@@ -1,7 +1,7 @@
 """Process-global performance counters for the reproduction.
 
-:data:`COUNTERS` names every perf counter once; the kernels and the
-sweep, tuning and cluster layers increment
+:data:`COUNTERS` names every perf counter once; the kernels, the
+hardware model and the sweep, tuning and cluster layers increment
 the matching attribute of :data:`counters` (``counters.x += n``).  Tests
 use them to pin invariants like "the oracle policy executes exactly one
 functional kernel per invocation".  Spans record their deltas, and a
@@ -32,6 +32,10 @@ COUNTERS: Dict[str, str] = {
     "pricing_cache_misses": "submitted tasks the pricing cache missed",
     "pricing_fallbacks": "pool runs that degraded to the serial path "
         "(worker death or timeout), once per run",
+    "pricing_solves": "stacked solves of the analytic model (one "
+        "AnalyticModel.evaluate call with at least one profile)",
+    "pricing_profiles": "kernel profiles those solves priced (a sweep row "
+        "or a batch group prices all of its profiles in one solve)",
     "tuning_runs": "autotune calls (plan-cache hits included)",
     "tuning_candidates": "candidate configurations evaluated (zero on a "
         "warm plan-cache hit)",

@@ -208,17 +208,18 @@ def _ip_column(
     and the reduce is commutative.  A partially active frontier is
     compacted by one index of its active entries, which every array
     takes; a fully active one streams the stored arrays and builds no
-    index.  Beyond the activity test over all entries, the accounting
-    costs O(active entries) plus O(P log nnz).  Given a ``memo``, a
-    frontier with no ``absent`` entry (an O(n) test) skips the activity
-    test and the accounting: :func:`_full_column` holds both.
+    index.  The activity test compares the frontier once (O(n)) and
+    reads that mask at every entry; beyond it, the accounting costs
+    O(active entries) plus O(P log nnz).  Given a ``memo``, a frontier
+    with no ``absent`` entry skips the per-entry read and the
+    accounting: :func:`_full_column` holds both.
     """
     rows, cols, vals = matrix.to_arrays()
+    live = v != semiring.absent if v.ndim == 1 else None
     full = None
-    if memo is not None and (v.ndim != 1 or not (v == semiring.absent).any()):
+    if memo is not None and (live is None or live.all()):
         full = _full_column(matrix, schedule, semiring, memo, label)
-    scalar = v.ndim == 1 and full is None
-    active = v[cols] != semiring.absent if scalar else None
+    active = live[cols] if live is not None and full is None else None
     n_active = matrix.nnz if active is None else int(np.count_nonzero(active))
     idx = np.flatnonzero(active) if n_active < matrix.nnz else None
     a_rows = rows if idx is None else rows.take(idx)

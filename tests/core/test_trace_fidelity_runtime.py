@@ -26,8 +26,10 @@ class ReplayedSystem(TransmuterSystem):
         #: id(profile) -> (profile, its traces); the profile pins its id.
         self.traces = {}
 
-    def _evaluate(self, profile):
-        return self.engine.evaluate(profile, self.traces.pop(id(profile))[1])
+    def _evaluate(self, profiles):
+        return [
+            self.engine.evaluate(p, self.traces.pop(id(p))[1]) for p in profiles
+        ]
 
 
 class ReplayedRuntime(CoSparseRuntime):

@@ -42,14 +42,20 @@ def model(geom):
     return AnalyticModel(geom, DEFAULT_PARAMS)
 
 
+def price(model, profile):
+    """The model's report on one profile (a one-profile solve)."""
+    (report,) = model.evaluate([profile])
+    return report
+
+
 def cycles(model, profile):
-    return model.evaluate(profile).cycles
+    return price(model, profile).cycles
 
 
 class TestBasics:
     def test_compute_only(self, model, geom):
         p = make_profile(HWMode.SC, [], geom, ops=500.0)
-        r = model.evaluate(p)
+        r = price(model, p)
         assert r.cycles == pytest.approx(500.0)
 
     def test_spm_stream_costs_fixed_latency(self, model, geom):
@@ -61,7 +67,7 @@ class TestBasics:
             in_spm=True,
         )
         p = make_profile(HWMode.SCS, [s], geom, ops=0.0)
-        r = model.evaluate(p)
+        r = price(model, p)
         assert r.counters.spm_accesses == 1000 * geom.n_pes
         # every access at the fixed SPM latency, no DRAM traffic
         assert r.counters.dram_words == 0
@@ -75,7 +81,7 @@ class TestBasics:
             shared_footprint=True,
         )
         p = make_profile(HWMode.SC, [s], geom, ops=0.0)
-        r = model.evaluate(p)
+        r = price(model, p)
         assert r.counters.l1_hit_rate > 0.9
 
     def test_huge_random_footprint_misses(self, model, geom):
@@ -87,7 +93,7 @@ class TestBasics:
             shared_footprint=True,
         )
         p = make_profile(HWMode.SC, [s], geom, ops=0.0)
-        r = model.evaluate(p)
+        r = price(model, p)
         assert r.counters.l1_hit_rate < 0.2
 
     def test_sequential_stream_mostly_hits(self, model, geom):
@@ -98,7 +104,7 @@ class TestBasics:
             footprint=16000,
         )
         p = make_profile(HWMode.SC, [s], geom, ops=0.0)
-        r = model.evaluate(p)
+        r = price(model, p)
         # one miss per 16-word line
         assert r.counters.l1_hit_rate == pytest.approx(1 - 1 / 16, abs=0.01)
 
@@ -110,7 +116,7 @@ class TestBasics:
             footprint=1_000_000,
         )
         p = make_profile(HWMode.SC, [s], geom, ops=0.0)
-        r = model.evaluate(p)
+        r = price(model, p)
         assert r.bandwidth_floor_cycles > 0
         assert r.cycles >= r.bandwidth_floor_cycles
 
@@ -157,9 +163,10 @@ class TestMechanisms:
             pattern=Pattern.RANDOM,
             footprint=5_000_000,
         )
-        line = model.evaluate(make_profile(HWMode.PC, [base], geom, ops=0.0))
-        word = model.evaluate(
-            make_profile(HWMode.PC, [dict(base, fill_granule=1)], geom, ops=0.0)
+        line = price(model, make_profile(HWMode.PC, [base], geom, ops=0.0))
+        word = price(
+            model,
+            make_profile(HWMode.PC, [dict(base, fill_granule=1)], geom, ops=0.0),
         )
         assert word.counters.dram_words < line.counters.dram_words / 8
 
@@ -179,7 +186,7 @@ class TestMechanisms:
 
     def test_shared_spm_fill_charged_to_every_pe(self, model, geom):
         p = make_profile(HWMode.SCS, [], geom, ops=0.0, spm_fill_words=32000.0)
-        r = model.evaluate(p)
+        r = price(model, p)
         expected = (
             32000.0
             * max(

@@ -11,7 +11,9 @@ Two kinds of profile feed it: the kernels' own, over geometries,
 frontier densities, value widths and every hardware mode, and random
 hand-made ones with zero-count slots, repeated regions, SPM flags,
 stores, register-run caps, fill granules, shared footprints and every
-per-PE and per-tile term.
+per-PE and per-tile term.  Both are also priced as lists of one mode
+and shape in one stacked solve, which must give each profile the
+report of pricing it alone.
 """
 
 import dataclasses
@@ -58,10 +60,26 @@ def assert_prices_like_reference(profile: KernelProfile, geometry: Geometry):
     """The array model and the reference agree under every mode."""
     for mode in HWMode:
         priced = dataclasses.replace(profile, mode=mode)
-        actual = AnalyticModel(geometry, DEFAULT_PARAMS).evaluate(priced)
+        (actual,) = AnalyticModel(geometry, DEFAULT_PARAMS).evaluate([priced])
         expected = reference_evaluate(priced, geometry, DEFAULT_PARAMS)
         assert report_fields(actual) == report_fields(expected), mode
         assert actual == expected
+
+
+def assert_stack_prices_like_reference(profiles, geometry: Geometry):
+    """Under every mode, a list priced in one solve gives each profile
+    the report of a one-profile solve and of the reference."""
+    model = AnalyticModel(geometry, DEFAULT_PARAMS)
+    for mode in HWMode:
+        priced = [dataclasses.replace(p, mode=mode) for p in profiles]
+        stacked = model.evaluate(priced)
+        assert len(stacked) == len(priced)
+        for i, (profile, actual) in enumerate(zip(priced, stacked)):
+            (alone,) = model.evaluate([profile])
+            expected = reference_evaluate(profile, geometry, DEFAULT_PARAMS)
+            assert report_fields(actual) == report_fields(alone), (mode, i)
+            assert report_fields(actual) == report_fields(expected), (mode, i)
+            assert actual == expected
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +141,39 @@ class TestKernelProfiles:
         assert_prices_like_reference(res.profile, geom)
 
 
+class TestStackedKernelProfiles:
+    """A sweep row or a batch group: one kernel's profiles at every
+    density (the first repeated), priced in one solve."""
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    def test_inner_product_rows(self, graph, geometry):
+        coo, _csc = graph
+        geom = Geometry.parse(geometry)
+        for mode in (HWMode.SC, HWMode.SCS):
+            row = [
+                inner_product(
+                    coo, frontier(coo.n_cols, d, seed=3).to_dense(),
+                    spmv_semiring(), geom, mode, profile_only=True,
+                ).profile
+                for d in DENSITIES
+            ]
+            assert_stack_prices_like_reference(row + row[:1], geom)
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    def test_outer_product_rows(self, graph, geometry):
+        _coo, csc = graph
+        geom = Geometry.parse(geometry)
+        for mode in (HWMode.PC, HWMode.PS, HWMode.SC):
+            row = [
+                outer_product(
+                    csc, frontier(csc.n_cols, d, seed=4), spmv_semiring(),
+                    geom, mode, profile_only=True,
+                ).profile
+                for d in DENSITIES
+            ]
+            assert_stack_prices_like_reference(row + row[:1], geom)
+
+
 class TestHandMadeProfiles:
     GEOM = Geometry(2, 3)
 
@@ -179,18 +230,13 @@ def _columns(draw, shape, dtype, elements):
     return draw(hnp.arrays(dtype, shape, elements=elements))
 
 
-@st.composite
-def random_profiles(draw):
-    tiles = draw(st.integers(1, 3))
-    pes = draw(st.integers(1, 5))
-    slots = draw(st.integers(0, 5))
-    shape = (tiles, pes, slots)
+def _random_profile(draw, shape, mode):
     amounts = st.one_of(st.just(0.0), st.floats(0.0, 1e5), st.integers(0, 5000))
     sizes = st.one_of(st.just(0.0), st.floats(0.0, 1e7), st.integers(1, 4096))
     sparse = st.one_of(st.just(0.0), st.floats(0.0, 5e4))
-    return Geometry(tiles, pes), KernelProfile(
+    return KernelProfile(
         algorithm=draw(st.sampled_from(["ip", "op"])),
-        mode=draw(st.sampled_from(list(HWMode))),
+        mode=mode,
         region=_columns(draw, shape, np.int8, st.sampled_from(list(Region))),
         pattern=_columns(draw, shape, np.int8, st.sampled_from(list(Pattern))),
         count=_columns(draw, shape, float, amounts),
@@ -213,8 +259,29 @@ def random_profiles(draw):
     )
 
 
+@st.composite
+def random_profiles(draw, max_profiles=1):
+    """A geometry and 1..``max_profiles`` hand-made profiles of one mode
+    and shape."""
+    tiles = draw(st.integers(1, 3))
+    pes = draw(st.integers(1, 5))
+    shape = (tiles, pes, draw(st.integers(0, 5)))
+    mode = draw(st.sampled_from(list(HWMode)))
+    n = draw(st.integers(1, max_profiles))
+    return Geometry(tiles, pes), [
+        _random_profile(draw, shape, mode) for _ in range(n)
+    ]
+
+
 @given(random_profiles())
 @settings(max_examples=150, deadline=None)
 def test_random_profiles_price_like_reference(case):
-    geometry, profile = case
+    geometry, (profile,) = case
     assert_prices_like_reference(profile, geometry)
+
+
+@given(random_profiles(max_profiles=4))
+@settings(max_examples=60, deadline=None)
+def test_random_profile_lists_price_like_reference(case):
+    geometry, profiles = case
+    assert_stack_prices_like_reference(profiles, geometry)
