@@ -14,13 +14,15 @@ Two execution paths produce bit-identical results:
 * **serial** (``jobs=1`` or a single shard) — shard runtimes live in
   this process and run back-to-back;
 * **pooled** — shard steps fan out to the process's worker pool through
-  a :class:`~repro.parallel.scheduler.SweepScheduler` session: the
-  shards' COO/CSC arrays are pinned in the process's shared-memory
-  arena, so they are published once per session and ship by reference
-  in every task whatever their size, while each superstep's frontier,
-  semiring recipe arrays and ``current`` slices travel inline (below
-  1 MiB; larger ones in a segment unlinked after the superstep);
-  workers keep per-shard runtime memos, and the
+  a :class:`~repro.parallel.scheduler.SweepScheduler` session, one task
+  per worker (``min(jobs, K)``), each a fixed run of contiguous shards
+  stepped in shard order: the shards' COO/CSC arrays are pinned in the
+  process's shared-memory arena, so they are published once per session
+  and ship by reference in every task whatever their size, while each
+  superstep's frontier and semiring recipe arrays travel inline once
+  per task, with each shard's ``current`` slice (below 1 MiB; larger
+  ones in a segment unlinked after the superstep); workers keep
+  per-shard runtime memos, and the
   coordinator remains the single source of truth for each shard's
   mutable decision state (last config + the stateful hardware mode), so
   results cannot depend on task-to-worker placement.
@@ -64,7 +66,7 @@ from ..spmv import SpMVResult
 from ..spmv.semiring import Semiring
 from .partition import build_shards, shard_bounds
 from .topology import ENTRY_BYTES, ExchangeReport, LinkParams, topology_for
-from .work import SHARD_FN
+from .work import SHARD_FN, shard_arrays
 
 __all__ = ["ShardedRuntime", "ClusterLog", "ClusterIterationRecord"]
 
@@ -574,39 +576,51 @@ class ShardedRuntime:
         # so they are published to shared memory once per session.
         self._start_session()
         marker, f_arrays = self._frontier_shipment(frontier)
-        sr_arrays = {
+        shared = {
             f"sr_{name}": arr
             for name, arr in (semiring.spec_arrays or {}).items()
         }
+        shared.update(f_arrays)
+        common = {
+            "token": self._token,
+            "geometry": self.geometry.name,
+            "policy": self.policy,
+            "static_algorithm": self.static_config[0],
+            "static_mode": self.static_config[1].name,
+            "balanced": self.balanced,
+            "objective": self.objective,
+            "params": self._params_spec,
+            "semiring": semiring.spec,
+            "n": self.n,
+            "frontier": marker,
+        }
+        # One task per worker, each a fixed run of contiguous shards:
+        # the shared arrays are pickled once per worker, not per shard.
         tasks = []
-        for shard, state, matrix in zip(
-            self.shards, self._state, self._shard_arrays
+        for group in np.array_split(
+            np.arange(self.nodes), self._scheduler.jobs
         ):
-            payload = {
-                "token": self._token,
-                "shard": shard.index,
-                "shape": [shard.n_rows, self.n],
-                "geometry": self.geometry.name,
-                "policy": self.policy,
-                "static_algorithm": self.static_config[0],
-                "static_mode": self.static_config[1].name,
-                "balanced": self.balanced,
-                "objective": self.objective,
-                "params": self._params_spec,
-                "semiring": semiring.spec,
-                "n": self.n,
-                "frontier": marker,
-                "state": {"iteration": self._iteration, **state},
-            }
-            arrays = {**matrix, **sr_arrays, **f_arrays}
-            if current is not None:
-                arrays["current"] = current[shard.lo:shard.hi]
-            tasks.append(
-                PricingTask(SHARD_FN, payload, arrays, cacheable=False)
-            )
-        results = self._scheduler.map(tasks)
+            shards, arrays = [], dict(shared)
+            for p in group.tolist():
+                shard = self.shards[p]
+                shards.append({
+                    "shard": shard.index,
+                    "shape": [shard.n_rows, self.n],
+                    "state": {"iteration": self._iteration, **self._state[p]},
+                })
+                own = self._shard_arrays[p]
+                if current is not None:
+                    own = {**own, "current": current[shard.lo:shard.hi]}
+                arrays.update(shard_arrays(shard.index, own))
+            tasks.append(PricingTask(
+                SHARD_FN, {**common, "shards": shards}, arrays,
+                cacheable=False,
+            ))
+        steps = [
+            step for res in self._scheduler.map(tasks) for step in res["steps"]
+        ]
         pieces = []
-        for state, res in zip(self._state, results):
+        for state, res in zip(self._state, steps):
             record = res["record"]
             state["last_algorithm"] = record.algorithm
             state["last_mode"] = record.hw_mode.name

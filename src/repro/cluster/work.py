@@ -1,8 +1,12 @@
-"""The sharded runtime's pool task: one shard's SpMV step.
+"""The sharded runtime's pool task: a fixed group of shards' SpMV steps.
 
-Follows the task contract of :mod:`repro.parallel.work` — ``fn(payload,
-arrays) -> dict`` — but is never cached (``cacheable=False``): the
-result carries numpy arrays and an :class:`IterationRecord`, which the
+A pooled superstep sends one task per worker, ``min(jobs, K)`` in all;
+each runs its group of contiguous shards in shard order through the
+per-shard body :func:`shard_step`, so the frontier and the semiring's
+recipe arrays are pickled once per worker, not once per shard.  Follows
+the task contract of :mod:`repro.parallel.work` — ``fn(payload, arrays)
+-> dict`` — but is never cached (``cacheable=False``): the result
+carries numpy arrays and :class:`IterationRecord` objects, which the
 scheduler ships back by pickle, not JSON.
 
 Worker-side memo
@@ -16,7 +20,10 @@ COO/CSC arrays arrive pre-built: the scheduler session pins them in the
 process's shared-memory arena, so they are published once per session
 and shipped by reference in every task, and a worker's memoised runtime
 reads zero-copy views; the frontier, the semiring's recipe arrays and
-``current`` ride inline (or, from 1 MiB, in a per-call segment).  The
+each shard's ``current`` slice ride inline (or, from 1 MiB, in a
+per-call segment).  A shard's own arrays travel under
+``"<shard>/<name>"`` (:func:`shard_arrays`); the shared ones under
+their plain names.  The
 runtime's *mutable* decision state (last config, the stateful hardware
 mode) is never trusted across calls: the coordinator tracks it centrally
 and every task payload carries the authoritative snapshot, so results
@@ -44,10 +51,13 @@ from ..spmv.semiring import (
     sssp_semiring,
 )
 
-__all__ = ["SHARD_FN", "shard_step", "semiring_from_spec"]
+__all__ = [
+    "SHARD_FN", "shard_steps", "shard_step", "shard_arrays",
+    "semiring_from_spec",
+]
 
 #: Task-function address for :class:`~repro.parallel.tasks.PricingTask`.
-SHARD_FN = "repro.cluster.work:shard_step"
+SHARD_FN = "repro.cluster.work:shard_steps"
 
 #: Run tokens whose shard runtimes a process keeps.
 _SHARD_RUNS_KEPT = 4
@@ -161,7 +171,8 @@ def _frontier_from(payload: dict, arrays: Dict[str, np.ndarray]):
 
 
 def shard_step(payload: dict, arrays: Dict[str, np.ndarray]) -> dict:
-    """Run one shard's reconfigured SpMV invocation.
+    """Run one shard's reconfigured SpMV invocation (the per-shard body
+    of :func:`shard_steps`).
 
     Payload: ``token``/``shard`` (memo key), ``shape`` (local rows ×
     global cols), runtime config (``geometry``, ``policy``,
@@ -196,3 +207,31 @@ def shard_step(payload: dict, arrays: Dict[str, np.ndarray]) -> dict:
         "touched": result.touched,
         "record": rt.log.records[0],
     }
+
+
+def shard_arrays(shard: int, arrays: Dict[str, np.ndarray]) -> dict:
+    """``arrays`` named for one shard of a group task."""
+    return {f"{shard}/{name}": arr for name, arr in arrays.items()}
+
+
+def shard_steps(payload: dict, arrays: Dict[str, np.ndarray]) -> dict:
+    """Run a fixed group of shards' steps, in shard order.
+
+    Payload: every :func:`shard_step` field the group shares, plus
+    ``shards``, one ``{"shard", "shape", "state"}`` dict per shard in
+    shard order.  Arrays: the shared frontier and recipe arrays under
+    their plain names, and each shard's own under ``"<shard>/<name>"``.
+    Returns ``{"steps": [...]}``, one :func:`shard_step` result per
+    shard, in the order of ``shards``.
+    """
+    shared = {name: arr for name, arr in arrays.items() if "/" not in name}
+    steps = []
+    for own in payload["shards"]:
+        prefix = f"{own['shard']}/"
+        mine = {
+            name[len(prefix):]: arr
+            for name, arr in arrays.items()
+            if name.startswith(prefix)
+        }
+        steps.append(shard_step({**payload, **own}, {**shared, **mine}))
+    return {"steps": steps}

@@ -142,8 +142,9 @@ class SweepScheduler:
         """Ship ``pinned`` by reference from the process's shared-memory
         arena until :meth:`close_session`.
 
-        Iterative callers (the sharded cluster runtime dispatches K
-        shard tasks per superstep) read the same arrays on every call.
+        Iterative callers (the sharded cluster runtime dispatches one
+        task per worker and superstep, each a group of shards) read the
+        same arrays on every call.
         The first task that carries a pinned array publishes it, and
         every task ships it by name from then on, whatever its size.
         Tasks run on the process pool, as outside a session.

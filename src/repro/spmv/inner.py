@@ -212,7 +212,9 @@ def _ip_column(
     reads that mask at every entry; beyond it, the accounting costs
     O(active entries) plus O(P log nnz).  Given a ``memo``, a frontier
     with no ``absent`` entry skips the per-entry read and the
-    accounting: :func:`_full_column` holds both.
+    accounting: :func:`_full_column` holds both.  Its values, for a
+    semiring with a ``prescale``, are one compiled CSR matvec
+    (:func:`_ones_pattern`).
     """
     rows, cols, vals = matrix.to_arrays()
     live = v != semiring.absent if v.ndim == 1 else None
@@ -230,18 +232,18 @@ def _ip_column(
         touched = None
     else:
         _perf.kernel_executions += 1
-        a_vals = vals if idx is None else vals.take(idx)
-        out = semiring.init_output(matrix.n_rows, current)
         v_dst = None
         if semiring.needs_dst:
             if current is None:
                 raise ShapeError(f"semiring {semiring.name} needs current dst values")
             v_dst = np.asarray(current, dtype=np.float64)[a_rows]
         if full is not None and semiring.prescale is not None:
-            contrib = semiring.prescale(v)[a_cols]
+            out = _ones_pattern(matrix, memo) @ semiring.prescale(v)
         else:
+            a_vals = vals if idx is None else vals.take(idx)
+            out = semiring.init_output(matrix.n_rows, current)
             contrib = semiring.combine(a_vals, v[a_cols], v_dst, a_cols, a_rows)
-        semiring.scatter(out, a_rows, contrib)
+            semiring.scatter(out, a_rows, contrib)
         if full is not None:
             touched = full.touched
         else:
@@ -327,6 +329,41 @@ def _full_column(
     san.check_histogram(label, entry.act_pe, matrix.nnz)
     san.check_at_most(f"{label}/first_touches", entry.out_pe, entry.act_pe)
     return entry
+
+
+#: The ``ip_memo`` key of the operand's pattern of ones (one per operand,
+#: whatever the schedule).
+_PATTERN = ("pattern",)
+
+
+def _ones_pattern(matrix: COOMatrix, memo: dict):
+    """The operand's stored coordinates as a read-only CSR array of ones.
+
+    ``pattern @ prescale(v)`` is a fully active prescale column's output
+    bit for bit: scipy's ``csr_matvec`` folds each row from +0.0 in
+    stored order, the order ``np.add.at`` folds the row-sorted COO in,
+    and a product with exactly 1.0 is exact, fused into a multiply-add
+    or not.  The :class:`Semiring` contract rules out every semiring
+    this does not hold for.  Built on the first such call and kept in
+    ``memo`` (12 bytes per stored entry with int32 indices);
+    ``scipy.sparse`` is imported here, so ``import repro`` loads no
+    scipy.
+    """
+    pattern = memo.get(_PATTERN)
+    if pattern is None:
+        import scipy.sparse as sp
+
+        fits = max(matrix.n_cols, matrix.nnz) <= np.iinfo(np.int32).max
+        index = np.int32 if fits else np.int64
+        arrays = (
+            np.ones(matrix.nnz),
+            matrix.cols.astype(index),
+            matrix.row_extents().astype(index),
+        )
+        for arr in arrays:
+            arr.flags.writeable = False
+        pattern = memo[_PATTERN] = sp.csr_array(arrays, shape=matrix.shape)
+    return pattern
 
 
 def _ip_first_touches(

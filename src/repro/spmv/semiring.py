@@ -43,6 +43,8 @@ VectorOpFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 #: Signature: prescale(frontier) -> one contribution per source vertex
 PrescaleFn = Callable[[np.ndarray], np.ndarray]
 
+_POSITIVE_ZERO = np.float64(0.0).tobytes()
+
 
 @dataclass(frozen=True)
 class Semiring:
@@ -95,8 +97,13 @@ class Semiring:
         ``combine(a, v[src], None, src, dst)`` bit for bit.  PageRank's
         ``V[src] / deg(src)`` divides once per vertex this way, where
         ``combine`` divides once per edge.  The IP kernel uses it on
-        fully active frontiers (docs/model.md §6k); every other path
-        calls ``combine``.
+        fully active frontiers, where the whole column is one CSR
+        matvec of a pattern of ones with ``prescale(v)``
+        (docs/model.md §6k); every other path calls ``combine``.  The
+        matvec folds each row from +0.0 by addition, so a semiring with
+        ``prescale`` must reduce with ``np.add`` from a bitwise +0.0
+        identity, carry no output and hold one word per vertex; any
+        other one is rejected with :class:`AlgorithmError`.
     """
 
     name: str
@@ -112,6 +119,32 @@ class Semiring:
     spec: Optional[dict] = None
     spec_arrays: Optional[dict] = None
     prescale: Optional[PrescaleFn] = None
+
+    def __post_init__(self):
+        if self.prescale is None:
+            return
+        broken = [
+            reason
+            for reason, bad in (
+                ("its reduce_op is not np.add", self.reduce_op is not np.add),
+                (
+                    "its identity is not +0.0",
+                    np.float64(self.identity).tobytes() != _POSITIVE_ZERO,
+                ),
+                ("it carries the output", self.carry_output),
+                (
+                    f"it holds {self.value_words} words per vertex",
+                    self.value_words != 1,
+                ),
+            )
+            if bad
+        ]
+        if broken:
+            raise AlgorithmError(
+                f"semiring {self.name!r} has a prescale, which the IP "
+                "kernel runs as a sum over ones from +0.0, but "
+                + " and ".join(broken)
+            )
 
     # ------------------------------------------------------------------
     def init_output(self, n_rows: int, current: Optional[np.ndarray]) -> np.ndarray:

@@ -14,6 +14,7 @@ from repro.cluster import ShardedRuntime
 from repro.cluster.topology import ENTRY_BYTES, topology_for
 from repro.experiments.common import table3_graph
 from repro.graphs import bfs, pagerank
+from repro.spmv.inner import _PATTERN
 
 ITERS = 6
 
@@ -56,8 +57,10 @@ def test_sharded_pagerank(twitter, nodes, jobs):
             if p != q and expected[p, q]
         }
         if jobs == 1:
+            # One column entry, and the prescale column's pattern of ones.
             for shard_rt in rt._runtimes:
-                assert len(shard_rt.operand.ip_memo) == 1
+                assert len(shard_rt.operand.ip_memo) == 2
+                assert _PATTERN in shard_rt.operand.ip_memo
 
 
 def test_partial_frontiers_after_full_ones_count_afresh(twitter):

@@ -2,6 +2,7 @@
 state discipline, and observability integration."""
 
 import gc
+import time
 
 import numpy as np
 import pytest
@@ -13,9 +14,11 @@ from repro.experiments.common import table3_graph
 from repro.graphs import Graph, bfs, pagerank, sssp
 from repro.graphs.pagerank import pagerank_semiring_for
 from repro.obs import Tracer, override
+import repro.parallel.pool as pool_mod
 from repro.parallel.pool import arena
 from repro.perf import counters
 from repro.workloads import uniform_random
+from tests.parallel.test_pool import forks  # noqa: F401 (a fixture)
 from tests.parallel.test_shm import _psm_segments
 
 NODE_COUNTS = (1, 2, 4, 8)
@@ -98,8 +101,9 @@ class TestPooledTransport:
             for arr in (s.coo.rows, s.coo.cols, s.coo.vals,
                         s.csc.indptr, s.csc.indices, s.csc.vals)
         )
-        # Every task carries the dense float64 rank frontier and the
-        # float64 out-degree recipe array inline, and nothing else.
+        # One task per worker, min(jobs, K) = 2, each carrying the dense
+        # float64 rank frontier and the float64 out-degree recipe array
+        # inline once, and nothing else.
         per_task = 2 * 8 * twitter.n_vertices
         sweeps = [
             r["attrs"] for r in tracer.span_records()
@@ -107,15 +111,37 @@ class TestPooledTransport:
         ]
         steps = len(rt.log)
         assert len(sweeps) == 2 * steps and steps > 1
+        assert [a["tasks"] for a in sweeps] == [2] * len(sweeps)
         assert [a["shm_bytes"] for a in sweeps] == (
             [matrix_bytes] + [0] * (steps - 1)
         ) * 2
         assert [a["inline_bytes"] for a in sweeps] == (
-            [4 * per_task] * len(sweeps)
+            [2 * per_task] * len(sweeps)
         )
         snap = tracer.metrics.snapshot()["counters"]
         assert snap["parallel.shm_bytes"] == 2 * matrix_bytes
-        assert snap["parallel.inline_bytes"] == 4 * per_task * len(sweeps)
+        assert snap["parallel.inline_bytes"] == 2 * per_task * len(sweeps)
+
+    @pytest.mark.parametrize("nodes", [3, 5])
+    def test_uneven_groups_match_serial_run_for_run(self, twitter, nodes):
+        """K shards in min(jobs, K) = 2 uneven groups: every value, cycle,
+        config and per-shard record equals the serial run's."""
+        serial = ShardedRuntime(twitter.operand, nodes, jobs=1)
+        want = [_run(pagerank, twitter, runtime=serial) for _ in range(2)]
+        counters.reset()
+        with ShardedRuntime(twitter.operand, nodes, jobs=2) as pooled:
+            got = [_run(pagerank, twitter, runtime=pooled) for _ in range(2)]
+        steps = sum(len(run.log) for run in got)
+        assert counters.pricing_tasks == 2 * steps
+        assert counters.cluster_shard_tasks == nodes * steps
+        for g, w in zip(got, want):
+            assert np.array_equal(g.values, w.values)
+            assert g.log.total_cycles == w.log.total_cycles
+            assert g.log.config_sequence() == w.log.config_sequence()
+            for a, b in zip(g.log.records, w.log.records):
+                assert len(a.shard_records) == nodes
+                assert a.shard_records == b.shard_records
+                assert repr(a.shard_records) == repr(b.shard_records)
 
     def test_session_shared_memory_stays_bounded(self):
         # 140,000 float64 ranks make a dense frontier above 1 MiB, the
@@ -170,6 +196,42 @@ class TestPooledTransport:
         assert [process_arena._pinned[id(a)][1] for a in arrays] == [1] * len(arrays)
         process_arena.unpin(arrays)
         assert not any(id(a) in process_arena._pinned for a in arrays)
+
+
+class TestWorkerDeath:
+    def test_killed_worker_falls_back_then_forks_once(self, twitter, forks):
+        """A worker killed between supersteps: the last superstep runs on
+        the serial fallback, and the next run forks one new pool."""
+        serial = ShardedRuntime(twitter.operand, 4, jobs=1)
+        want = [pagerank(twitter, runtime=serial, max_iters=3)
+                for _ in range(2)]
+        rt = ShardedRuntime(twitter.operand, 4, jobs=2)
+        step, calls = rt.spmv, []
+
+        def spmv(*args, **kw):
+            if len(calls) == 2:  # before the run's last superstep
+                executor = pool_mod.pool(2)
+                next(iter(executor._processes.values())).kill()
+                deadline = time.monotonic() + 30
+                while not executor._broken and time.monotonic() < deadline:
+                    time.sleep(0.02)
+                assert executor._broken
+            calls.append(1)
+            return step(*args, **kw)
+
+        rt.spmv = spmv
+        counters.reset()
+        with rt:
+            first = pagerank(twitter, runtime=rt, max_iters=3)
+            assert counters.pricing_fallbacks == 1
+            assert forks == [2]
+            second = pagerank(twitter, runtime=rt, max_iters=3)
+        assert forks == [2, 2]
+        assert counters.pricing_fallbacks == 1
+        for got, exp in zip((first, second), want):
+            assert np.array_equal(got.values, exp.values)
+            assert got.log.total_cycles == exp.log.total_cycles
+            assert got.log.config_sequence() == exp.log.config_sequence()
 
 
 class TestExchange:

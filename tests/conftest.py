@@ -9,6 +9,14 @@ from repro.graphs import Graph
 from repro.workloads import chung_lu, uniform_random
 
 
+def pytest_report_header(config):
+    """Name the numpy and scipy builds: CI installs them unpinned, and
+    the IP kernel's bit identity rests on scipy's CSR matvec order."""
+    import scipy
+
+    return f"numpy {np.__version__}, scipy {scipy.__version__}"
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -13,16 +13,22 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.core.runtime as runtime_module
 from repro.analysis import sanitize
 from repro.core import CoSparseRuntime, SpMVOperand
-from repro.errors import SimulationError
+from repro.errors import AlgorithmError, SimulationError
+from repro.formats import COOMatrix
 from repro.graphs.pagerank import pagerank_norm_semiring
 from repro.hardware import Geometry, HWMode
 from repro.hardware.profile import KernelProfile
 from repro.spmv import inner_product, reference_spmv
+from repro.spmv.inner import _PATTERN
+from repro.spmv.partition import build_ip_partitions
 from repro.spmv.semiring import (
+    Semiring,
     cf_semiring,
     pagerank_semiring,
     spmv_semiring,
@@ -290,6 +296,36 @@ class TestPrescale:
         assert sssp_semiring().prescale is None
         assert cf_semiring().prescale is None
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("reduce_op", np.minimum),
+            ("identity", -0.0),
+            ("carry_output", True),
+            ("value_words", 2),
+        ],
+    )
+    def test_rejects_what_a_matvec_cannot_reproduce(self, field, value):
+        kw = dict(
+            name="scaled", combine=lambda a, vs, vd, s, d: vs / 2.0,
+            reduce_op=np.add, identity=0.0, prescale=lambda v: v / 2.0,
+        )
+        Semiring(**kw)  # the contract's own case constructs
+        kw[field] = value
+        with pytest.raises(AlgorithmError, match="prescale"):
+            Semiring(**kw)
+        # Without a prescale, the same semiring is fine.
+        Semiring(**{**kw, "prescale": None})
+
+    def test_both_pagerank_builders_construct(self):
+        degrees = np.array([0.0, 1.0, 2.0, 5.0])
+        for sr in (
+            pagerank_semiring(degrees),
+            pagerank_norm_semiring(degrees, 0.15, len(degrees)),
+        ):
+            assert sr.prescale is not None
+            assert sr.reduce_op is np.add and sr.value_words == 1
+
     def test_rebuilt_shard_semiring_keeps_it(self):
         from repro.cluster.work import semiring_from_spec
 
@@ -305,9 +341,124 @@ def test_memo_dies_with_its_operand(coo):
     operand = SpMVOperand(coo)
     rt = CoSparseRuntime(operand, GEOMETRY)
     results = [rt.spmv(v, semiring) for _ in range(3)]
-    assert len(operand.ip_memo) == 1
+    # One column entry, and the prescale column's pattern of ones.
+    assert len(operand.ip_memo) == 2
+    pattern = weakref.ref(operand.ip_memo[_PATTERN])
     assert isinstance(results[0].profile, KernelProfile)
     alive = weakref.ref(operand)
     del rt, operand, results
+    gc.collect()
+    assert alive() is None
+    assert pattern() is None
+
+
+# ----------------------------------------------------------------------
+# The prescale column is one CSR matvec of a pattern of ones
+# ----------------------------------------------------------------------
+_SNAN = np.array([0x7FF0_0000_0000_0001, 0xFFF4_0000_0000_0ABC], dtype=np.uint64)
+_QNAN = np.array([0x7FF8_0000_0000_0000, 0x7FF8_DEAD_BEEF_0001,
+                  0xFFF8_0000_0000_0042], dtype=np.uint64)
+_SPECIALS = np.concatenate([
+    _SNAN.view(np.float64), _QNAN.view(np.float64),
+    [np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 2.2e-308, 1e-310,
+     1e308, -1e308, 1.0, -1.0, 1 / 3, 3e16, -1e-16],
+])
+
+
+@st.composite
+def _operands(draw):
+    """A row-sorted COO with duplicates, empty rows and unsorted columns.
+
+    Rows are non-decreasing, as the IP schedule needs; within a row the
+    columns keep their drawn order, as a tuned operand's do.
+    """
+    n_rows = draw(st.integers(1, 12))
+    n_cols = draw(st.integers(1, 12))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1)),
+        max_size=48,
+    ))
+    rows = np.array([r for r, _ in pairs], dtype=np.int64)
+    cols = np.array([c for _, c in pairs], dtype=np.int64)
+    order = np.argsort(rows, kind="stable")
+    rows, cols = rows[order], cols[order]
+    return COOMatrix(
+        n_rows, n_cols, rows, cols, np.ones(len(rows)), sort=False,
+        check=False,
+    )
+
+
+def _given_values(values):
+    """A prescale semiring whose per-vertex contributions are ``values``."""
+    return Semiring(
+        "given", lambda a, vs, vd, s, d: values[s], np.add, 0.0,
+        prescale=lambda v: values,
+    )
+
+
+@given(
+    coo=_operands(),
+    picks=st.lists(st.integers(0, len(_SPECIALS) - 1), min_size=12, max_size=12),
+    scale=st.floats(1e-300, 1e300),
+    mode=st.sampled_from([HWMode.SC, HWMode.SCS]),
+)
+@settings(max_examples=200, deadline=None)
+def test_prescale_matvec_is_add_at(coo, picks, scale, mode):
+    # Mixed magnitudes: every other value is scaled.
+    values = _SPECIALS[picks][: coo.n_cols].copy()
+    partition = build_ip_partitions(coo.row_extents(), 1, 2)
+    memo = {}
+    with np.errstate(all="ignore"):
+        values[::2] *= scale
+        result = inner_product(
+            coo, np.ones(coo.n_cols), _given_values(values), Geometry(1, 2),
+            mode, partition=partition, memo=memo,
+        )
+        want = np.zeros(coo.n_rows)
+        np.add.at(want, coo.rows, values[coo.cols])
+    assert np.array_equal(result.values.view(np.int64), want.view(np.int64))
+    assert _PATTERN in memo
+
+
+@pytest.mark.parametrize("name", ["spmv", "sssp", "cf"])
+def test_other_full_columns_build_no_pattern(coo, name):
+    semiring, v, current = _case(name, coo)
+    rt = _runtime(coo, HWMode.SC, True, None)
+    rt.spmv(v, semiring, current=current)
+    assert rt.operand.ip_memo and _PATTERN not in rt.operand.ip_memo
+
+
+def test_profile_only_probes_build_no_pattern(coo):
+    semiring, v, _ = _case("pr", coo)
+    operand = SpMVOperand(coo)
+    for mode in (HWMode.SC, HWMode.SCS):
+        result = inner_product(
+            coo, v, semiring, GEOMETRY, mode, profile_only=True,
+            partition=operand.ip_partition(GEOMETRY), memo=operand.ip_memo,
+        )
+        assert result.values is None
+    assert len(operand.ip_memo) == 2 and _PATTERN not in operand.ip_memo
+
+
+def test_one_pattern_serves_sc_and_scs(coo):
+    semiring, v, _ = _case("pr", coo)
+    operand = SpMVOperand(coo)
+    runtimes = [
+        CoSparseRuntime(
+            operand, GEOMETRY, policy="static", static_config=("ip", mode)
+        )
+        for mode in (HWMode.SC, HWMode.SCS)
+    ]
+    first = runtimes[0].spmv(v, semiring).values
+    pattern = operand.ip_memo[_PATTERN]
+    second = runtimes[1].spmv(v, semiring).values
+    assert operand.ip_memo[_PATTERN] is pattern
+    assert len(operand.ip_memo) == 3  # SC and SCS columns, one pattern
+    assert _same(first, second)
+    for arr in (pattern.data, pattern.indices, pattern.indptr):
+        assert not arr.flags.writeable
+    assert pattern.indices.dtype == np.int32 and pattern.nnz == coo.nnz
+    alive = weakref.ref(pattern)
+    del runtimes, operand, pattern
     gc.collect()
     assert alive() is None
