@@ -74,7 +74,10 @@ class SpMVOperand:
     conversion overhead" — the operand is built once and reused across
     every iteration of a graph algorithm.  So is what a fully active IP
     column costs beyond its arithmetic: :attr:`ip_memo` holds its per-PE
-    counts, touched mask and profile per schedule (docs/model.md §6k).
+    counts, touched mask and profile per schedule (docs/model.md §6k),
+    and the patterns the IP kernel's compiled passes read: the stored
+    coordinates as ones, and their (row, vblock) cells per vblock
+    layout (§6l).
     """
 
     def __init__(self, coo: COOMatrix, csc: Optional[CSCMatrix] = None):
@@ -85,9 +88,10 @@ class SpMVOperand:
         self.csc = CSCMatrix.from_coo(coo) if csc is None else csc
         self.info = MatrixInfo.of(coo)
         self._partitions = {}
-        #: The IP kernel's fully-active-column memo: one entry per
-        #: (cached partition, mode, vblock width, balance, value words,
-        #: combine flops).
+        #: The IP kernel's memo: one fully active column per (cached
+        #: partition, mode, vblock width, balance, value words, combine
+        #: flops), the pattern of ones and one cell pattern per vblock
+        #: layout.
         self.ip_memo: dict = {}
 
     @classmethod
@@ -667,7 +671,8 @@ class CoSparseRuntime:
                         if algorithm == "ip":
                             group_results = inner_product_batch(
                                 self.operand.coo, mv, semiring, self.geometry,
-                                vblock_width=self._vblock_width, **kw,
+                                vblock_width=self._vblock_width,
+                                memo=self.operand.ip_memo, **kw,
                             )
                         else:
                             group_results = outer_product_batch(

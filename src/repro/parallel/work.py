@@ -93,11 +93,23 @@ def _resolve_fn(fn: str) -> Callable:
 
 
 def resolve_arrays(arrays: Dict[str, object]) -> Dict[str, np.ndarray]:
-    """Materialise task arrays: attach shared-memory refs, pass ndarrays."""
+    """Materialise task arrays: attach shared-memory refs, pass ndarrays.
+
+    An inline array arrives unpickled, with a fresh instance of its
+    dtype.  Copies, fancy indexing and ufunc results keep that
+    instance, and ``ufunc.at`` then leaves its indexed fast path:
+    ``np.minimum.at`` of 228,829 values took 11.8 ms against 0.48 ms
+    with the builtin dtype (numpy 2.4.6, 2-core host).  A
+    non-structured one is therefore passed on as a zero-copy view with
+    the builtin dtype, as shared-memory arrays attach.
+    """
     out = {}
     for name, spec in arrays.items():
         if isinstance(spec, np.ndarray):
-            out[name] = spec
+            out[name] = (
+                spec if spec.dtype.fields is not None
+                else spec.view(np.dtype(spec.dtype.str))
+            )
         else:
             from .shm import attach
 

@@ -22,6 +22,10 @@ COUNTERS: Dict[str, str] = {
         "(profile_only pricing probes)",
     "kernel_batched_columns": "columns run by the batch kernels (each also "
         "counts in kernel_executions or kernel_profile_only)",
+    "kernel_counted_columns": "uniform min-semiring IP columns whose "
+        "accounting and values came from one count of active entries per "
+        "(row, vblock) cell, with no gather or scatter (docs/model.md §6l); "
+        "each also counts in kernel_executions",
     "kernel_probe_discarded": "winning pricing probes of spmv_batch columns "
         "(oracle/adaptive), dropped once priced; a probe builds only a "
         "profile and spmv drops its own too, so this counts no extra work "

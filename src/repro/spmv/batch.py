@@ -91,13 +91,18 @@ def inner_product_batch(
     columns: Optional[Sequence[int]] = None,
     profile_only: bool = False,
     vblock_width: Optional[int] = None,
+    memo: Optional[dict] = None,
 ) -> List[SpMVResult]:
     """Batched IP SpMV: one result per selected column, in ``columns`` order.
 
     Parameters mirror :func:`~repro.spmv.inner.inner_product`, with the
     dense vector replaced by a :class:`MultiVector` (whose ``absent``
     must match the semiring's) plus optional per-column ``currents`` and
-    a ``columns`` selection.
+    a ``columns`` selection.  ``memo`` follows ``inner_product``'s rule:
+    it is used only together with a caller-held ``partition``, and then
+    each column takes the same memoised paths a sequential call takes
+    (fully active columns, and uniform min-semiring columns counted per
+    (row, vblock) cell; docs/model.md §6k, §6l).
     """
     schedule = _ip_schedule(
         matrix, geometry, hw_mode, params, partition, balanced, 1,
@@ -106,6 +111,8 @@ def inner_product_batch(
     columns, currents = _check_batch_args(
         frontiers, matrix.n_cols, semiring, columns, currents
     )
+    if partition is None:
+        memo = None
     _perf.kernel_batched_columns += len(columns)
     return [
         _ip_column(
@@ -116,6 +123,7 @@ def inner_product_batch(
             current,
             profile_only,
             label=f"inner_product_batch/active[{j}]",
+            memo=memo,
         )
         for j, current in zip(columns, currents)
     ]

@@ -98,12 +98,16 @@ def inner_product(
         stays feasible; affects only the modelled profile, never the
         functional values.
     memo:
-        The matrix's fully-active-column memo (``SpMVOperand.ip_memo``),
-        used together with a caller-held ``partition``: a frontier with
-        no ``absent`` entry then reuses the per-PE counts, ``touched``
+        The matrix's IP memo (``SpMVOperand.ip_memo``), used together
+        with a caller-held ``partition``.  A frontier with no
+        ``absent`` entry then reuses the per-PE counts, ``touched``
         mask and frozen profile built on the first such call
-        (docs/model.md §6k).  Without a memo or without a partition
-        every call computes them.
+        (docs/model.md §6k).  A min semiring's frontier whose live
+        sources hold one ``prescale`` value (BFS's level sets) takes
+        its accounting and values from one count of active entries per
+        (row, vblock) cell, over a cell pattern kept in the memo (§6l);
+        profile-only calls do not.  Without a memo or without a
+        partition every call gathers, compacts and scatters.
     """
     vw = semiring.value_words
     schedule = _ip_schedule(
@@ -212,15 +216,26 @@ def _ip_column(
     reads that mask at every entry; beyond it, the accounting costs
     O(active entries) plus O(P log nnz).  Given a ``memo``, a frontier
     with no ``absent`` entry skips the per-entry read and the
-    accounting: :func:`_full_column` holds both.  Its values, for a
+    accounting: :func:`_full_column` holds both.  Its values, for an add
     semiring with a ``prescale``, are one compiled CSR matvec
-    (:func:`_ones_pattern`).
+    (:func:`_ones_pattern`).  Given a ``memo``, a min semiring's column
+    whose live sources share one ``prescale`` value (:func:`_uniform`)
+    builds no index either: one count per (row, vblock) cell
+    (:func:`_counted_column`) gives its accounting and the rows its
+    value fills (docs/model.md §6l).
     """
     rows, cols, vals = matrix.to_arrays()
     live = v != semiring.absent if v.ndim == 1 else None
-    full = None
-    if memo is not None and (live is None or live.all()):
-        full = _full_column(matrix, schedule, semiring, memo, label)
+    full = fill = None
+    if memo is not None:
+        if live is None or live.all():
+            full = _full_column(matrix, schedule, semiring, memo, label)
+        if not profile_only and semiring.reduce_op is np.minimum:
+            fill = _uniform(semiring, v, live)
+    if fill is not None and full is None:
+        return _counted_column(
+            matrix, schedule, semiring, current, live, fill, memo, label
+        )
     active = live[cols] if live is not None and full is None else None
     n_active = matrix.nnz if active is None else int(np.count_nonzero(active))
     idx = np.flatnonzero(active) if n_active < matrix.nnz else None
@@ -237,7 +252,13 @@ def _ip_column(
             if current is None:
                 raise ShapeError(f"semiring {semiring.name} needs current dst values")
             v_dst = np.asarray(current, dtype=np.float64)[a_rows]
-        if full is not None and semiring.prescale is not None:
+        if fill is not None:
+            out = _filled(semiring, matrix.n_rows, current, full.touched, fill)
+        elif (
+            full is not None
+            and semiring.prescale is not None
+            and semiring.reduce_op is np.add
+        ):
             out = _ones_pattern(matrix, memo) @ semiring.prescale(v)
         else:
             a_vals = vals if idx is None else vals.take(idx)
@@ -249,12 +270,7 @@ def _ip_column(
         else:
             touched = np.zeros(matrix.n_rows, dtype=bool)
             touched[a_rows] = True
-        prev = (
-            np.asarray(current, dtype=np.float64)
-            if current is not None
-            else semiring.init_output(matrix.n_rows, None)
-        )
-        out = semiring.apply_vector_op(out, prev)
+        out = _vector_op(semiring, out, current)
     if full is not None:
         return SpMVResult(
             values=out, touched=touched, profile=full.profile, semiring=semiring
@@ -262,14 +278,124 @@ def _ip_column(
 
     active_edges = np.searchsorted(a_rows, schedule.pe_rows)
     act_pe = np.diff(active_edges)
-    _san = sanitize.active()
-    _san.check_histogram(label, act_pe, n_active)
     out_pe = _ip_first_touches(a_rows, a_cols, active_edges, schedule)
-    _san.check_at_most(f"{label}/first_touches", out_pe, act_pe)
-    profile = _build_ip_profile(
-        matrix, semiring, schedule, act_pe, out_pe, n_active
+    profile = _checked_profile(
+        matrix, semiring, schedule, act_pe, out_pe, n_active, label
     )
     return SpMVResult(values=out, touched=touched, profile=profile, semiring=semiring)
+
+
+def _vector_op(
+    semiring: Semiring, out: np.ndarray, current: Optional[np.ndarray]
+) -> np.ndarray:
+    """Vector_Op over a column's reduced output, against ``current``."""
+    prev = (
+        np.asarray(current, dtype=np.float64)
+        if current is not None
+        else semiring.init_output(len(out), None)
+    )
+    return semiring.apply_vector_op(out, prev)
+
+
+def _checked_profile(
+    matrix: COOMatrix,
+    semiring: Semiring,
+    schedule: _IPSchedule,
+    act_pe: np.ndarray,
+    out_pe: np.ndarray,
+    n_active: int,
+    label: str,
+) -> KernelProfile:
+    """Sanitize a column's per-PE counts, then build its profile."""
+    _san = sanitize.active()
+    _san.check_histogram(label, act_pe, n_active)
+    _san.check_at_most(f"{label}/first_touches", out_pe, act_pe)
+    return _build_ip_profile(
+        matrix, semiring, schedule, act_pe, out_pe, n_active
+    )
+
+
+def _uniform(
+    semiring: Semiring, v: np.ndarray, live: np.ndarray
+) -> Optional[np.ndarray]:
+    """The one ``prescale`` value every live source holds, if there is one.
+
+    Returns it as a one-element array (its bits exactly), or None when
+    the semiring has no ``prescale``, no source is live, or two live
+    sources differ in any bit: ``-0.0`` beside ``+0.0``, or two NaN
+    payloads, are not uniform.
+    """
+    if semiring.prescale is None:
+        return None
+    bits = semiring.prescale(v).view(np.int64)[live]
+    if bits.size == 0 or np.any(bits != bits[0]):
+        return None
+    return bits[:1].view(np.float64)
+
+
+def _filled(
+    semiring: Semiring,
+    n_rows: int,
+    current: Optional[np.ndarray],
+    touched: np.ndarray,
+    fill: np.ndarray,
+) -> np.ndarray:
+    """A uniform min column's reduced output: ``fill`` where touched.
+
+    ``np.minimum.at`` folding copies of one value ``c`` into the +inf
+    identity leaves exactly ``c`` (its bits, NaN payloads and the sign
+    of zero included) at every row it reaches, and +inf elsewhere.
+    """
+    out = semiring.init_output(n_rows, current)
+    out[touched] = fill
+    return out
+
+
+def _counted_column(
+    matrix: COOMatrix,
+    schedule: _IPSchedule,
+    semiring: Semiring,
+    current: Optional[np.ndarray],
+    live: np.ndarray,
+    fill: np.ndarray,
+    memo: dict,
+    label: str,
+) -> SpMVResult:
+    """A uniform min column from one count of active entries per cell.
+
+    Cell ``row * n_vblocks + col // width`` counts the column's active
+    entries in one row and vblock: ``cells @ live`` is one compiled CSR
+    pass (:func:`_cell_pattern`).  A PE's active entries are the sum of
+    its cells, its first touches the number of non-empty ones (the
+    distinct (row, vblock) pairs of :func:`_ip_first_touches`) and the
+    rows it touches those with a non-empty cell.  The counts are
+    integer sums below 2**53, so every figure is exact and the profile
+    equals the compacted path's.
+    """
+    _perf.kernel_executions += 1
+    _perf.kernel_counted_columns += 1
+    if semiring.needs_dst and current is None:
+        raise ShapeError(f"semiring {semiring.name} needs current dst values")
+    counts = _cell_pattern(matrix, schedule, memo) @ live.astype(np.float64)
+    counts = counts.reshape(matrix.n_rows, schedule.n_vblocks)
+    # Row sums as a matrix-vector product: numpy's reductions along a
+    # short inner axis cost more than the count itself.
+    ones = np.ones(schedule.n_vblocks)
+    row_entries = counts @ ones
+    act_pe = _pe_sums(row_entries, schedule.pe_rows)
+    out_pe = _pe_sums((counts > 0) @ ones, schedule.pe_rows)
+    touched = row_entries > 0
+    out = _filled(semiring, matrix.n_rows, current, touched, fill)
+    profile = _checked_profile(
+        matrix, semiring, schedule, act_pe, out_pe, int(row_entries.sum()),
+        label,
+    )
+    return SpMVResult(
+        values=_vector_op(semiring, out, current),
+        touched=touched,
+        profile=profile,
+        semiring=semiring,
+    )
 
 
 class _FullColumn(NamedTuple):
@@ -364,6 +490,51 @@ def _ones_pattern(matrix: COOMatrix, memo: dict):
             arr.flags.writeable = False
         pattern = memo[_PATTERN] = sp.csr_array(arrays, shape=matrix.shape)
     return pattern
+
+
+def _pe_sums(per_row: np.ndarray, pe_rows: np.ndarray) -> np.ndarray:
+    """Each PE's sum of an integer-valued per-row count, as int64."""
+    prefix = np.concatenate(([0.0], np.cumsum(per_row)))
+    return np.diff(prefix[pe_rows].astype(np.int64))
+
+
+def _cell_pattern(matrix: COOMatrix, schedule: _IPSchedule, memo: dict):
+    """The operand's entries grouped by (row, vblock) cell, read-only.
+
+    Row ``row * n_vblocks + col // width`` of this CSR array holds the
+    entries of that cell, so ``cells @ live`` counts each cell's active
+    entries in one compiled pass.  It shares the data and column
+    indices of :func:`_ones_pattern` and has its own row pointers (4
+    bytes per cell with int32 indices); with one vblock it is the ones
+    pattern.  On the row-sorted COO the cell key never decreases.  A
+    tuned operand keeps its within-row entry order, whose columns can
+    step back: its cells get their own cell-ordered copy of the
+    indices, since a count does not depend on order.  Built on the
+    first counted column of a layout and kept in ``memo`` under
+    ``("cells", n_vblocks, width)``.
+    """
+    ones = _ones_pattern(matrix, memo)
+    n_vblocks, width = schedule.n_vblocks, schedule.width
+    if n_vblocks == 1:
+        return ones
+    key = ("cells", n_vblocks, width)
+    cells = memo.get(key)
+    if cells is None:
+        import scipy.sparse as sp
+
+        n_cells = matrix.n_rows * n_vblocks
+        keys = matrix.rows * np.int64(n_vblocks) + matrix.cols // width
+        indices = ones.indices
+        if np.any(keys[1:] < keys[:-1]):
+            indices = indices.take(np.argsort(keys, kind="stable"))
+            indices.flags.writeable = False
+        indptr = np.zeros(n_cells + 1, dtype=ones.indptr.dtype)
+        np.cumsum(np.bincount(keys, minlength=n_cells), out=indptr[1:])
+        indptr.flags.writeable = False
+        cells = memo[key] = sp.csr_array(
+            (ones.data, indices, indptr), shape=(n_cells, matrix.n_cols)
+        )
+    return cells
 
 
 def _ip_first_touches(

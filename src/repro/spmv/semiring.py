@@ -43,7 +43,12 @@ VectorOpFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 #: Signature: prescale(frontier) -> one contribution per source vertex
 PrescaleFn = Callable[[np.ndarray], np.ndarray]
 
-_POSITIVE_ZERO = np.float64(0.0).tobytes()
+#: The reductions a ``prescale`` may serve, with the identity each must
+#: start from (a label for messages, its bytes).
+_PRESCALE_IDENTITIES = {
+    np.add: ("+0.0", np.float64(0.0).tobytes()),
+    np.minimum: ("+inf", np.float64(np.inf).tobytes()),
+}
 
 
 @dataclass(frozen=True)
@@ -96,13 +101,19 @@ class Semiring:
         edge value or the destination): ``prescale(v)[src]`` must equal
         ``combine(a, v[src], None, src, dst)`` bit for bit.  PageRank's
         ``V[src] / deg(src)`` divides once per vertex this way, where
-        ``combine`` divides once per edge.  The IP kernel uses it on
-        fully active frontiers, where the whole column is one CSR
-        matvec of a pattern of ones with ``prescale(v)``
-        (docs/model.md §6k); every other path calls ``combine``.  The
-        matvec folds each row from +0.0 by addition, so a semiring with
-        ``prescale`` must reduce with ``np.add`` from a bitwise +0.0
-        identity, carry no output and hold one word per vertex; any
+        ``combine`` divides once per edge, and BFS's copy of
+        ``V[src]`` is ``v`` itself.  The IP kernel uses it in two
+        places (docs/model.md §6k, §6l): an add semiring's fully active
+        column is one CSR matvec of a pattern of ones with
+        ``prescale(v)``, and a min semiring's column whose live sources
+        all hold one ``prescale`` value ``c`` (a BFS level set) is
+        ``c`` at every row the column reaches, read off one count of
+        active entries per (row, vblock) cell.  Every other path calls
+        ``combine``.  The matvec folds each row from +0.0 by addition
+        and the fill stands for a fold of copies of ``c`` into +inf, so
+        a semiring with ``prescale`` must reduce with ``np.add`` from a
+        bitwise +0.0 identity or with ``np.minimum`` from a bitwise
+        +inf one, carry no output and hold one word per vertex; any
         other one is rejected with :class:`AlgorithmError`.
     """
 
@@ -123,13 +134,18 @@ class Semiring:
     def __post_init__(self):
         if self.prescale is None:
             return
+        label, bits = _PRESCALE_IDENTITIES.get(self.reduce_op, (None, None))
         broken = [
             reason
             for reason, bad in (
-                ("its reduce_op is not np.add", self.reduce_op is not np.add),
                 (
-                    "its identity is not +0.0",
-                    np.float64(self.identity).tobytes() != _POSITIVE_ZERO,
+                    "its reduce_op is neither np.add nor np.minimum",
+                    label is None,
+                ),
+                (
+                    f"its identity is not {label}",
+                    label is not None
+                    and np.float64(self.identity).tobytes() != bits,
                 ),
                 ("it carries the output", self.carry_output),
                 (
@@ -142,7 +158,8 @@ class Semiring:
         if broken:
             raise AlgorithmError(
                 f"semiring {self.name!r} has a prescale, which the IP "
-                "kernel runs as a sum over ones from +0.0, but "
+                "kernel runs as a sum over ones from +0.0 or as a fill "
+                "standing for a minimum from +inf, but "
                 + " and ".join(broken)
             )
 
@@ -201,9 +218,13 @@ def bfs_semiring() -> Semiring:
     def combine(a, v_src, v_dst, src_idx, dst_idx):
         return np.array(v_src, copy=True)
 
+    def prescale(v):
+        # combine copies V[src]: the per-vertex form is v, bit for bit.
+        return v
+
     return Semiring(
         "BFS", combine, np.minimum, np.inf, combine_flops=1, absent=np.inf,
-        spec={"kind": "bfs"},
+        spec={"kind": "bfs"}, prescale=prescale,
     )
 
 

@@ -29,6 +29,7 @@ from repro.spmv.inner import _PATTERN
 from repro.spmv.partition import build_ip_partitions
 from repro.spmv.semiring import (
     Semiring,
+    bfs_semiring,
     cf_semiring,
     pagerank_semiring,
     spmv_semiring,
@@ -114,12 +115,13 @@ def _assert_same_profile(a, b):
 
 def _memo_free(monkeypatch):
     """Make the runtime's kernel calls carry no memo: today's path."""
-    original = runtime_module.inner_product
+    for name in ("inner_product", "inner_product_batch"):
+        original = getattr(runtime_module, name)
 
-    def without_memo(*args, memo=None, **kw):
-        return original(*args, **kw)
+        def without_memo(*args, memo=None, _original=original, **kw):
+            return _original(*args, **kw)
 
-    monkeypatch.setattr(runtime_module, "inner_product", without_memo)
+        monkeypatch.setattr(runtime_module, name, without_memo)
 
 
 @pytest.mark.parametrize("tuned", [False, True], ids=["plain", "tuned"])
@@ -316,6 +318,46 @@ class TestPrescale:
             Semiring(**kw)
         # Without a prescale, the same semiring is fine.
         Semiring(**{**kw, "prescale": None})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("carry_output", True),
+            ("identity", 1e308),
+            ("identity", -np.inf),
+            ("identity", np.nan),
+            ("reduce_op", np.maximum),
+            ("value_words", 2),
+        ],
+        ids=["carry", "finite-identity", "-inf-identity", "nan-identity",
+             "maximum", "two-words"],
+    )
+    def test_rejects_what_a_uniform_fill_cannot_reproduce(self, field, value):
+        kw = dict(
+            name="labels", combine=lambda a, vs, vd, s, d: np.array(vs),
+            reduce_op=np.minimum, identity=np.inf, absent=np.inf,
+            prescale=lambda v: v,
+        )
+        Semiring(**kw)  # BFS's own combination constructs
+        kw[field] = value
+        with pytest.raises(AlgorithmError, match="prescale"):
+            Semiring(**kw)
+        Semiring(**{**kw, "prescale": None})
+
+    def test_bfs_prescale_is_its_combine(self):
+        v = np.concatenate([_SPECIALS, np.arange(6.0)])
+        cols = np.random.default_rng(4).integers(0, len(v), 400)
+        sr = bfs_semiring()
+        per_edge = sr.combine(None, v[cols], None, cols, None)
+        assert sr.prescale(v)[cols].tobytes() == per_edge.tobytes()
+
+    def test_rebuilt_bfs_semiring_keeps_it(self):
+        from repro.cluster.work import semiring_from_spec
+
+        rebuilt = semiring_from_spec({"kind": "bfs"}, {})
+        assert rebuilt.prescale is not None
+        v = np.array([np.inf, 2.0, -0.0, np.inf])
+        assert rebuilt.prescale(v).tobytes() == v.tobytes()
 
     def test_both_pagerank_builders_construct(self):
         degrees = np.array([0.0, 1.0, 2.0, 5.0])

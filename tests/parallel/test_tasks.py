@@ -57,3 +57,28 @@ class TestTaskKey:
     def test_precomputed_digests_match(self, task):
         digests = {k: array_digest(v) for k, v in task.arrays.items()}
         assert task_key(task, digests) == task_key(task)
+
+
+class TestResolveArrays:
+    """Inline arrays reach a task with numpy's builtin dtypes."""
+
+    def test_unpickled_array_gets_the_builtin_dtype(self):
+        import pickle
+
+        from repro.parallel.work import resolve_arrays
+
+        sent = np.array([1.5, -0.0, np.nan, 5e-324])
+        arrived = pickle.loads(pickle.dumps(sent))
+        assert arrived.dtype is not np.dtype(np.float64)  # a fresh instance
+        resolved = resolve_arrays({"v": arrived})["v"]
+        assert resolved.dtype is np.dtype(np.float64)
+        assert np.shares_memory(resolved, arrived)  # a view, not a copy
+        assert resolved.tobytes() == sent.tobytes()
+
+    def test_structured_array_passes_unchanged(self):
+        import pickle
+
+        from repro.parallel.work import resolve_arrays
+
+        rec = pickle.loads(pickle.dumps(np.zeros(2, dtype=[("a", "f8"), ("b", "i4")])))
+        assert resolve_arrays({"r": rec})["r"] is rec
